@@ -8,23 +8,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .formulas import Atom, Formula, eventually_atoms, pretty
+from .formulas import Atom, Formula, eventually_atoms
 from .knowledge import (
     EventRecord,
-    KnowledgeError,
     SpecStore,
     Trip,
     resolve_contradiction,
     spec_formula,
 )
-from .tableaux import (
-    OPEN,
-    UNSATISFIABLE,
-    TruthTree,
-    build_tree,
-    is_satisfiable,
-    open_consequences,
-)
+from .tableaux import TruthTree, build_tree, open_consequences
 from .worldgraph import GraphError, WorldGraph
 
 ENTER = "enter"
@@ -48,27 +40,8 @@ class DecisionConfig:
 
 
 @dataclass(frozen=True)
-class Detection:  # A1 -> A2/A3
-    user: str
-    node: str
-    timestamp: datetime
-
-
-@dataclass(frozen=True)
-class FollowUpdate:  # A1 -> A2
-    user: str
-    node: str
-
-
-@dataclass(frozen=True)
 class TripReport:  # A2 -> A3
     trip: Trip
-
-
-@dataclass(frozen=True)
-class DecisionRequest:  # A2 -> A3
-    user: str
-    gate: str
 
 
 @dataclass(frozen=True)
@@ -161,20 +134,24 @@ def a3_decide(
         raise GraphError(f"not a gateway: {gate}")
     observation = Atom(gate)
 
-    phi = spec_formula(store, user, observation)
+    tree = build_tree(spec_formula(store, user, observation))
     removed: list[Formula] = []
-    if is_satisfiable(phi) == UNSATISFIABLE:
+    if tree.closed:
         removed = resolve_contradiction(store, user, observation)
-        phi = spec_formula(store, user, observation)
+        tree = build_tree(spec_formula(store, user, observation))
 
-    tree = build_tree(phi)
     candidate_atoms: set[str] = set()
     for _, introduced in open_consequences(tree):
         candidate_atoms |= introduced
     spots = {a for a in candidate_atoms if graph.has_node(a) and graph.label(a) == "P"}
 
+    # a spot's weight is the largest r among the formulas promising it
+    weight: dict[str, int] = {}
+    for t in store.triples(user):
+        for spot in eventually_atoms(t.formula):
+            weight[spot] = max(weight.get(spot, 0), t.r)
     ranked = sorted(
-        ((spot, _spot_weight(store, user, spot)) for spot in spots),
+        ((spot, weight.get(spot, 0)) for spot in spots),
         key=lambda item: (-item[1], item[0]),
     )
 
@@ -200,10 +177,3 @@ def a3_decide(
         tree=tree,
     )
     return decision, removed
-
-
-def _spot_weight(store: SpecStore, user: str, spot: str) -> int:
-    weights = [
-        t.r for t in store.triples(user) if spot in eventually_atoms(t.formula)
-    ]
-    return max(weights, default=0)

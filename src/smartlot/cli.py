@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .agents import DecisionConfig
-from .formulas import FormulaSyntaxError, parse
+from .formulas import FormulaSyntaxError, Not, parse
 from .knowledge import EventLog, KnowledgeError, SpecStore, Trip, mine_trip
 from .simulator import (
     ScenarioError,
@@ -22,7 +22,7 @@ from .simulator import (
     serialize_report,
     serialize_scenario,
 )
-from .tableaux import SATISFIABLE, VALID, build_tree, export_tree, is_satisfiable, is_valid
+from .tableaux import build_tree, export_tree
 from .worldgraph import GraphError, GraphPartition, export_dot, glue, load_graph, save_graph
 
 
@@ -78,16 +78,16 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_prove(args) -> int:
     formula = parse(args.formula)
     if args.valid:
-        verdict = is_valid(formula)
-        print("VALID" if verdict == VALID else "NOT VALID")
-        ok = verdict == VALID
+        # φ is valid when the tree of !(φ) closes; that tree is the one shown
+        tree = build_tree(Not(formula))
+        ok = tree.closed
+        print("VALID" if ok else "NOT VALID")
     else:
-        verdict = is_satisfiable(formula)
-        print("SAT" if verdict == SATISFIABLE else "UNSAT")
-        ok = verdict == SATISFIABLE
+        tree = build_tree(formula)
+        ok = tree.open
+        print("SAT" if ok else "UNSAT")
     if args.tree:
-        shown = build_tree(parse(args.formula) if not args.valid else formula)
-        sys.stdout.write(export_tree(shown, args.tree))
+        sys.stdout.write(export_tree(tree, args.tree))
     return 0 if ok else 1
 
 
@@ -111,11 +111,13 @@ def cmd_simulate(args) -> int:
 def reconstruct_trips(log: EventLog, graph) -> list[Trip]:
     """Segment raw per-user event streams at gateway detections: each
     gate ... gate stretch is one trip, parked at the last P node seen."""
+    by_user: dict[str, list] = {}
+    for event in log.events:
+        by_user.setdefault(event.user, []).append(event)
     trips = []
-    users = sorted({e.user for e in log.events})
-    for user in users:
+    for user in sorted(by_user):
         current: list = []
-        for event in log.for_user(user):
+        for event in by_user[user]:
             label = graph.label(event.node)
             if label == "G" and current:
                 parked = next(

@@ -124,46 +124,51 @@ class Trip:
 
 class SpecStore:
     """Per-user set of (formula, occurrence count) pairs; (user, formula)
-    is unique under structural formula equality."""
+    is unique under structural formula equality.  Rows are kept per user,
+    the way the decision path reads them."""
 
     def __init__(self):
-        self._counts: dict[tuple[str, Formula], int] = {}
+        self._by_user: dict[str, dict[Formula, int]] = {}
 
     def upsert(self, user: str, formula: Formula) -> int:
-        key = (user, formula)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        return self._counts[key]
+        rows = self._by_user.setdefault(user, {})
+        rows[formula] = rows.get(formula, 0) + 1
+        return rows[formula]
 
     def insert(self, user: str, formula: Formula, r: int) -> None:
         if r < 1:
             raise KnowledgeError(f"occurrence count must be positive: {r}")
-        self._counts[(user, formula)] = r
+        self._by_user.setdefault(user, {})[formula] = r
 
     def remove(self, user: str, formula: Formula) -> None:
-        del self._counts[(user, formula)]
+        rows = self._by_user[user]
+        del rows[formula]
+        if not rows:
+            del self._by_user[user]
 
     def contains(self, user: str, formula: Formula) -> bool:
-        return (user, formula) in self._counts
+        return formula in self._by_user.get(user, ())
 
     def triples(self, user: str | None = None) -> list[SpecTriple]:
-        out = [
-            SpecTriple(u, f, r)
-            for (u, f), r in self._counts.items()
-            if user is None or u == user
-        ]
-        out.sort(key=lambda t: (t.user, -t.r, pretty(t.formula)))
+        """Rows ordered by user, then descending r, then formula text."""
+        users = sorted(self._by_user) if user is None else [user]
+        out = []
+        for u in users:
+            rows = [SpecTriple(u, f, r) for f, r in self._by_user.get(u, {}).items()]
+            rows.sort(key=lambda t: (-t.r, pretty(t.formula)))
+            out += rows
         return out
 
     def scale(self, factor: int) -> "SpecStore":
         if factor < 1:
             raise KnowledgeError(f"scale factor must be positive: {factor}")
         out = SpecStore()
-        for (u, f), r in self._counts.items():
-            out._counts[(u, f)] = r * factor
+        for u, rows in self._by_user.items():
+            out._by_user[u] = {f: r * factor for f, r in rows.items()}
         return out
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return sum(len(rows) for rows in self._by_user.values())
 
     # -- persistence: user TAB formula TAB r ------------------------------
 
@@ -182,7 +187,11 @@ class SpecStore:
             if len(parts) != 3:
                 raise KnowledgeError(f"line {lineno}: expected user<TAB>formula<TAB>r")
             user, formula_text, r = parts
-            store.insert(user, parse(formula_text), int(r))
+            formula = parse(formula_text)
+            try:
+                store.insert(user, formula, int(r))
+            except ValueError:  # not an integer, or below 1
+                raise KnowledgeError(f"line {lineno}: count must be a positive integer: {r!r}") from None
         return store
 
 

@@ -29,6 +29,8 @@ from .formulas import (
     Formula,
     Not,
     Or,
+    atoms,
+    count_eventually,
     nnf,
     pretty,
 )
@@ -260,10 +262,10 @@ def _realizable(
 
     names: set[str] = set(a for _, a, _ in literals)
     for f, _ in commitments:
-        names |= _formula_atoms(f)
+        names |= atoms(f)
     atom_list = sorted(names)
 
-    helpers = sum(_count_f(f) for f, _ in commitments)
+    helpers = sum(count_eventually(f) for f, _ in commitments)
     named = sorted(w for w in worlds if w)
 
     for order in _linear_extensions(named):
@@ -273,18 +275,6 @@ def _realizable(
         if _check_order(positions, literals, commitments, atom_list):
             return True
     return False
-
-
-def _formula_atoms(f: Formula) -> set[str]:
-    from .formulas import atoms as _atoms
-
-    return _atoms(f)
-
-
-def _count_f(f: Formula) -> int:
-    from .formulas import count_eventually
-
-    return count_eventually(f)
 
 
 def _linear_extensions(worlds: list[tuple[str, ...]]):

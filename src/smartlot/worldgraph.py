@@ -1,18 +1,23 @@
 """Labeled, attributed digraph of the parking world.
 
 Node labels: G (gateway), R (road segment), P (parking place), C (car).
-A car's position is the single outgoing `at` edge of its C node; occupancy
-of a spot is derived purely from incoming `at` edges.  Graphs are values:
-every transformation returns a new graph, leaving the input untouched.
+A car's position is the single outgoing `at` edge of its C node (a second
+one is rejected); occupancy of a spot is derived purely from incoming `at`
+edges.  Both are indexed, so `car_position` and `is_free` are dict lookups.
+Graphs are values: every transformation returns a new graph, leaving the
+input untouched.  Node and edge attributes are read-only mappings, shared
+between a graph and the versions derived from it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 NODE_LABELS = {"G", "R", "P", "C"}
 AT = "at"
+_NO_ATTRS = MappingProxyType({})
 
 
 class GraphError(ValueError):
@@ -23,8 +28,20 @@ class GraphError(ValueError):
 class WorldGraph:
     labels: dict[str, str] = field(default_factory=dict)  # node -> label
     edges: dict[tuple[str, str], str] = field(default_factory=dict)  # (src, dst) -> label
-    node_attrs: dict[str, dict[str, str]] = field(default_factory=dict)
-    edge_attrs: dict[tuple[str, str], dict[str, str]] = field(default_factory=dict)
+    node_attrs: dict[str, MappingProxyType] = field(default_factory=dict)
+    edge_attrs: dict[tuple[str, str], MappingProxyType] = field(default_factory=dict)
+    # indexes derived from `edges`: car -> node it is at, node -> number of cars at it
+    _position: dict[str, str] = field(init=False, repr=False, compare=False)
+    _occupancy: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.node_attrs = {n: MappingProxyType(dict(a)) for n, a in self.node_attrs.items()}
+        self.edge_attrs = {e: MappingProxyType(dict(a)) for e, a in self.edge_attrs.items()}
+        self._position = {}
+        self._occupancy = {}
+        for (src, dst), lab in self.edges.items():
+            if lab == AT:
+                self._place(src, dst)
 
     # -- queries ----------------------------------------------------------
 
@@ -45,25 +62,35 @@ class WorldGraph:
             raise GraphError(f"unknown node: {node}") from None
 
     def car_position(self, car: str) -> str | None:
-        for (src, dst), lab in self.edges.items():
-            if src == car and lab == AT:
-                return dst
-        return None
+        return self._position.get(car)
 
     def is_free(self, spot: str) -> bool:
         if self.label(spot) != "P":
             raise GraphError(f"not a parking place: {spot}")
-        return not any(
-            dst == spot and lab == AT for (_, dst), lab in self.edges.items()
-        )
+        return spot not in self._occupancy
 
     def _copy(self) -> "WorldGraph":
-        return WorldGraph(
-            dict(self.labels),
-            dict(self.edges),
-            {n: dict(a) for n, a in self.node_attrs.items()},
-            {e: dict(a) for e, a in self.edge_attrs.items()},
-        )
+        # every field is a dict; the read-only attribute mappings are shared
+        g = object.__new__(WorldGraph)
+        g.__dict__ = {name: dict(value) for name, value in vars(self).items()}
+        return g
+
+    def _place(self, car: str, node: str) -> None:
+        if car in self._position:
+            raise GraphError(f"second at edge out of {car}")
+        self._position[car] = node
+        self._occupancy[node] = self._occupancy.get(node, 0) + 1
+
+    def _unplace(self, car: str) -> None:
+        node = self._position.pop(car)
+        self._occupancy[node] -= 1
+        if not self._occupancy[node]:
+            del self._occupancy[node]
+
+    def _remove_edge(self, edge: tuple[str, str]) -> None:
+        if self.edges.pop(edge) == AT:
+            self._unplace(edge[0])
+        self.edge_attrs.pop(edge, None)
 
     # -- construction -----------------------------------------------------
 
@@ -73,14 +100,18 @@ class WorldGraph:
         if label not in NODE_LABELS:
             raise GraphError(f"unknown node label {label!r} for node {node}")
         self.labels[node] = label
-        self.node_attrs[node] = dict(attrs or {})
+        self.node_attrs[node] = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
 
     def add_edge(self, src: str, dst: str, label: str, attrs: dict[str, str] | None = None) -> None:
         for end in (src, dst):
             if end not in self.labels:
                 raise GraphError(f"dangling edge endpoint: {end}")
+        if self.edges.get((src, dst)) == AT:
+            self._unplace(src)
+        if label == AT:
+            self._place(src, dst)
         self.edges[(src, dst)] = label
-        self.edge_attrs[(src, dst)] = dict(attrs or {})
+        self.edge_attrs[(src, dst)] = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
 
     # -- parking transformations ------------------------------------------
 
@@ -104,8 +135,7 @@ class WorldGraph:
         if target_label == "P" and not self.is_free(node):
             raise GraphError(f"parking place occupied: {node}")
         g = self._copy()
-        del g.edges[(car, pos)]
-        g.edge_attrs.pop((car, pos), None)
+        g._remove_edge((car, pos))
         g.add_edge(car, node, AT)
         return g
 
@@ -116,8 +146,7 @@ class WorldGraph:
         del g.labels[car]
         del g.node_attrs[car]
         for edge in [e for e in g.edges if car in e]:
-            del g.edges[edge]
-            g.edge_attrs.pop(edge, None)
+            g._remove_edge(edge)
         return g
 
     def nearest_free_spot(self, start: str) -> str | None:

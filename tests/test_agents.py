@@ -105,6 +105,25 @@ def test_a3_prefers_highest_count():
     assert decision.tree.open
 
 
+def test_a3_builds_one_tree_on_a_consistent_spec(monkeypatch):
+    import smartlot.agents
+    import smartlot.tableaux
+
+    built = []
+    real = smartlot.tableaux.build_tree
+
+    def counting(f):
+        built.append(f)
+        return real(f)
+
+    # both bindings: the tableaux one also serves is_satisfiable
+    monkeypatch.setattr(smartlot.tableaux, "build_tree", counting)
+    monkeypatch.setattr(smartlot.agents, "build_tree", counting)
+    decision, removed = a3_decide(kr55_store(), parking_fixture(), "idKR55", "g2")
+    assert (decision.suggestion, removed) == ("p018", [])
+    assert len(built) == 1
+
+
 def test_a3_falls_back_to_next_candidate():
     g = parking_fixture().car_enters("c1", "g2").car_moves("c1", "p018")
     decision, _ = a3_decide(kr55_store(), g, "idKR55", "g2")

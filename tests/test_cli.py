@@ -1,10 +1,22 @@
-from datetime import datetime
+from datetime import datetime, timedelta
+
+import pytest
 
 from smartlot.cli import main, reconstruct_trips
 from smartlot.fixtures import parking_fixture, parking_fixture_text
+from smartlot.formulas import Always, pretty
 from smartlot.knowledge import EventLog, EventRecord, SpecStore, Trip, mine_trip
-from smartlot.simulator import demo_scenario, never_gate_scenario, run, serialize_report, serialize_scenario
-from smartlot.worldgraph import load_graph
+from smartlot.simulator import (
+    Detection,
+    Scenario,
+    demo_scenario,
+    generate,
+    never_gate_scenario,
+    run,
+    serialize_report,
+    serialize_scenario,
+)
+from smartlot.worldgraph import load_graph, save_graph
 
 
 def ev(user, node, iso):
@@ -36,6 +48,14 @@ def test_prove_tree_ascii(capsys):
     out = capsys.readouterr().out
     assert out.startswith("UNSAT\n")
     assert "1.[x]: !g3" in out
+
+
+def test_prove_valid_tree_is_the_closed_tree_of_the_negation(capsys):
+    assert main(["prove", "--valid", "--tree", "ascii", "p | !p"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["VALID", "!(p | !p)"]
+    markers = [line.strip() for line in out if line.strip() in ("x", "o")]
+    assert markers and set(markers) == {"x"}
 
 
 def test_prove_tree_dot(capsys):
@@ -138,6 +158,42 @@ def test_mine_equivalent_to_library(tmp_path, capsys):
     for f in mine_trip(Trip("u", "g1", "p010", "g1")):
         store.upsert("u", f)
     assert cli_out == store.to_tsv()
+
+
+def interleaved_two_drivers():
+    """Two drivers whose trips overlap in time, with a pass-through trip."""
+    steps = [
+        ("A", "g2"), ("B", "g1"), ("A", "r4"), ("B", "r1"), ("A", "p018"),
+        ("B", "p010"), ("B", "g1"), ("A", "r5"), ("B", "g1"), ("A", "g2"),
+        ("B", "p010"), ("A", "g2"), ("A", "p018"), ("B", "g1"), ("B", "g3"),
+        ("A", "g2"), ("B", "g3"), ("A", "g2"), ("A", "p019"), ("A", "g2"),
+    ]
+    t0 = datetime(2014, 1, 28, 8, 0, 0)
+    timeline = [Detection(t0 + timedelta(minutes=i), u, n) for i, (u, n) in enumerate(steps)]
+    return Scenario(parking_fixture(), timeline)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [generate(1, 50, 4, 0.5), interleaved_two_drivers()],
+    ids=["generated", "interleaved"],
+)
+def test_mine_matches_simulator_preferences(scenario, tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(save_graph(scenario.graph))
+    events_file = tmp_path / "events.csv"
+    events_file.write_text(
+        "".join(f"{d.user},{d.node},{d.timestamp.isoformat()}\n" for d in scenario.timeline)
+    )
+    assert main(["mine", str(events_file), str(graph_file)]) == 0
+    mined = capsys.readouterr().out
+    report = run(scenario)
+    preferences = "".join(
+        f"{t.user}\t{pretty(t.formula)}\t{t.r}\n"
+        for t in report.final_store.triples()
+        if not isinstance(t.formula, Always)
+    )
+    assert mined == preferences != ""
 
 
 def test_mine_bad_events(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from datetime import datetime
 
 import pytest
@@ -107,6 +108,34 @@ def test_triples_ordering():
     ]
 
 
+def test_triples_match_a_global_sort():
+    rng = random.Random(11)
+    users = ["u1", "u2", "u3"]
+    formulas = [parse(t) for t in ("g1 -> F p1", "g2 -> F p2", "G !g3", "g1 -> F p2", "p1")]
+    store = SpecStore()
+    counts = {}
+    for _ in range(600):
+        user, f = rng.choice(users), rng.choice(formulas)
+        op = rng.choice(("upsert", "insert", "remove"))
+        if op == "upsert":
+            counts[(user, f)] = store.upsert(user, f)
+        elif op == "insert":
+            counts[(user, f)] = rng.randrange(1, 4)
+            store.insert(user, f, counts[(user, f)])
+        elif (user, f) in counts:
+            store.remove(user, f)
+            del counts[(user, f)]
+        expected = sorted(
+            (SpecTriple(u, f, r) for (u, f), r in counts.items()),
+            key=lambda t: (t.user, -t.r, pretty(t.formula)),
+        )
+        assert store.triples() == expected
+        assert store.triples(user) == [t for t in expected if t.user == user]
+        assert store.contains(user, f) == ((user, f) in counts)
+        assert len(store) == len(counts)
+    assert store.triples("nobody") == []
+
+
 def test_insert_validates_count():
     with pytest.raises(KnowledgeError):
         SpecStore().insert("u", parse("p"), 0)
@@ -134,6 +163,10 @@ def test_tsv_round_trip():
 def test_from_tsv_bad_line():
     with pytest.raises(KnowledgeError, match="line 1"):
         SpecStore.from_tsv("only two\tfields\n")
+    with pytest.raises(KnowledgeError, match="line 2: count must be a positive integer"):
+        SpecStore.from_tsv("u\tg1 -> F p1\t3\nu\tg1 -> F p1\tabc\n")
+    with pytest.raises(KnowledgeError, match="line 1: count must be a positive integer"):
+        SpecStore.from_tsv("u\tg1 -> F p1\t0\n")
 
 
 # -- mining ------------------------------------------------------------------

@@ -130,6 +130,76 @@ def test_is_free_requires_spot():
         parking_fixture().is_free("r1")
 
 
+# -- indexes and shared attributes --------------------------------------------
+
+
+def assert_indexes_match_edges(g, cars):
+    at = [(src, dst) for (src, dst), lab in g.edges.items() if lab == "at"]
+    for car in cars:
+        assert g.car_position(car) == next((dst for src, dst in at if src == car), None)
+    for spot in g.nodes_with_label("P"):
+        assert g.is_free(spot) == all(dst != spot for _, dst in at)
+
+
+def test_indexes_follow_random_transformations():
+    rng = random.Random(29)
+    g = parking_fixture()
+    gates = g.nodes_with_label("G")
+    targets = gates + g.nodes_with_label("R") + g.nodes_with_label("P")
+    cars = [f"car{i}" for i in range(6)]
+    for _ in range(600):
+        before = save_graph(g)
+        car = rng.choice(cars)
+        op = rng.choice(("enter", "move", "move", "exit"))
+        try:
+            if op == "enter":
+                nxt = g.car_enters(car, rng.choice(gates))
+            elif op == "move":
+                nxt = g.car_moves(car, rng.choice(targets))
+            else:
+                nxt = g.car_exits(car)
+        except GraphError:
+            nxt = g
+        assert save_graph(g) == before  # input untouched
+        assert_indexes_match_edges(g, cars)
+        g = nxt
+        assert_indexes_match_edges(g, cars)
+        assert_indexes_match_edges(load_graph(save_graph(g)), cars)
+
+
+def test_graph_built_from_dicts_is_indexed():
+    g = WorldGraph(
+        {"c1": "C", "g1": "G", "p1": "P"},
+        {("c1", "p1"): "at", ("g1", "p1"): "road"},
+        {"g1": {"zone": "north"}},
+    )
+    assert g.car_position("c1") == "p1"
+    assert not g.is_free("p1")
+    with pytest.raises(TypeError):
+        g.node_attrs["g1"]["zone"] = "south"
+
+
+def test_attributes_are_read_only_and_shared():
+    g = load_graph("g1 G zone=north\nr1 R\ng1 -> r1 road len=40\n")
+    with pytest.raises(TypeError):
+        g.node_attrs["g1"]["zone"] = "south"
+    with pytest.raises(TypeError):
+        g.edge_attrs[("g1", "r1")]["len"] = "1"
+    h = g.car_enters("c1", "g1").car_moves("c1", "r1")
+    assert h.node_attrs["g1"] is g.node_attrs["g1"]
+    assert h.edge_attrs[("g1", "r1")] == {"len": "40"}
+
+
+def test_second_at_edge_rejected():
+    g = parking_fixture().car_enters("c1", "g1")
+    with pytest.raises(GraphError, match="second at edge"):
+        g.add_edge("c1", "g2", "at")
+    assert g.car_position("c1") == "g1"
+    assert ("c1", "g2") not in g.edges
+    with pytest.raises(GraphError, match="second at edge"):
+        load_graph("c1 C\ng1 G\ng2 G\nc1 -> g1 at\nc1 -> g2 at\n")
+
+
 # -- nearest free spot -------------------------------------------------------
 
 
