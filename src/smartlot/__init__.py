@@ -39,6 +39,7 @@ from .knowledge import (
     infer_never_gates,
     mine_trip,
     resolve_contradiction,
+    retract_inconsistent,
     spec_formula,
 )
 from .agents import DecisionConfig, PreferenceDecision, a1_detect, a2_finalize, a2_spawn, a2_update, a3_decide

@@ -13,7 +13,7 @@ from .knowledge import (
     EventRecord,
     SpecStore,
     Trip,
-    resolve_contradiction,
+    retract_inconsistent,
     spec_formula,
 )
 from .tableaux import TruthTree, build_tree, open_consequences
@@ -137,7 +137,8 @@ def a3_decide(
     tree = build_tree(spec_formula(store, user, observation))
     removed: list[Formula] = []
     if tree.closed:
-        removed = resolve_contradiction(store, user, observation)
+        # the closed tree is the contradiction; retract its causes and re-prove
+        removed = retract_inconsistent(store, user, observation)
         tree = build_tree(spec_formula(store, user, observation))
 
     candidate_atoms: set[str] = set()

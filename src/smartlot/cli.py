@@ -192,6 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FormulaSyntaxError, KnowledgeError, GraphError, ScenarioError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # parser, printer and prover recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
     return 2
 
 

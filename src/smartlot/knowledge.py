@@ -258,11 +258,19 @@ def spec_formula(store: SpecStore, user: str, observation: Formula) -> Formula:
 def resolve_contradiction(
     store: SpecStore, user: str, observation: Formula
 ) -> list[Formula]:
-    """Remove every stored formula that is singly inconsistent with the
-    observation.  Mutates the store; returns the removed formulas."""
+    """Check that the user's specification contradicts the observation, then
+    retract what causes it (see `retract_inconsistent`)."""
     combined = spec_formula(store, user, observation)
     if is_satisfiable(combined) != UNSATISFIABLE:
         raise KnowledgeError("no contradiction to resolve")
+    return retract_inconsistent(store, user, observation)
+
+
+def retract_inconsistent(
+    store: SpecStore, user: str, observation: Formula
+) -> list[Formula]:
+    """Remove every stored formula that is singly inconsistent with the
+    observation.  Mutates the store; returns the removed formulas."""
     removed = []
     for triple in store.triples(user):
         if is_satisfiable(And(observation, triple.formula)) == UNSATISFIABLE:

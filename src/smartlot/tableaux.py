@@ -14,6 +14,13 @@ different worlds.  Branches that survive unification therefore go through a
 realizability check that searches for an ordering of the introduced worlds,
 plus a constant tail state, satisfying every recorded constraint.  A branch
 with no such arrangement is closed as well.
+
+The search is exact but pruned in three steps (see "Linear realizability"
+below): orderings must respect precedence edges forced by universal vs.
+exact literals, and a cycle among them closes the branch; the tail, which
+every ordering shares, is checked once up front; and each position only
+enumerates the atoms its duties read.  A branch without deferred commitments
+costs one topological sort of its worlds.
 """
 
 from __future__ import annotations
@@ -245,63 +252,104 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 # arrangement of its worlds, padded with one helper position per F occurring
 # inside commitments and ending in a constant tail state, admits valuations
 # meeting every constraint.
+#
+# The search skips only arrangements and valuations that cannot succeed:
+#
+# 1. Precedence.  A universal literal from named world P and an opposite
+#    exact literal at named world Q clash wherever Q sits at or after P, so Q
+#    must come before P.  (Pairs with P at the root, or with Q extending P,
+#    already closed by unification.)  These edges join the parent-before-child
+#    edges; one topological sort closes a branch whose edges form a cycle.
+#    Without commitments there are no duties, so an acyclic branch is
+#    realizable at the cost of that one sort.  Otherwise only orderings
+#    respecting the edges are enumerated.
+# 2. Tail.  Every universal literal and every commitment holds at the
+#    constant tail whatever the ordering, and there F and G read only the
+#    tail itself.  One search for a tail valuation runs before any ordering;
+#    without one the branch closes.
+# 3. Reads.  At position i the duties read only the atoms of the commitments
+#    based at or before i; only those free atoms are enumerated there.
 
 _TAIL = ("<tail>",)
+_OPPOSITE = {"+": "-", "-": "+"}
 
 
 def _realizable(
     literals: list[Literal], commitments: list[tuple[Formula, tuple[str, ...]]]
 ) -> bool:
-    worlds: set[tuple[str, ...]] = {()}
-    for _, _, label in literals:
-        for i in range(len(label.prefix) + 1):
-            worlds.add(label.prefix[:i])
-    for _, base in commitments:
-        for i in range(len(base) + 1):
-            worlds.add(base[:i])
+    named_set: set[tuple[str, ...]] = set()
+    for prefix in [label.prefix for _, _, label in literals] + [b for _, b in commitments]:
+        for i in range(1, len(prefix) + 1):
+            named_set.add(prefix[:i])
+    named = sorted(named_set)
 
-    names: set[str] = set(a for _, a, _ in literals)
-    for f, _ in commitments:
-        names |= atoms(f)
-    atom_list = sorted(names)
+    # before[w]: the worlds an ordering must place ahead of w
+    before = {w: {w[:-1]} if len(w) > 1 else set() for w in named}
+    exact: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    for sign, atom, label in literals:
+        if label.prefix and not label.universal:
+            exact.setdefault((sign, atom), []).append(label.prefix)
+    for sign, atom, label in literals:
+        if label.prefix and label.universal:
+            before[label.prefix].update(exact.get((_OPPOSITE[sign], atom), ()))
+    if not _acyclic(named, before):
+        return False
+    if not commitments:
+        return True
+
+    # the tail alone, as a one-position arrangement reached by every
+    # universal literal and every commitment
+    commit_atoms = [atoms(f) for f, _ in commitments]
+    everywhere = WorldLabel((), True)
+    tail_literals = [(s, a, everywhere) for s, a, label in literals if label.universal]
+    tail_commitments = [(f, ()) for f, _ in commitments]
+    if not _check_order([_TAIL], tail_literals, tail_commitments, commit_atoms):
+        return False
 
     helpers = sum(count_eventually(f) for f, _ in commitments)
-    named = sorted(w for w in worlds if w)
-
-    for order in _linear_extensions(named):
-        positions: list[tuple[str, ...]] = [()] + list(order)
-        positions += [("<helper>", str(i)) for i in range(helpers)]
-        positions.append(_TAIL)
-        if _check_order(positions, literals, commitments, atom_list):
+    padding = [("<helper>", str(i)) for i in range(helpers)] + [_TAIL]
+    for order in _linear_extensions(named, before):
+        positions = [()] + list(order) + padding
+        if _check_order(positions, literals, commitments, commit_atoms):
             return True
     return False
 
 
-def _linear_extensions(worlds: list[tuple[str, ...]]):
-    """All orderings of the named worlds consistent with prefix nesting."""
-    if not worlds:
-        yield ()
-        return
-    remaining = list(worlds)
+def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
+    """Whether some ordering of `worlds` places each after its `before` set."""
+    placed: set[tuple[str, ...]] = set()
+    left = worlds
+    while left:
+        ready = [w for w in left if before[w] <= placed]
+        if not ready:
+            return False
+        placed.update(ready)
+        left = [w for w in left if w not in placed]
+    return True
+
+
+def _linear_extensions(worlds: list[tuple[str, ...]], before: dict):
+    """All orderings of the named worlds that place each world after every
+    world in its `before` set (its parent and its precedence edges)."""
 
     def rec(placed: tuple[tuple[str, ...], ...], left: list[tuple[str, ...]]):
         if not left:
             yield placed
             return
+        done = set(placed)
         for w in left:
-            parent = w[:-1]
-            if parent == () or parent in placed:
+            if before[w] <= done:
                 rest = [v for v in left if v != w]
                 yield from rec(placed + (w,), rest)
 
-    yield from rec((), remaining)
+    yield from rec((), worlds)
 
 
 def _check_order(
     positions: list[tuple[str, ...]],
     literals: list[Literal],
     commitments: list[tuple[Formula, tuple[str, ...]]],
-    atom_list: list[str],
+    commit_atoms: list[set[str]],
 ) -> bool:
     idx = {w: i for i, w in enumerate(positions)}
     n = len(positions)
@@ -324,17 +372,19 @@ def _check_order(
                 return False
             forced[i][atom] = value
 
-    # duties[i]: formulas that must hold at position i
+    # duties[i]: formulas that must hold at position i; reads[i]: their atoms
     duties: list[list[Formula]] = [[] for _ in range(n)]
-    for f, base in commitments:
+    reads: list[set[str]] = [set() for _ in range(n)]
+    for (f, base), names in zip(commitments, commit_atoms):
         for i in range(base_index(base), n):
             duties[i].append(f)
+            reads[i] |= names
 
     def candidate_vals(i: int):
-        free = [a for a in atom_list if a not in forced[i]]
-        fixed = dict(forced[i])
+        # atoms no duty reads keep their forced value or stay unset
+        free = sorted(reads[i].difference(forced[i]))
         for bits in itertools.product((False, True), repeat=len(free)):
-            v = dict(fixed)
+            v = dict(forced[i])
             v.update(zip(free, bits))
             yield v
 

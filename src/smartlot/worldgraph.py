@@ -6,7 +6,9 @@ one is rejected); occupancy of a spot is derived purely from incoming `at`
 edges.  Both are indexed, so `car_position` and `is_free` are dict lookups.
 Graphs are values: every transformation returns a new graph, leaving the
 input untouched.  Node and edge attributes are read-only mappings, shared
-between a graph and the versions derived from it.
+between a graph and the versions derived from it.  So is the road adjacency
+that `nearest_free_spot` walks: it is built on first use and dropped only
+when a non-`at` edge changes, which no car transformation does.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class WorldGraph:
     # indexes derived from `edges`: car -> node it is at, node -> number of cars at it
     _position: dict[str, str] = field(init=False, repr=False, compare=False)
     _occupancy: dict[str, int] = field(init=False, repr=False, compare=False)
+    # node -> successors over non-`at` edges; None until first needed
+    _roads: dict[str, list[str]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.node_attrs = {n: MappingProxyType(dict(a)) for n, a in self.node_attrs.items()}
@@ -70,9 +74,11 @@ class WorldGraph:
         return spot not in self._occupancy
 
     def _copy(self) -> "WorldGraph":
-        # every field is a dict; the read-only attribute mappings are shared
+        # the outer dicts are copied; the read-only attribute mappings and the
+        # road adjacency, which is replaced but never mutated, are shared
         g = object.__new__(WorldGraph)
-        g.__dict__ = {name: dict(value) for name, value in vars(self).items()}
+        g.__dict__ = {name: dict(value) for name, value in vars(self).items() if name != "_roads"}
+        g._roads = self._roads
         return g
 
     def _place(self, car: str, node: str) -> None:
@@ -90,6 +96,8 @@ class WorldGraph:
     def _remove_edge(self, edge: tuple[str, str]) -> None:
         if self.edges.pop(edge) == AT:
             self._unplace(edge[0])
+        else:
+            self._roads = None
         self.edge_attrs.pop(edge, None)
 
     # -- construction -----------------------------------------------------
@@ -106,8 +114,11 @@ class WorldGraph:
         for end in (src, dst):
             if end not in self.labels:
                 raise GraphError(f"dangling edge endpoint: {end}")
-        if self.edges.get((src, dst)) == AT:
+        old = self.edges.get((src, dst))
+        if old == AT:
             self._unplace(src)
+        if label != AT or old not in (None, AT):
+            self._roads = None
         if label == AT:
             self._place(src, dst)
         self.edges[(src, dst)] = label
@@ -153,10 +164,12 @@ class WorldGraph:
         """Hop-nearest free P node from `start`, ties broken by node id.
         Car position edges are not traversable road topology."""
         self.label(start)  # existence check
-        adj: dict[str, list[str]] = {}
-        for (src, dst), lab in self.edges.items():
-            if lab != AT:
-                adj.setdefault(src, []).append(dst)
+        if self._roads is None:
+            self._roads = {}
+            for (src, dst), lab in self.edges.items():
+                if lab != AT:
+                    self._roads.setdefault(src, []).append(dst)
+        adj = self._roads
         seen = {start}
         frontier = [start]
         while frontier:

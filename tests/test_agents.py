@@ -20,7 +20,7 @@ from smartlot.agents import (
 )
 from smartlot.fixtures import parking_fixture
 from smartlot.formulas import parse
-from smartlot.knowledge import EventRecord, SpecStore
+from smartlot.knowledge import EventRecord, SpecStore, spec_formula
 from smartlot.worldgraph import GraphError
 
 T0 = datetime(2014, 1, 28, 9, 30, 15)
@@ -165,6 +165,27 @@ def test_a3_resolves_contradiction_first():
     assert removed == [parse("G !g2")]
     assert not store.contains("idKR55", parse("G !g2"))
     assert decision.suggestion == "p018"
+
+
+def test_a3_proves_a_contradicted_spec_once(monkeypatch):
+    import smartlot.agents
+    import smartlot.tableaux
+
+    store = kr55_store()
+    store.insert("idKR55", parse("G !g2"), 1)
+    contradicted = spec_formula(store, "idKR55", parse("g2"))
+    built = []
+    real = smartlot.tableaux.build_tree
+
+    def counting(f):
+        built.append(f)
+        return real(f)
+
+    monkeypatch.setattr(smartlot.tableaux, "build_tree", counting)
+    monkeypatch.setattr(smartlot.agents, "build_tree", counting)
+    _, removed = a3_decide(store, parking_fixture(), "idKR55", "g2")
+    assert removed == [parse("G !g2")]
+    assert built.count(contradicted) == 1
 
 
 def test_a3_requires_gateway():

@@ -68,6 +68,22 @@ def test_prove_syntax_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "!" * 1200 + "a",
+        "(" * 1200 + "a" + ")" * 1200,
+        " | ".join(f"a{i}" for i in range(1200)),
+    ],
+    ids=["negations", "parentheses", "disjunction-chain"],
+)
+def test_prove_too_deep_is_an_input_error(formula, capsys):
+    assert main(["prove", formula]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: formula nested too deeply\n"
+
+
 def test_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -5,6 +5,7 @@ import pytest
 
 from smartlot.fixtures import all_gates, all_spots, parking_fixture, parking_fixture_text
 from smartlot.worldgraph import (
+    AT,
     GraphError,
     GraphPartition,
     WorldGraph,
@@ -244,6 +245,50 @@ def test_nearest_matches_oracle_random():
         g = random_graph(rng, rng.randrange(3, 60))
         start = rng.choice(sorted(g.labels))
         assert g.nearest_free_spot(start) == nearest_oracle(g, start)
+
+
+def test_nearest_free_spot_follows_random_transformations():
+    rng = random.Random(31)
+    g = parking_fixture()
+    nodes = sorted(g.labels)
+    gates = g.nodes_with_label("G")
+    targets = gates + g.nodes_with_label("R") + g.nodes_with_label("P")
+    cars = [f"car{i}" for i in range(6)]
+    for _ in range(300):
+        prev = g
+        start = rng.choice(gates)
+        assert prev.nearest_free_spot(start) == nearest_oracle(prev, start)
+        car = rng.choice(cars)
+        op = rng.choice(("enter", "move", "move", "exit", "road", "car road", "at"))
+        try:
+            if op == "enter":
+                g = g.car_enters(car, rng.choice(gates))
+            elif op == "move":
+                g = g.car_moves(car, rng.choice(targets))
+            elif op == "exit":
+                g = g.car_exits(car)
+            else:
+                # in place, on a graph that may share its adjacency with prev
+                g = g.car_enters("probe", gates[0]).car_exits("probe")
+                if op == "car road":  # a road through a car: gone when it exits
+                    g.add_edge(rng.choice(nodes), car, "road")
+                    g.add_edge(car, rng.choice(nodes), "road")
+                else:
+                    g.add_edge(rng.choice(nodes), rng.choice(nodes), AT if op == "at" else "road")
+        except GraphError:
+            pass
+        for start in gates:
+            assert g.nearest_free_spot(start) == nearest_oracle(g, start)
+        assert prev.nearest_free_spot(start) == nearest_oracle(prev, start)
+
+
+def test_car_transformations_keep_the_road_adjacency():
+    g = parking_fixture()
+    g.nearest_free_spot("g1")
+    entered = g.car_enters("c1", "g1")
+    moved = entered.car_moves("c1", "r1")
+    assert entered._roads is g._roads and moved._roads is g._roads
+    assert moved.car_exits("c1")._roads is g._roads
 
 
 # -- split / glue ------------------------------------------------------------
