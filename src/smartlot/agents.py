@@ -33,15 +33,9 @@ NO_SUGGESTION = "NoSuggestion"
 class DecisionConfig:
     fallback_nearest: bool = False
     never_gate_threshold: int = 3
-    rng_seed: int = 0
 
 
 # -- messages ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TripReport:  # A2 -> A3
-    trip: Trip
 
 
 @dataclass(frozen=True)
@@ -102,18 +96,16 @@ def a2_update(state: FollowerState, event: EventRecord, node_label: str) -> Foll
     return state
 
 
-def a2_finalize(state: FollowerState, exit_gate: str) -> TripReport:
+def a2_finalize(state: FollowerState, exit_gate: str) -> Trip:  # A2 -> A3
     if state.defunct:
         raise FollowerError(f"follower for {state.user} already finalized")
     state.defunct = True
-    return TripReport(
-        Trip(
-            user=state.user,
-            entry_gate=state.entry_gate,
-            parked_spot=state.parked_spot,
-            exit_gate=exit_gate,
-            events=tuple(state.events),
-        )
+    return Trip(
+        user=state.user,
+        entry_gate=state.entry_gate,
+        parked_spot=state.parked_spot,
+        exit_gate=exit_gate,
+        events=tuple(state.events),
     )
 
 

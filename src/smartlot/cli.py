@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .agents import DecisionConfig
-from .formulas import FormulaSyntaxError, Not, parse
+from .formulas import FormulaDepthError, FormulaSyntaxError, Not, parse
 from .knowledge import EventLog, KnowledgeError, SpecStore, Trip, mine_trip
 from .simulator import (
     ScenarioError,
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot-graph", help="also write the final world graph as DOT")
     p.add_argument("--fallback-nearest", action="store_true")
     p.add_argument("--never-gate-threshold", type=int, default=3, metavar="K")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("mine", help="reconstruct trips from an event CSV")
     p.add_argument("events", help="CSV of user,node,timestamp")
@@ -95,7 +94,6 @@ def cmd_simulate(args) -> int:
     config = DecisionConfig(
         fallback_nearest=args.fallback_nearest,
         never_gate_threshold=args.never_gate_threshold,
-        rng_seed=args.seed,
     )
     if args.scenario == "-":
         scenario = demo_scenario(config=config)
@@ -189,12 +187,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "demo":
             sys.stdout.write(serialize_scenario(demo_scenario()))
             return 0
+    except (FormulaDepthError, RecursionError):
+        # the parser stops at MAX_DEPTH nested levels; RecursionError is the
+        # last resort for trees deep in another way, such as a long | chain
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
     except (FormulaSyntaxError, KnowledgeError, GraphError, ScenarioError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # parser, printer and prover recurse once per nesting level
-        print("error: formula nested too deeply", file=sys.stderr)
         return 2
     return 2
 

@@ -22,6 +22,13 @@ class FormulaSyntaxError(ValueError):
         self.expected = expected
 
 
+class FormulaDepthError(FormulaSyntaxError):
+    """More than MAX_DEPTH operators or parentheses nested in each other."""
+
+    def __init__(self, offset: int):
+        super().__init__(f"nesting deeper than {MAX_DEPTH}", offset, ("a shallower formula",))
+
+
 @dataclass(frozen=True)
 class Formula:
     def __str__(self) -> str:
@@ -81,6 +88,13 @@ class Always(Formula):
 #
 # Precedence, tightest first: unary (!, F, G), &, |, -> (right assoc),
 # <-> (non-associative: a <-> b <-> c is rejected).
+#
+# The parser recurses once per unary operator, parenthesis and right operand
+# of ->, and so do the printer, the normal form and the prover once per
+# level of the tree.  MAX_DEPTH bounds that nesting well below the
+# interpreter's recursion limit (a parenthesis costs five parser frames).
+
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -117,6 +131,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # operators and parentheses enclosing the next token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -125,6 +140,14 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def deeper(self) -> None:
+        """Take an operator or "(" whose operand nests one level deeper; the
+        caller steps back out with `self.depth -= 1`."""
+        offset = self.take()[2]
+        if self.depth == MAX_DEPTH:
+            raise FormulaDepthError(offset)
+        self.depth += 1
 
     def error(self, expected: tuple[str, ...]):
         kind, value, offset = self.peek()
@@ -151,8 +174,10 @@ class _Parser:
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.peek()[0] == "implies":
-            self.take()
-            return Implies(left, self.implies())
+            self.deeper()
+            f = Implies(left, self.implies())
+            self.depth -= 1
+            return f
         return left
 
     def disjunction(self) -> Formula:
@@ -171,25 +196,23 @@ class _Parser:
 
     def unary(self) -> Formula:
         kind, _, _ = self.peek()
-        if kind == "not":
-            self.take()
-            return Not(self.unary())
-        if kind == "eventually":
-            self.take()
-            return Eventually(self.unary())
-        if kind == "always":
-            self.take()
-            return Always(self.unary())
         if kind == "atom":
             return Atom(self.take()[1])
+        if kind != "lpar" and kind not in _UNARY:
+            self.error(("!", "F", "G", "atom", "("))
+        self.deeper()
         if kind == "lpar":
-            self.take()
             f = self.iff()
             if self.peek()[0] != "rpar":
                 self.error((")",))
             self.take()
-            return f
-        self.error(("!", "F", "G", "atom", "("))
+        else:
+            f = _UNARY[kind](self.unary())
+        self.depth -= 1
+        return f
+
+
+_UNARY = {"not": Not, "eventually": Eventually, "always": Always}
 
 
 def parse(text: str) -> Formula:

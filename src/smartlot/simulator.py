@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from . import fixtures
@@ -84,8 +84,10 @@ class SimulationReport:
 
 
 def run(scenario: Scenario) -> SimulationReport:
+    """Replay the timeline on one copy of the scenario's graph, which the
+    run owns and steps in place; the scenario is left untouched."""
     scenario.validate()
-    graph = scenario.graph
+    graph = scenario.graph.copy()
     store = SpecStore()
     log = EventLog()
     config = scenario.config
@@ -107,14 +109,13 @@ def run(scenario: Scenario) -> SimulationReport:
                 stats.contradictions_resolved += 1
             decisions.append(decision)
             last_suggestion[det.user] = decision.suggestion
-            graph = graph.car_enters(det.user, det.node)
+            graph.enter(det.user, det.node)
             followers[det.user] = a2_spawn(det.user, det.node)
         elif action == MOVE:
-            graph = graph.car_moves(det.user, det.node)
+            graph.move(det.user, det.node)
             a2_update(followers[det.user], event, graph.label(det.node))
         else:  # EXIT
-            report = a2_finalize(followers.pop(det.user), det.node)
-            trip = report.trip
+            trip = a2_finalize(followers.pop(det.user), det.node)
             completed.append(trip)
             trips_by_user.setdefault(det.user, []).append(trip)
             for formula in mine_trip(trip):
@@ -126,7 +127,7 @@ def run(scenario: Scenario) -> SimulationReport:
                 config.never_gate_threshold,
                 gates,
             )
-            graph = graph.car_exits(det.user)
+            graph.exit(det.user)
             stats.trips += 1
             if (
                 trip.parked_spot is not None
@@ -216,7 +217,9 @@ def serialize_report(report: SimulationReport) -> str:
 
 
 def _route(graph: WorldGraph, start: str, goal: str) -> list[str]:
-    """Shortest road route between two nodes of the fixture graph."""
+    """Shortest road route between two nodes, visiting successors in node
+    id order."""
+    successors = graph.road_successors()
     prev: dict[str, str] = {start: start}
     queue = deque([start])
     while queue:
@@ -227,8 +230,8 @@ def _route(graph: WorldGraph, start: str, goal: str) -> list[str]:
                 node = prev[node]
                 path.append(node)
             return list(reversed(path))
-        for (src, dst), lab in sorted(graph.edges.items()):
-            if src == node and lab != "at" and dst not in prev:
+        for dst in successors.get(node, ()):
+            if dst not in prev:
                 prev[dst] = node
                 queue.append(dst)
     raise ScenarioError(f"no route from {start} to {goal}")
@@ -297,7 +300,7 @@ def generate(
     users: int,
     trips_per_user: int,
     spot_affinity: float,
-    config: DecisionConfig | None = None,
+    config: DecisionConfig = DecisionConfig(),
 ) -> Scenario:
     """Synthetic scenario: each user favors one spot and parks there with
     probability `spot_affinity`, otherwise at a random other spot."""
@@ -322,8 +325,4 @@ def generate(
             else:
                 spot = rng.choice([s for s in spots if s != favorite])
             b.trip(user, gate, spot)
-    if config is None:
-        config = DecisionConfig(rng_seed=seed)
-    else:
-        config = replace(config, rng_seed=seed)
     return Scenario(graph, b.detections, config)

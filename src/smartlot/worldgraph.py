@@ -1,14 +1,22 @@
 """Labeled, attributed digraph of the parking world.
 
 Node labels: G (gateway), R (road segment), P (parking place), C (car).
-A car's position is the single outgoing `at` edge of its C node (a second
-one is rejected); occupancy of a spot is derived purely from incoming `at`
-edges.  Both are indexed, so `car_position` and `is_free` are dict lookups.
-Graphs are values: every transformation returns a new graph, leaving the
-input untouched.  Node and edge attributes are read-only mappings, shared
-between a graph and the versions derived from it.  So is the road adjacency
-that `nearest_free_spot` walks: it is built on first use and dropped only
-when a non-`at` edge changes, which no car transformation does.
+A car's only edge is its position: the single outgoing `at` edge of its C
+node.  `add_edge` rejects a second one, any edge into a C node, any other
+edge out of one and any `at` edge out of a node that is not a car.
+Occupancy of a spot is derived purely from incoming `at` edges.  Both are
+indexed, so `car_position` and `is_free` are dict lookups.
+
+Each car transformation is one in-place step: `enter`, `move` and `exit`
+run all their checks before they change anything, so a rejected step
+leaves the graph untouched, and each costs O(1).  `car_enters`,
+`car_moves` and `car_exits` are the same steps on a `copy()`, for callers
+that keep the old graph; the simulator copies its scenario's graph once
+and steps that copy.  Node and edge attributes are read-only mappings,
+shared between a graph and its copies.  So is the road adjacency
+(`road_successors`) that `nearest_free_spot` and the scenario builder's
+routes walk: it is built on first use and dropped only when a non-`at`
+edge changes, which no car step does.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ class WorldGraph:
     # indexes derived from `edges`: car -> node it is at, node -> number of cars at it
     _position: dict[str, str] = field(init=False, repr=False, compare=False)
     _occupancy: dict[str, int] = field(init=False, repr=False, compare=False)
-    # node -> successors over non-`at` edges; None until first needed
+    # node -> successors over non-`at` edges in id order; None until first needed
     _roads: dict[str, list[str]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -44,6 +52,7 @@ class WorldGraph:
         self._position = {}
         self._occupancy = {}
         for (src, dst), lab in self.edges.items():
+            self._check_edge(src, dst, lab)
             if lab == AT:
                 self._place(src, dst)
 
@@ -73,9 +82,10 @@ class WorldGraph:
             raise GraphError(f"not a parking place: {spot}")
         return spot not in self._occupancy
 
-    def _copy(self) -> "WorldGraph":
-        # the outer dicts are copied; the read-only attribute mappings and the
-        # road adjacency, which is replaced but never mutated, are shared
+    def copy(self) -> "WorldGraph":
+        """An independent graph equal to this one.  The outer dicts are
+        copied; the read-only attribute mappings and the road adjacency,
+        which is replaced but never mutated, are shared."""
         g = object.__new__(WorldGraph)
         g.__dict__ = {name: dict(value) for name, value in vars(self).items() if name != "_roads"}
         g._roads = self._roads
@@ -93,12 +103,21 @@ class WorldGraph:
         if not self._occupancy[node]:
             del self._occupancy[node]
 
-    def _remove_edge(self, edge: tuple[str, str]) -> None:
-        if self.edges.pop(edge) == AT:
-            self._unplace(edge[0])
-        else:
-            self._roads = None
+    def _remove_at_edge(self, car: str) -> None:
+        edge = (car, self._position[car])
+        del self.edges[edge]
         self.edge_attrs.pop(edge, None)
+        self._unplace(car)
+
+    def _check_edge(self, src: str, dst: str, label: str) -> None:
+        for end in (src, dst):
+            if end not in self.labels:
+                raise GraphError(f"dangling edge endpoint: {end}")
+        if self.labels[dst] == "C":
+            raise GraphError(f"edge into a car: {src} -> {dst}")
+        if (label == AT) != (self.labels[src] == "C"):
+            kind = "non-car" if label == AT else "car"
+            raise GraphError(f"{label} edge out of a {kind}: {src} -> {dst}")
 
     # -- construction -----------------------------------------------------
 
@@ -111,65 +130,77 @@ class WorldGraph:
         self.node_attrs[node] = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
 
     def add_edge(self, src: str, dst: str, label: str, attrs: dict[str, str] | None = None) -> None:
-        for end in (src, dst):
-            if end not in self.labels:
-                raise GraphError(f"dangling edge endpoint: {end}")
-        old = self.edges.get((src, dst))
-        if old == AT:
-            self._unplace(src)
-        if label != AT or old not in (None, AT):
+        self._check_edge(src, dst, label)
+        # only cars have `at` edges and cars have no others, so an edge
+        # replaced here keeps its kind
+        if label != AT:
             self._roads = None
-        if label == AT:
+        elif (src, dst) not in self.edges:
             self._place(src, dst)
         self.edges[(src, dst)] = label
         self.edge_attrs[(src, dst)] = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
 
     # -- parking transformations ------------------------------------------
+    # In-place steps; each checks everything before its first change.
 
-    def car_enters(self, car: str, gate: str) -> "WorldGraph":
-        if not self.has_node(gate) or self.labels[gate] != "G":
+    def enter(self, car: str, gate: str) -> None:
+        if self.labels.get(gate) != "G":
             raise GraphError(f"not a gateway: {gate}")
         if car in self.labels:
             raise GraphError(f"car already present: {car}")
-        g = self._copy()
-        g.add_node(car, "C")
-        g.add_edge(car, gate, AT)
-        return g
+        self.add_node(car, "C")
+        self.add_edge(car, gate, AT)
 
-    def car_moves(self, car: str, node: str) -> "WorldGraph":
-        pos = self.car_position(car)
-        if pos is None:
+    def move(self, car: str, node: str) -> None:
+        if self.car_position(car) is None:
             raise GraphError(f"car not present: {car}")
         target_label = self.label(node)
         if target_label not in {"G", "R", "P"}:
             raise GraphError(f"cannot move onto a {target_label} node: {node}")
         if target_label == "P" and not self.is_free(node):
             raise GraphError(f"parking place occupied: {node}")
-        g = self._copy()
-        g._remove_edge((car, pos))
-        g.add_edge(car, node, AT)
+        self._remove_at_edge(car)
+        self.add_edge(car, node, AT)
+
+    def exit(self, car: str) -> None:
+        if self.car_position(car) is None:
+            raise GraphError(f"car not present: {car}")
+        self._remove_at_edge(car)  # a car's only edge
+        del self.labels[car]
+        self.node_attrs.pop(car, None)
+
+    # The same steps on a copy, leaving this graph untouched.
+
+    def car_enters(self, car: str, gate: str) -> "WorldGraph":
+        g = self.copy()
+        g.enter(car, gate)
+        return g
+
+    def car_moves(self, car: str, node: str) -> "WorldGraph":
+        g = self.copy()
+        g.move(car, node)
         return g
 
     def car_exits(self, car: str) -> "WorldGraph":
-        if self.car_position(car) is None:
-            raise GraphError(f"car not present: {car}")
-        g = self._copy()
-        del g.labels[car]
-        del g.node_attrs[car]
-        for edge in [e for e in g.edges if car in e]:
-            g._remove_edge(edge)
+        g = self.copy()
+        g.exit(car)
         return g
+
+    def road_successors(self) -> dict[str, list[str]]:
+        """Each node's successors over non-`at` edges, in node id order.
+        Built on first use and shared with copies, so it must not be changed."""
+        if self._roads is None:
+            self._roads = {}
+            for (src, dst), lab in sorted(self.edges.items()):
+                if lab != AT:
+                    self._roads.setdefault(src, []).append(dst)
+        return self._roads
 
     def nearest_free_spot(self, start: str) -> str | None:
         """Hop-nearest free P node from `start`, ties broken by node id.
         Car position edges are not traversable road topology."""
         self.label(start)  # existence check
-        if self._roads is None:
-            self._roads = {}
-            for (src, dst), lab in self.edges.items():
-                if lab != AT:
-                    self._roads.setdefault(src, []).append(dst)
-        adj = self._roads
+        adj = self.road_successors()
         seen = {start}
         frontier = [start]
         while frontier:

@@ -68,8 +68,7 @@ def test_a2_lifecycle():
     a2_update(state, EventRecord("idKR55", "r4", T0), "R")
     a2_update(state, EventRecord("idKR55", "p018", T0), "P")
     a2_update(state, EventRecord("idKR55", "r5", T0), "R")
-    report = a2_finalize(state, "g2")
-    trip = report.trip
+    trip = a2_finalize(state, "g2")
     assert trip.entry_gate == "g2"
     assert trip.exit_gate == "g2"
     assert trip.parked_spot == "p018"
@@ -81,7 +80,7 @@ def test_a2_last_parking_wins():
     state = a2_spawn("idKR55", "g2")
     a2_update(state, EventRecord("idKR55", "p018", T0), "P")
     a2_update(state, EventRecord("idKR55", "p015", T0), "P")
-    assert a2_finalize(state, "g2").trip.parked_spot == "p015"
+    assert a2_finalize(state, "g2").parked_spot == "p015"
 
 
 def test_a2_defunct_follower_rejects_reuse():

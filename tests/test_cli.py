@@ -4,7 +4,7 @@ import pytest
 
 from smartlot.cli import main, reconstruct_trips
 from smartlot.fixtures import parking_fixture, parking_fixture_text
-from smartlot.formulas import Always, pretty
+from smartlot.formulas import MAX_DEPTH, Always, pretty
 from smartlot.knowledge import EventLog, EventRecord, SpecStore, Trip, mine_trip
 from smartlot.simulator import (
     Detection,
@@ -84,6 +84,24 @@ def test_prove_too_deep_is_an_input_error(formula, capsys):
     assert captured.err == "error: formula nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["!" * MAX_DEPTH + "a", "(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, "a -> " * MAX_DEPTH + "a"],
+)
+def test_prove_at_the_depth_limit(formula, capsys):
+    assert main(["prove", formula]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["!" * (MAX_DEPTH + 1) + "a", "(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1), "a -> " * (MAX_DEPTH + 1) + "a"],
+)
+def test_prove_past_the_depth_limit_is_an_input_error(formula, capsys):
+    assert main(["prove", formula]) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
 def test_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -119,6 +137,16 @@ def test_simulate_bad_scenario(tmp_path, capsys):
     bad.write_text("g1 G\ntimeline:\nnope\n")
     assert main(["simulate", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", ["g1 -> c1 road", "c1 -> r1 road", "r1 -> g2 at"])
+def test_simulate_rejects_an_edge_that_a_car_cannot_have(edge, tmp_path, capsys):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(parking_fixture_text() + f"c1 C\nc1 -> g1 at\n{edge}\ntimeline:\n")
+    assert main(["simulate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "edge" in captured.err
 
 
 # -- mine --------------------------------------------------------------------

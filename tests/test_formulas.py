@@ -6,6 +6,8 @@ from smartlot.formulas import (
     And,
     Atom,
     Eventually,
+    MAX_DEPTH,
+    FormulaDepthError,
     FormulaSyntaxError,
     Iff,
     Implies,
@@ -66,6 +68,32 @@ def test_unknown_character_offset():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse("p & ?q")
     assert exc.value.offset == 4
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse("!" * MAX_DEPTH + "a") == parse("!!" * (MAX_DEPTH // 2) + "a")
+    assert parse("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH) == Atom("a")
+    assert parse("F (" * (MAX_DEPTH // 2) + "a" + ")" * (MAX_DEPTH // 2)) is not None
+    assert parse("a -> " * MAX_DEPTH + "a") is not None
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("!" * 1200 + "a", MAX_DEPTH),
+        ("(" * 1200 + "a" + ")" * 1200, MAX_DEPTH),
+        ("G (" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, 3 * MAX_DEPTH // 2),
+        ("a -> " * (MAX_DEPTH + 1) + "a", 5 * MAX_DEPTH + 2),
+        ("p & " + "F " * (MAX_DEPTH + 1) + "q", 4 + 2 * MAX_DEPTH),
+    ],
+    ids=["negations", "parentheses", "always-parenthesis", "implications", "conjunct"],
+)
+def test_nesting_past_the_limit_is_a_syntax_error(text, offset):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(text)
+    assert isinstance(exc.value, FormulaDepthError)
+    assert exc.value.offset == offset
+    assert f"at offset {offset}" in str(exc.value)
 
 
 def test_pretty_examples():

@@ -4,7 +4,7 @@ from datetime import datetime
 import pytest
 
 from smartlot.fixtures import all_gates, all_spots
-from smartlot.formulas import parse, pretty
+from smartlot.formulas import FormulaSyntaxError, parse, pretty
 from smartlot.knowledge import (
     EventLog,
     EventRecord,
@@ -158,6 +158,11 @@ def test_tsv_round_trip():
     store.insert("idKR55", parse("G !g3"), 1)
     again = SpecStore.from_tsv(store.to_tsv())
     assert again.triples() == store.triples()
+
+
+def test_from_tsv_too_deep_formula():
+    with pytest.raises(FormulaSyntaxError, match="nesting deeper than"):
+        SpecStore.from_tsv("u\t" + "!" * 1200 + "a\t1\n")
 
 
 def test_from_tsv_bad_line():

@@ -1,3 +1,4 @@
+from collections import deque
 from datetime import datetime
 
 import pytest
@@ -9,6 +10,7 @@ from smartlot.simulator import (
     Detection,
     Scenario,
     ScenarioError,
+    _route,
     demo_scenario,
     generate,
     never_gate_scenario,
@@ -17,6 +19,7 @@ from smartlot.simulator import (
     serialize_report,
     serialize_scenario,
 )
+from smartlot.worldgraph import WorldGraph, save_graph
 
 T0 = datetime(2014, 1, 28, 8, 0, 0)
 
@@ -126,6 +129,59 @@ def test_unsorted_timeline_rejected():
 def test_unknown_node_rejected():
     with pytest.raises(ScenarioError, match="unknown node"):
         run(Scenario(parking_fixture(), [Detection(T0, "u", "zz")]))
+
+
+@pytest.mark.parametrize("users", [1, 4, 12])
+def test_run_copies_the_graph_once_and_leaves_the_scenario_alone(users, monkeypatch):
+    scenario = generate(seed=3, users=users, trips_per_user=3, spot_affinity=0.5)
+    before = save_graph(scenario.graph)
+    copies = []
+    original = WorldGraph.copy
+
+    def counted(self):
+        copies.append(self)
+        return original(self)
+
+    monkeypatch.setattr(WorldGraph, "copy", counted)
+    report = run(scenario)
+    assert len(copies) == 1 and copies[0] is scenario.graph
+    assert save_graph(scenario.graph) == before
+    assert report.final_graph is not scenario.graph
+    assert report.stats.trips == users * 3
+
+
+def edge_scan_route(graph, start, goal):
+    """Breadth-first route that rescans the sorted edge list at every node."""
+    prev = {start: start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            path = [node]
+            while node != start:
+                node = prev[node]
+                path.append(node)
+            return list(reversed(path))
+        for (src, dst), lab in sorted(graph.edges.items()):
+            if src == node and lab != "at" and dst not in prev:
+                prev[dst] = node
+                queue.append(dst)
+    return None
+
+
+def test_routes_match_the_edge_scan():
+    graph = parking_fixture().car_enters("c1", "g1").car_moves("c1", "r2")
+    nodes = sorted(n for n in graph.labels if graph.labels[n] != "C")
+    for start in nodes:
+        for goal in nodes:
+            expected = edge_scan_route(graph, start, goal)
+            if expected is None:
+                with pytest.raises(ScenarioError, match="no route"):
+                    _route(graph, start, goal)
+            else:
+                assert _route(graph, start, goal) == expected
+    # one successor map serves every route on the graph
+    assert graph._roads is graph.road_successors()
 
 
 # -- scenario text format ----------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -199,6 +200,74 @@ def test_second_at_edge_rejected():
     assert ("c1", "g2") not in g.edges
     with pytest.raises(GraphError, match="second at edge"):
         load_graph("c1 C\ng1 G\ng2 G\nc1 -> g1 at\nc1 -> g2 at\n")
+
+
+def test_in_place_steps_match_the_copying_transformations():
+    rng = random.Random(37)
+    stepped = parking_fixture()
+    copied = parking_fixture()
+    gates = stepped.nodes_with_label("G")
+    targets = gates + stepped.nodes_with_label("R") + stepped.nodes_with_label("P") + ["nowhere"]
+    cars = [f"car{i}" for i in range(6)]
+    rejected = 0
+    for _ in range(1500):
+        car = rng.choice(cars)
+        op = rng.choice(("enter", "move", "move", "exit"))
+        arg = rng.choice(gates + ["r1"]) if op == "enter" else rng.choice(targets)
+        before = save_graph(stepped)
+        try:
+            if op == "enter":
+                stepped.enter(car, arg)
+            elif op == "move":
+                stepped.move(car, arg)
+            else:
+                stepped.exit(car)
+        except GraphError as err:
+            rejected += 1
+            assert save_graph(stepped) == before  # a rejected step changes nothing
+            with pytest.raises(GraphError, match=re.escape(str(err))):
+                if op == "enter":
+                    copied.car_enters(car, arg)
+                elif op == "move":
+                    copied.car_moves(car, arg)
+                else:
+                    copied.car_exits(car)
+        else:
+            if op == "enter":
+                copied = copied.car_enters(car, arg)
+            elif op == "move":
+                copied = copied.car_moves(car, arg)
+            else:
+                copied = copied.car_exits(car)
+        assert stepped == copied
+        assert save_graph(stepped) == save_graph(copied)
+        assert stepped._position == copied._position
+        assert stepped._occupancy == copied._occupancy
+        assert_indexes_match_edges(stepped, cars)
+    assert 100 < rejected < 1400
+
+
+@pytest.mark.parametrize(
+    "src, dst, label, message",
+    [
+        ("g1", "c1", "road", "edge into a car"),
+        ("c2", "c1", "at", "edge into a car"),
+        ("c1", "r1", "road", "road edge out of a car"),
+        ("r1", "g1", "at", "at edge out of a non-car"),
+    ],
+)
+def test_only_a_cars_at_edge_touches_it(src, dst, label, message):
+    g = parking_fixture().car_enters("c1", "g1").car_enters("c2", "g2")
+    before = save_graph(g)
+    with pytest.raises(GraphError, match=message):
+        g.add_edge(src, dst, label)
+    assert save_graph(g) == before
+    text = parking_fixture_text() + f"c1 C\nc2 C\nc1 -> g1 at\n{src} -> {dst} {label}\n"
+    with pytest.raises(GraphError, match=message):
+        load_graph(text)
+    edges = {("c1", "g1"): "at", (src, dst): label}
+    with pytest.raises(GraphError, match=message):
+        WorldGraph({"c1": "C", "c2": "C", "g1": "G", "r1": "R"}, edges)
 
 
 # -- nearest free spot -------------------------------------------------------
