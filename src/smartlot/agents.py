@@ -140,9 +140,9 @@ def a3_decide(
 
     # a spot's weight is the largest r among the formulas promising it
     weight: dict[str, int] = {}
-    for t in store.triples(user):
-        for spot in eventually_atoms(t.formula):
-            weight[spot] = max(weight.get(spot, 0), t.r)
+    for formula, r in store.counts(user):
+        for spot in eventually_atoms(formula):
+            weight[spot] = max(weight.get(spot, 0), r)
     ranked = sorted(
         ((spot, weight.get(spot, 0)) for spot in spots),
         key=lambda item: (-item[1], item[0]),

@@ -22,7 +22,7 @@ from .simulator import (
     serialize_report,
     serialize_scenario,
 )
-from .tableaux import build_tree, export_tree
+from .tableaux import SATISFIABLE, build_tree, export_tree, is_satisfiable
 from .worldgraph import GraphError, GraphPartition, export_dot, glue, load_graph, save_graph
 
 
@@ -76,18 +76,20 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_prove(args) -> int:
     formula = parse(args.formula)
-    if args.valid:
-        # φ is valid when the tree of !(φ) closes; that tree is the one shown
-        tree = build_tree(Not(formula))
-        ok = tree.closed
-        print("VALID" if ok else "NOT VALID")
+    # φ is valid when !(φ) has no open branch; that tree is the one shown
+    subject = Not(formula) if args.valid else formula
+    if args.tree:
+        tree = build_tree(subject)
+        is_open = tree.open
     else:
-        tree = build_tree(formula)
-        ok = tree.open
-        print("SAT" if ok else "UNSAT")
+        is_open = is_satisfiable(subject) == SATISFIABLE
+    if args.valid:
+        print("NOT VALID" if is_open else "VALID")
+    else:
+        print("SAT" if is_open else "UNSAT")
     if args.tree:
         sys.stdout.write(export_tree(tree, args.tree))
-    return 0 if ok else 1
+    return 0 if is_open != args.valid else 1
 
 
 def cmd_simulate(args) -> int:
@@ -190,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormulaDepthError, RecursionError):
         # the parser stops at MAX_DEPTH nested levels; RecursionError is the
         # last resort for trees deep in another way, such as a long | chain
+        # under G, which the realizability check evaluates recursively
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except (FormulaSyntaxError, KnowledgeError, GraphError, ScenarioError, OSError) as err:

@@ -90,9 +90,11 @@ class Always(Formula):
 # <-> (non-associative: a <-> b <-> c is rejected).
 #
 # The parser recurses once per unary operator, parenthesis and right operand
-# of ->, and so do the printer, the normal form and the prover once per
-# level of the tree.  MAX_DEPTH bounds that nesting well below the
-# interpreter's recursion limit (a parenthesis costs five parser frames).
+# of ->.  MAX_DEPTH bounds that nesting well below the interpreter's
+# recursion limit (a parenthesis costs five parser frames).  A flat & / |
+# chain is no nesting to the parser but a tree as deep as it is long; the
+# printer, the normal form and the prover's expansion walk it with explicit
+# stacks.
 
 MAX_DEPTH = 100
 
@@ -227,36 +229,45 @@ def parse(text: str) -> Formula:
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Eventually: 5, Always: 5, Atom: 6}
 
 
-def _render(f: Formula, min_prec: int) -> str:
-    prec = _PREC[type(f)]
-    if isinstance(f, Atom):
-        s = f.name
-    elif isinstance(f, Not):
-        s = "!" + _render(f.operand, prec)
-    elif isinstance(f, Eventually):
-        s = "F " + _render(f.operand, prec)
-    elif isinstance(f, Always):
-        s = "G " + _render(f.operand, prec)
-    elif isinstance(f, And):
-        s = _render(f.left, prec) + " & " + _render(f.right, prec + 1)
-    elif isinstance(f, Or):
-        s = _render(f.left, prec) + " | " + _render(f.right, prec + 1)
-    elif isinstance(f, Implies):
-        # right-associative
-        s = _render(f.left, prec + 1) + " -> " + _render(f.right, prec)
-    elif isinstance(f, Iff):
-        # non-associative: parenthesize nested <-> on both sides
-        s = _render(f.left, prec + 1) + " <-> " + _render(f.right, prec + 1)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    if prec < min_prec:
-        return "(" + s + ")"
-    return s
-
-
 def pretty(f: Formula) -> str:
     """Canonical text with minimal parentheses; round-trips through parse."""
-    return _render(f, 0)
+    # todo holds text and (formula, least precedence that needs no
+    # parentheses) pairs; no recursion, so a long & / | chain prints like a
+    # short one
+    out: list[str] = []
+    todo: list = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, min_prec = item
+        t = type(g)
+        if t is Atom:
+            out.append(g.name)
+            continue
+        prec = _PREC.get(t)
+        if prec is None:
+            raise TypeError(f"not a formula: {g!r}")
+        if prec < min_prec:
+            out.append("(")
+            todo.append(")")
+        if t in _PREFIX:
+            out.append(_PREFIX[t])
+            todo.append((g.operand, prec))
+        elif t is Implies:
+            # right-associative
+            todo += ((g.right, prec), " -> ", (g.left, prec + 1))
+        elif t is Iff:
+            # non-associative: parenthesize nested <-> on both sides
+            todo += ((g.right, prec + 1), " <-> ", (g.left, prec + 1))
+        else:
+            todo += ((g.right, prec + 1), _INFIX[t], (g.left, prec))
+    return "".join(out)
+
+
+_PREFIX = {Not: "!", Eventually: "F ", Always: "G "}
+_INFIX = {And: " & ", Or: " | "}
 
 
 # ---------------------------------------------------------------------------
@@ -265,41 +276,43 @@ def pretty(f: Formula) -> str:
 
 def nnf(f: Formula) -> Formula:
     """Push negations to atoms, eliminating -> and <-> on the way."""
-    return _nnf(f, False)
+    # todo holds (formula, negate) pairs to normalize and (connective,
+    # arity) pairs that combine the last results; no recursion, so a long
+    # & / | chain normalizes like a short one
+    done: list[Formula] = []
+    todo: list[tuple] = [(f, False)]
+    while todo:
+        g, negate = todo.pop()
+        t = type(g)
+        if t is type:
+            if negate == 2:
+                right = done.pop()
+                done[-1] = g(done[-1], right)
+            else:
+                done[-1] = g(done[-1])
+        elif t is Atom:
+            done.append(Not(g) if negate else g)
+        elif t is Not:
+            todo.append((g.operand, not negate))
+        elif t is And or t is Or:
+            todo += ((_DUAL[t] if negate else t, 2), (g.right, negate), (g.left, negate))
+        elif t is Eventually or t is Always:
+            todo += ((_DUAL[t] if negate else t, 1), (g.operand, negate))
+        elif t is Implies:
+            if negate:
+                todo += ((And, 2), (g.right, True), (g.left, False))
+            else:
+                todo += ((Or, 2), (g.right, False), (g.left, True))
+        elif t is Iff:
+            # negated: (l & !r) | (!l & r); else (l & r) | (!l & !r)
+            todo += ((Or, 2), (And, 2), (g.right, not negate), (g.left, True),
+                     (And, 2), (g.right, negate), (g.left, False))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return done[0]
 
 
-def _nnf(f: Formula, negate: bool) -> Formula:
-    if isinstance(f, Atom):
-        return Not(f) if negate else f
-    if isinstance(f, Not):
-        return _nnf(f.operand, not negate)
-    if isinstance(f, And):
-        cls = Or if negate else And
-        return cls(_nnf(f.left, negate), _nnf(f.right, negate))
-    if isinstance(f, Or):
-        cls = And if negate else Or
-        return cls(_nnf(f.left, negate), _nnf(f.right, negate))
-    if isinstance(f, Implies):
-        if negate:
-            return And(_nnf(f.left, False), _nnf(f.right, True))
-        return Or(_nnf(f.left, True), _nnf(f.right, False))
-    if isinstance(f, Iff):
-        if negate:
-            return Or(
-                And(_nnf(f.left, False), _nnf(f.right, True)),
-                And(_nnf(f.left, True), _nnf(f.right, False)),
-            )
-        return Or(
-            And(_nnf(f.left, False), _nnf(f.right, False)),
-            And(_nnf(f.left, True), _nnf(f.right, True)),
-        )
-    if isinstance(f, Eventually):
-        cls = Always if negate else Eventually
-        return cls(_nnf(f.operand, negate))
-    if isinstance(f, Always):
-        cls = Eventually if negate else Always
-        return cls(_nnf(f.operand, negate))
-    raise TypeError(f"not a formula: {f!r}")
+_DUAL = {And: Or, Or: And, Eventually: Always, Always: Eventually}
 
 
 def atoms(f: Formula) -> set[str]:

@@ -13,6 +13,7 @@ import csv
 import io
 import logging
 import re
+from collections.abc import ItemsView
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -148,6 +149,10 @@ class SpecStore:
 
     def contains(self, user: str, formula: Formula) -> bool:
         return formula in self._by_user.get(user, ())
+
+    def counts(self, user: str) -> ItemsView[Formula, int]:
+        """(formula, r) pairs of one user, in no particular order."""
+        return self._by_user.get(user, {}).items()
 
     def triples(self, user: str | None = None) -> list[SpecTriple]:
         """Rows ordered by user, then descending r, then formula text."""

@@ -20,7 +20,12 @@ below): orderings must respect precedence edges forced by universal vs.
 exact literals, and a cycle among them closes the branch; the tail, which
 every ordering shares, is checked once up front; and each position only
 enumerates the atoms its duties read.  A branch without deferred commitments
-costs one topological sort of its worlds.
+costs one topological sort of its worlds; one that also has no universal
+literal under a named world costs nothing, since its worlds form a forest.
+
+`build_tree` builds every branch, with a display node per step.  The
+verdicts `is_satisfiable` and `is_valid` run the same expansion but record
+no tree and stop at the first open branch.
 """
 
 from __future__ import annotations
@@ -64,9 +69,6 @@ class WorldLabel:
         if self.universal:
             parts.append(f"{len(self.prefix) + 1}.[x]")
         return ".".join(parts)
-
-    def is_root(self) -> bool:
-        return not self.prefix and not self.universal
 
     def unifies(self, other: "WorldLabel") -> bool:
         if self.universal and other.universal:
@@ -145,41 +147,54 @@ class _FreshNames:
 
 
 class _Builder:
-    def __init__(self, f: Formula):
+    """One depth-first expansion, left branch before right.  Built as a tree
+    (`tree=True`), it records a display node per step and every branch;
+    otherwise it records nothing and stops at the first open branch."""
+
+    def __init__(self, f: Formula, tree: bool):
         self.root_formula = f
         self.fresh = _FreshNames()
         self.branches: list[Branch] = []
-        self.root = TreeNode(f, WorldLabel())
+        self.root = TreeNode(f, WorldLabel()) if tree else None
+        # the root node already displays a bare literal formula
+        self.literal_root = _is_literal(f)
 
-    def build(self) -> TruthTree:
-        start = nnf(self.root_formula)
-        self._expand([(start, WorldLabel())], [], [], self.root, first=True)
-        return TruthTree(self.root_formula, self.root, self.branches)
+    def expand(self) -> bool:
+        """Whether some branch is open."""
+        # pending branches: formulas left to expand, literals, commitments and
+        # the node the branch continues under; each branch owns its lists
+        pending = [([(nnf(self.root_formula), WorldLabel())], [], [], self.root)]
+        found_open = False
+        while pending:
+            if self._branch(*pending.pop(), pending) == OPEN:
+                found_open = True
+                if self.root is None:
+                    break
+        return found_open
 
-    def _expand(
+    def _branch(
         self,
         stack: list[tuple[Formula, WorldLabel]],
         literals: list[Literal],
         commitments: list[tuple[Formula, tuple[str, ...]]],
-        attach: TreeNode,
-        first: bool = False,
-    ) -> None:
+        attach: TreeNode | None,
+        pending: list,
+    ) -> str:
+        """Expand one branch to its status; the right side of each split
+        goes on `pending` with copies of the branch's lists."""
         while stack:
             f, label = stack.pop()
             if _is_literal(f):
                 lit = _literal(f, label)
-                literals = literals + [lit]
-                # the root node already displays a bare literal formula
-                if not (first and f == self.root_formula and label.is_root()):
+                if attach is not None and not self.literal_root:
                     node = TreeNode(f, label)
                     attach.children.append(node)
                     attach = node
-                first = False
-                if self._closes(lit, literals[:-1]):
-                    self._finish(literals, attach, CLOSED)
-                    return
+                closes = self._closes(lit, literals)
+                literals.append(lit)
+                if closes:
+                    return self._finish(literals, attach, CLOSED)
                 continue
-            first = False
             if isinstance(f, And):
                 stack.append((f.right, label))
                 stack.append((f.left, label))
@@ -189,21 +204,21 @@ class _Builder:
                 continue
             if isinstance(f, Or):
                 if label.universal:
-                    commitments = commitments + [(f, label.prefix)]
+                    commitments.append((f, label.prefix))
                     continue
-                self._expand(stack + [(f.left, label)], list(literals), list(commitments), attach)
-                self._expand(stack + [(f.right, label)], list(literals), list(commitments), attach)
-                return
+                pending.append((stack + [(f.right, label)], list(literals), list(commitments), attach))
+                stack.append((f.left, label))
+                continue
             if isinstance(f, Eventually):
                 if label.universal:
-                    commitments = commitments + [(f, label.prefix)]
+                    commitments.append((f, label.prefix))
                     continue
                 world = label.prefix + (self.fresh.next(),)
                 stack.append((f.operand, WorldLabel(world, False)))
                 continue
             raise TypeError(f"unexpected formula in nnf: {f!r}")
         status = OPEN if _realizable(literals, commitments) else CLOSED
-        self._finish(literals, attach, status)
+        return self._finish(literals, attach, status)
 
     def _closes(self, lit: Literal, previous: list[Literal]) -> bool:
         sign, atom, label = lit
@@ -211,21 +226,28 @@ class _Builder:
             s != sign and a == atom and l.unifies(label) for s, a, l in previous
         )
 
-    def _finish(self, literals: list[Literal], leaf: TreeNode, status: str) -> None:
-        leaf.marker = "x" if status == CLOSED else "o"
-        self.branches.append(Branch(len(self.branches) + 1, literals, status, leaf))
+    def _finish(self, literals: list[Literal], leaf: TreeNode | None, status: str) -> str:
+        if leaf is not None:
+            leaf.marker = "x" if status == CLOSED else "o"
+            self.branches.append(Branch(len(self.branches) + 1, literals, status, leaf))
+        return status
 
 
 def build_tree(f: Formula) -> TruthTree:
-    return _Builder(f).build()
+    """The whole truth tree: every branch, with a display node per step."""
+    builder = _Builder(f, tree=True)
+    builder.expand()
+    return TruthTree(f, builder.root, builder.branches)
 
 
 def is_satisfiable(f: Formula) -> str:
-    return SATISFIABLE if build_tree(f).open else UNSATISFIABLE
+    """Decided by the same expansion as `build_tree`, stopped at the first
+    open branch, with no tree recorded."""
+    return SATISFIABLE if _Builder(f, tree=False).expand() else UNSATISFIABLE
 
 
 def is_valid(f: Formula) -> str:
-    return VALID if build_tree(Not(f)).closed else NOT_VALID
+    return NOT_VALID if _Builder(Not(f), tree=False).expand() else VALID
 
 
 def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
@@ -277,6 +299,9 @@ _OPPOSITE = {"+": "-", "-": "+"}
 def _realizable(
     literals: list[Literal], commitments: list[tuple[Formula, tuple[str, ...]]]
 ) -> bool:
+    if not commitments and not any(label.universal and label.prefix for _, _, label in literals):
+        # only parent-before-child edges: a forest, so some ordering exists
+        return True
     named_set: set[tuple[str, ...]] = set()
     for prefix in [label.prefix for _, _, label in literals] + [b for _, b in commitments]:
         for i in range(1, len(prefix) + 1):
@@ -435,16 +460,16 @@ def export_tree(tree: TruthTree, format: str = "ascii") -> str:
 
 
 def _export_ascii(tree: TruthTree) -> str:
+    # depth first with an explicit stack: a long & chain is a path as deep
+    # as the chain
     lines: list[str] = []
-
-    def walk(node: TreeNode, depth: int):
+    todo = [(tree.root, 0)]
+    while todo:
+        node, depth = todo.pop()
         lines.append("  " * depth + node.text())
         if node.marker is not None:
             lines.append("  " * (depth + 1) + node.marker)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
+        todo += [(child, depth + 1) for child in reversed(node.children)]
     return "\n".join(lines) + "\n"
 
 
@@ -452,8 +477,15 @@ def _export_dot(tree: TruthTree) -> str:
     lines = ["digraph truthtree {", "  node [shape=plaintext];"]
     counter = itertools.count()
     edges: list[str] = []
-
-    def walk(node: TreeNode) -> int:
+    # nodes are numbered in preorder; the edge into a node is listed once
+    # its whole subtree is done, so (parent id, node) entries are visits and
+    # (parent id, node id) entries close the subtree
+    todo: list[tuple] = [(None, tree.root)]
+    while todo:
+        parent, node = todo.pop()
+        if isinstance(node, int):
+            edges.append(f"  n{parent} -> n{node};")
+            continue
         nid = next(counter)
         attrs = [f'label="{node.text()}"']
         if node.marker == "x":
@@ -461,12 +493,9 @@ def _export_dot(tree: TruthTree) -> str:
         elif node.marker == "o":
             attrs = [f'label="{node.text()}"', "shape=ellipse"]
         lines.append(f"  n{nid} [{', '.join(attrs)}];")
-        for child in node.children:
-            cid = walk(child)
-            edges.append(f"  n{nid} -> n{cid};")
-        return nid
-
-    walk(tree.root)
+        if parent is not None:
+            todo.append((parent, nid))
+        todo += [(nid, child) for child in reversed(node.children)]
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

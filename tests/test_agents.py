@@ -115,12 +115,27 @@ def test_a3_builds_one_tree_on_a_consistent_spec(monkeypatch):
         built.append(f)
         return real(f)
 
-    # both bindings: the tableaux one also serves is_satisfiable
+    # both bindings; the verdicts build no tree, so they are not counted
     monkeypatch.setattr(smartlot.tableaux, "build_tree", counting)
     monkeypatch.setattr(smartlot.agents, "build_tree", counting)
     decision, removed = a3_decide(kr55_store(), parking_fixture(), "idKR55", "g2")
     assert (decision.suggestion, removed) == ("p018", [])
     assert len(built) == 1
+
+
+def test_a3_reads_the_sorted_rows_once(monkeypatch):
+    # spec_formula needs the sorted rows; the spot weights need no order
+    calls = []
+    real = SpecStore.triples
+
+    def counting(self, user=None):
+        calls.append(user)
+        return real(self, user)
+
+    monkeypatch.setattr(SpecStore, "triples", counting)
+    decision, _ = a3_decide(kr55_store(), parking_fixture(), "idKR55", "g2")
+    assert decision.candidates == (("p018", 7), ("p015", 2))
+    assert calls == ["idKR55"]
 
 
 def test_a3_falls_back_to_next_candidate():

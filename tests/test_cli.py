@@ -2,9 +2,10 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from formula_gen import formula_corpus
 from smartlot.cli import main, reconstruct_trips
 from smartlot.fixtures import parking_fixture, parking_fixture_text
-from smartlot.formulas import MAX_DEPTH, Always, pretty
+from smartlot.formulas import MAX_DEPTH, Always, Not, parse, pretty
 from smartlot.knowledge import EventLog, EventRecord, SpecStore, Trip, mine_trip
 from smartlot.simulator import (
     Detection,
@@ -16,6 +17,7 @@ from smartlot.simulator import (
     serialize_report,
     serialize_scenario,
 )
+from smartlot.tableaux import build_tree, export_tree
 from smartlot.worldgraph import load_graph, save_graph
 
 
@@ -70,12 +72,8 @@ def test_prove_syntax_error(capsys):
 
 @pytest.mark.parametrize(
     "formula",
-    [
-        "!" * 1200 + "a",
-        "(" * 1200 + "a" + ")" * 1200,
-        " | ".join(f"a{i}" for i in range(1200)),
-    ],
-    ids=["negations", "parentheses", "disjunction-chain"],
+    ["!" * 1200 + "a", "(" * 1200 + "a" + ")" * 1200],
+    ids=["negations", "parentheses"],
 )
 def test_prove_too_deep_is_an_input_error(formula, capsys):
     assert main(["prove", formula]) == 2
@@ -100,6 +98,38 @@ def test_prove_at_the_depth_limit(formula, capsys):
 def test_prove_past_the_depth_limit_is_an_input_error(formula, capsys):
     assert main(["prove", formula]) == 2
     assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--tree", "dot"], ["--valid"]], ids=["verdict", "tree", "valid"])
+@pytest.mark.parametrize("n", [1200, 5000])
+@pytest.mark.parametrize("op", ["|", "&"])
+def test_prove_flat_chain(op, n, flags, capsys):
+    # a flat chain is no nesting to the parser, and gets a verdict
+    text = f" {op} ".join(f"a{i}" for i in range(n))
+    if "--valid" in flags:
+        assert main(["prove", *flags, text]) == 1
+        assert capsys.readouterr().out == "NOT VALID\n"
+        return
+    assert main(["prove", *flags, text]) == 0
+    out = capsys.readouterr().out
+    tree = export_tree(build_tree(parse(text)), "dot") if flags else ""
+    assert out == "SAT\n" + tree
+
+
+def test_prove_matches_the_tree_on_a_corpus(capsys):
+    for f in formula_corpus(seed=3, count=80):
+        text = pretty(f)
+        for valid in (False, True):
+            tree = build_tree(Not(f) if valid else f)
+            if valid:
+                verdict, code = ("NOT VALID", 1) if tree.open else ("VALID", 0)
+            else:
+                verdict, code = ("SAT", 0) if tree.open else ("UNSAT", 1)
+            flags = ["--valid"] if valid else []
+            assert main(["prove", *flags, text]) == code, text
+            assert capsys.readouterr().out == verdict + "\n", text
+            assert main(["prove", *flags, "--tree", "ascii", text]) == code, text
+            assert capsys.readouterr().out == verdict + "\n" + export_tree(tree), text
 
 
 def test_unknown_command_usage_error(capsys):

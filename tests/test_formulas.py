@@ -20,6 +20,7 @@ from smartlot.formulas import (
     parse,
     pretty,
 )
+from smartlot.tableaux import NOT_VALID, SATISFIABLE, build_tree, export_tree, is_satisfiable, is_valid
 
 
 def test_parse_never_gate_example():
@@ -94,6 +95,25 @@ def test_nesting_past_the_limit_is_a_syntax_error(text, offset):
     assert isinstance(exc.value, FormulaDepthError)
     assert exc.value.offset == offset
     assert f"at offset {offset}" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [1200, 5000])
+@pytest.mark.parametrize("op, dual", [("&", "|"), ("|", "&")], ids=["conjunction", "disjunction"])
+def test_flat_chain_is_no_nesting(op, dual, n):
+    # a chain nests to the left as deep as it is long; printing, normal
+    # form, proving and exporting it must not recurse per link
+    text = f" {op} ".join(f"a{i}" for i in range(n))
+    f = parse(text)
+    assert pretty(f) == text
+    assert pretty(nnf(Not(f))) == f" {dual} ".join(f"!a{i}" for i in range(n))
+    assert is_satisfiable(f) == SATISFIABLE
+    assert is_valid(f) == NOT_VALID
+    tree = build_tree(f)
+    assert tree.open
+    assert len(tree.branches) == (1 if op == "&" else n)
+    # the root, one node per literal, and a marker per branch
+    assert export_tree(tree).count("\n") == 1 + n + len(tree.branches)
+    assert export_tree(tree, "dot").count(" -> ") == n
 
 
 def test_pretty_examples():
@@ -182,6 +202,32 @@ def formulas():
 @given(formulas())
 def test_print_parse_roundtrip(f):
     assert parse(pretty(f)) == f
+
+
+def _nnf_reference(f, negate=False):
+    """The textbook recursive definition."""
+    if isinstance(f, Atom):
+        return Not(f) if negate else f
+    if isinstance(f, Not):
+        return _nnf_reference(f.operand, not negate)
+    if isinstance(f, (And, Or)):
+        cls = type(f) if not negate else (Or if isinstance(f, And) else And)
+        return cls(_nnf_reference(f.left, negate), _nnf_reference(f.right, negate))
+    if isinstance(f, Implies):
+        return _nnf_reference(Or(Not(f.left), f.right), negate)
+    if isinstance(f, Iff):
+        left, right = f.left, f.right
+        if negate:
+            return _nnf_reference(Or(And(left, Not(right)), And(Not(left), right)))
+        return _nnf_reference(Or(And(left, right), And(Not(left), Not(right))))
+    cls = type(f) if not negate else (Always if isinstance(f, Eventually) else Eventually)
+    return cls(_nnf_reference(f.operand, negate))
+
+
+@given(formulas())
+def test_nnf_matches_the_recursive_definition(f):
+    assert nnf(f) == _nnf_reference(f)
+    assert nnf(Not(f)) == _nnf_reference(f, True)
 
 
 @given(formulas())

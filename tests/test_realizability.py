@@ -1,5 +1,6 @@
 """The pruned linear-realizability search against the exhaustive one it
-replaced, and on the families that made the exhaustive one factorial."""
+replaced, and on the families that made the exhaustive one factorial; the
+verdicts, which stop at the first open branch, against the whole trees."""
 
 import random
 
@@ -10,7 +11,17 @@ from pathcheck import bounded_sat
 from realizability_reference import _realizable as exhaustive_realizable
 from smartlot import tableaux
 from smartlot.formulas import Not, parse, pretty
-from smartlot.tableaux import CLOSED, OPEN, SATISFIABLE, UNSATISFIABLE, build_tree, is_satisfiable
+from smartlot.tableaux import (
+    CLOSED,
+    NOT_VALID,
+    OPEN,
+    SATISFIABLE,
+    UNSATISFIABLE,
+    VALID,
+    build_tree,
+    is_satisfiable,
+    is_valid,
+)
 
 
 @pytest.fixture
@@ -39,6 +50,16 @@ def assert_branches_agree(f, decided):
         else:
             expected = OPEN if exhaustive_realizable(*call) else CLOSED
             assert branch.status == expected, (pretty(f), branch.index)
+    return tree
+
+
+def assert_trees_and_verdicts_agree(f, decided):
+    """The branches of f and !f against the exhaustive search, and the
+    verdicts, which stop at the first open branch, against those trees."""
+    tree = assert_branches_agree(f, decided)
+    negated = assert_branches_agree(Not(f), decided)
+    assert (is_satisfiable(f) == SATISFIABLE) == tree.open, pretty(f)
+    assert (is_valid(f) == VALID) == negated.closed, pretty(f)
 
 
 def nested_conjunction(rng: random.Random) -> str:
@@ -59,16 +80,32 @@ def nested_conjunction(rng: random.Random) -> str:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pruned_search_matches_exhaustive_on_corpus(seed, decided):
     for f in formula_corpus(seed=seed, count=500):
-        assert_branches_agree(f, decided)
-        assert_branches_agree(Not(f), decided)
+        assert_trees_and_verdicts_agree(f, decided)
 
 
 def test_pruned_search_matches_exhaustive_on_nested_conjunctions(decided):
     rng = random.Random(5)
     for _ in range(300):
-        f = parse(nested_conjunction(rng))
-        assert_branches_agree(f, decided)
-        assert_branches_agree(Not(f), decided)
+        assert_trees_and_verdicts_agree(parse(nested_conjunction(rng)), decided)
+
+
+def test_verdict_stops_at_the_first_open_branch(monkeypatch):
+    checked = [0]
+    realizable = tableaux._realizable
+
+    def counting(literals, commitments):
+        checked[0] += 1
+        return realizable(literals, commitments)
+
+    monkeypatch.setattr(tableaux, "_realizable", counting)
+    f = parse("(a | b) & (c | d) & (e | f) & (g | h)")
+    assert len(build_tree(f).branches) == checked[0] == 16
+    checked[0] = 0
+    assert is_satisfiable(f) == SATISFIABLE
+    assert checked[0] == 1
+    checked[0] = 0
+    assert is_valid(Not(f)) == NOT_VALID
+    assert checked[0] == 1
 
 
 # -- the two families that were factorial in k --------------------------------
