@@ -29,13 +29,63 @@ class FormulaDepthError(FormulaSyntaxError):
         super().__init__(f"nesting deeper than {MAX_DEPTH}", offset, ("a shallower formula",))
 
 
-@dataclass(frozen=True)
 class Formula:
+    """Base of the formula nodes.  Equality and hashing walk explicit stacks,
+    so a long & / | chain compares and hashes like a short one; a node
+    stores its hash the first time it is asked for."""
+
+    _hash = None
+
     def __str__(self) -> str:
         return pretty(self)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            t = type(a)
+            if t is not type(b):
+                return False
+            if t is Atom:
+                if a.name != b.name:
+                    return False
+            elif t in _UNARY_NODES:
+                todo.append((a.operand, b.operand))
+            else:
+                todo.append((a.right, b.right))
+                todo.append((a.left, b.left))
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            # the preorder of node types and atom names, which fixed arities
+            # make unambiguous: equal formulas, and only those, give equal
+            # sequences
+            seq: list = []
+            todo: list[Formula] = [self]
+            while todo:
+                g = todo.pop()
+                t = type(g)
+                if t is Atom:
+                    seq.append(g.name)
+                elif t in _UNARY_NODES:
+                    seq.append(t)
+                    todo.append(g.operand)
+                else:
+                    seq.append(t)
+                    todo.append(g.right)
+                    todo.append(g.left)
+            h = hash(tuple(seq))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
@@ -44,43 +94,46 @@ class Atom(Formula):
             raise ValueError(f"invalid atom name: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Always(Formula):
     operand: Formula
+
+
+_UNARY_NODES = (Not, Eventually, Always)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +151,11 @@ class Always(Formula):
 
 MAX_DEPTH = 100
 
+# one match per token: blanks, then a token or any other visible character,
+# which is an error; trailing blanks match nothing
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<iff><->)"
+    r"\s*(?:"
+    r"(?P<iff><->)"
     r"|(?P<implies>->)"
     r"|(?P<not>!)"
     r"|(?P<and>&)"
@@ -110,64 +165,60 @@ _TOKEN_RE = re.compile(
     r"|(?P<eventually>F)"
     r"|(?P<always>G)"
     r"|(?P<atom>[a-z][a-zA-Z0-9]*)"
+    r"|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos, ("token",))
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Token kinds, texts and offsets, ending in an "eof" token."""
+    kinds: list[str] = []
+    values: list[str] = []
+    offsets: list[int] = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+        pos = m.start(kind)
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos, ("token",))
+        kinds.append(kind)
+        values.append(m.group(kind))
+        offsets.append(pos)
+    kinds.append("eof")
+    values.append("")
+    offsets.append(len(text))
+    return kinds, values, offsets
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+        self.kinds, self.values, self.offsets = _tokenize(text)
+        self.i = 0  # index of the next token
         self.depth = 0  # operators and parentheses enclosing the next token
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def deeper(self) -> None:
         """Take an operator or "(" whose operand nests one level deeper; the
         caller steps back out with `self.depth -= 1`."""
-        offset = self.take()[2]
         if self.depth == MAX_DEPTH:
-            raise FormulaDepthError(offset)
+            raise FormulaDepthError(self.offsets[self.i])
+        self.i += 1
         self.depth += 1
 
     def error(self, expected: tuple[str, ...]):
-        kind, value, offset = self.peek()
-        what = "end of input" if kind == "eof" else repr(value)
-        raise FormulaSyntaxError(f"unexpected {what}", offset, expected)
+        i = self.i
+        what = "end of input" if self.kinds[i] == "eof" else repr(self.values[i])
+        raise FormulaSyntaxError(f"unexpected {what}", self.offsets[i], expected)
 
     def parse(self) -> Formula:
         f = self.iff()
-        if self.peek()[0] != "eof":
+        if self.kinds[self.i] != "eof":
             self.error(("end of input",))
         return f
 
     def iff(self) -> Formula:
         left = self.implies()
-        if self.peek()[0] == "iff":
-            self.take()
+        if self.kinds[self.i] == "iff":
+            self.i += 1
             right = self.implies()
-            if self.peek()[0] == "iff":
+            if self.kinds[self.i] == "iff":
                 # chained <-> without parentheses is ambiguous; reject
                 self.error(("end of input", ")"))
             return Iff(left, right)
@@ -175,7 +226,7 @@ class _Parser:
 
     def implies(self) -> Formula:
         left = self.disjunction()
-        if self.peek()[0] == "implies":
+        if self.kinds[self.i] == "implies":
             self.deeper()
             f = Implies(left, self.implies())
             self.depth -= 1
@@ -184,30 +235,34 @@ class _Parser:
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek()[0] == "or":
-            self.take()
+        kinds = self.kinds
+        while kinds[self.i] == "or":
+            self.i += 1
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
-        while self.peek()[0] == "and":
-            self.take()
+        kinds = self.kinds
+        while kinds[self.i] == "and":
+            self.i += 1
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        kind, _, _ = self.peek()
+        i = self.i
+        kind = self.kinds[i]
         if kind == "atom":
-            return Atom(self.take()[1])
+            self.i = i + 1
+            return Atom(self.values[i])
         if kind != "lpar" and kind not in _UNARY:
             self.error(("!", "F", "G", "atom", "("))
         self.deeper()
         if kind == "lpar":
             f = self.iff()
-            if self.peek()[0] != "rpar":
+            if self.kinds[self.i] != "rpar":
                 self.error((")",))
-            self.take()
+            self.i += 1
         else:
             f = _UNARY[kind](self.unary())
         self.depth -= 1

@@ -6,6 +6,14 @@ by an F operator, a universal label (written ``1.[x]``) stands for the
 current world and every later one, as introduced by G.  A branch closes when
 it holds a literal and its negation under unifiable labels.
 
+The expansion reads the parsed formula itself, each part under a sign
+(Smullyan's uniform notation): `!` flips the sign; And+, Or- and Implies-
+keep both parts on the branch; Or+, And-, Implies+ and Iff split it, left
+first, as their negation normal form would; G+ and F- take a universal label
+and F+ and G- name a new world.  No normal-form copy of the formula is built;
+only a part that waits under a universal label as a commitment is stored in
+negation normal form, which the realizability check reads.
+
 Because the intended models are linear (a single time line with an
 eventually constant tail), label unification alone is not a complete
 satisfiability test: two universally labeled literals in sibling scopes both
@@ -15,13 +23,15 @@ realizability check that searches for an ordering of the introduced worlds,
 plus a constant tail state, satisfying every recorded constraint.  A branch
 with no such arrangement is closed as well.
 
-The search is exact but pruned in three steps (see "Linear realizability"
+The search is exact but pruned in four steps (see "Linear realizability"
 below): orderings must respect precedence edges forced by universal vs.
 exact literals, and a cycle among them closes the branch; the tail, which
-every ordering shares, is checked once up front; and each position only
-enumerates the atoms its duties read.  A branch without deferred commitments
-costs one topological sort of its worlds; one that also has no universal
-literal under a named world costs nothing, since its worlds form a forest.
+every ordering shares, is checked once up front; a branch whose constraints
+one constant valuation meets is open without any ordering; and each position
+only enumerates the atoms its duties read.  A branch without deferred
+commitments costs one topological sort of its worlds; one that also has no
+universal literal under a named world costs nothing, since its worlds form a
+forest.
 
 `build_tree` builds every branch, with a display node per step.  The
 verdicts `is_satisfiable` and `is_valid` run the same expansion but record
@@ -39,6 +49,8 @@ from .formulas import (
     Atom,
     Eventually,
     Formula,
+    Iff,
+    Implies,
     Not,
     Or,
     atoms,
@@ -124,12 +136,6 @@ def _is_literal(f: Formula) -> bool:
     return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.operand, Atom))
 
 
-def _literal(f: Formula, label: WorldLabel) -> Literal:
-    if isinstance(f, Atom):
-        return ("+", f.name, label)
-    return ("-", f.operand.name, label)
-
-
 class _FreshNames:
     """Deterministic a, b, c, ... generator; skips x, reserved for universals."""
 
@@ -161,9 +167,10 @@ class _Builder:
 
     def expand(self) -> bool:
         """Whether some branch is open."""
-        # pending branches: formulas left to expand, literals, commitments and
-        # the node the branch continues under; each branch owns its lists
-        pending = [([(nnf(self.root_formula), WorldLabel())], [], [], self.root)]
+        # pending branches: signed formulas left to expand, literals,
+        # commitments and the node the branch continues under; each branch
+        # owns its lists
+        pending = [([(self.root_formula, False, WorldLabel())], [], [], self.root)]
         found_open = False
         while pending:
             if self._branch(*pending.pop(), pending) == OPEN:
@@ -174,20 +181,25 @@ class _Builder:
 
     def _branch(
         self,
-        stack: list[tuple[Formula, WorldLabel]],
+        stack: list[tuple[Formula, bool, WorldLabel]],
         literals: list[Literal],
         commitments: list[tuple[Formula, tuple[str, ...]]],
         attach: TreeNode | None,
         pending: list,
     ) -> str:
         """Expand one branch to its status; the right side of each split
-        goes on `pending` with copies of the branch's lists."""
+        goes on `pending` with copies of the branch's lists.  A stack entry
+        `(f, neg, label)` stands for f, or for !f when `neg`, at `label`."""
         while stack:
-            f, label = stack.pop()
-            if _is_literal(f):
-                lit = _literal(f, label)
+            f, neg, label = stack.pop()
+            t = type(f)
+            if t is Not:
+                stack.append((f.operand, not neg, label))
+                continue
+            if t is Atom:
+                lit = ("-" if neg else "+", f.name, label)
                 if attach is not None and not self.literal_root:
-                    node = TreeNode(f, label)
+                    node = TreeNode(Not(f) if neg else f, label)
                     attach.children.append(node)
                     attach = node
                 closes = self._closes(lit, literals)
@@ -195,28 +207,36 @@ class _Builder:
                 if closes:
                     return self._finish(literals, attach, CLOSED)
                 continue
-            if isinstance(f, And):
-                stack.append((f.right, label))
-                stack.append((f.left, label))
-                continue
-            if isinstance(f, Always):
-                stack.append((f.operand, WorldLabel(label.prefix, True)))
-                continue
-            if isinstance(f, Or):
-                if label.universal:
-                    commitments.append((f, label.prefix))
+            if t is And or t is Or or t is Implies:
+                # And+, Or- and Implies- keep both parts on the branch
+                if (t is And) != neg:
+                    stack.append((f.right, neg, label))
+                    stack.append((f.left, neg != (t is Implies), label))
                     continue
-                pending.append((stack + [(f.right, label)], list(literals), list(commitments), attach))
-                stack.append((f.left, label))
-                continue
-            if isinstance(f, Eventually):
-                if label.universal:
-                    commitments.append((f, label.prefix))
+            elif t is Always or t is Eventually:
+                # G+ and F- hold at this world and every later one
+                if (t is Always) != neg:
+                    stack.append((f.operand, neg, WorldLabel(label.prefix, True)))
                     continue
+            elif t is not Iff:
+                raise TypeError(f"not a formula: {f!r}")
+            # the rest split the branch or name a world; under a universal
+            # label they wait, in normal form, as commitments
+            if label.universal:
+                commitments.append((nnf(Not(f)) if neg else nnf(f), label.prefix))
+            elif t is Always or t is Eventually:
                 world = label.prefix + (self.fresh.next(),)
-                stack.append((f.operand, WorldLabel(world, False)))
-                continue
-            raise TypeError(f"unexpected formula in nnf: {f!r}")
+                stack.append((f.operand, neg, WorldLabel(world, False)))
+            elif t is Iff:
+                # Iff+ splits into l & r | !l & !r, Iff- into l & !r | !l & r
+                right = stack + [(f.right, not neg, label), (f.left, True, label)]
+                pending.append((right, list(literals), list(commitments), attach))
+                stack.append((f.right, neg, label))
+                stack.append((f.left, False, label))
+            else:
+                # Or+, And- and Implies+ split, left first
+                pending.append((stack + [(f.right, neg, label)], list(literals), list(commitments), attach))
+                stack.append((f.left, neg != (t is Implies), label))
         status = OPEN if _realizable(literals, commitments) else CLOSED
         return self._finish(literals, attach, status)
 
@@ -275,7 +295,8 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 # inside commitments and ending in a constant tail state, admits valuations
 # meeting every constraint.
 #
-# The search skips only arrangements and valuations that cannot succeed:
+# The search skips only arrangements and valuations that cannot succeed, or
+# that a constant model makes unnecessary:
 #
 # 1. Precedence.  A universal literal from named world P and an opposite
 #    exact literal at named world Q clash wherever Q sits at or after P, so Q
@@ -289,8 +310,17 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 #    constant tail whatever the ordering, and there F and G read only the
 #    tail itself.  One search for a tail valuation runs before any ordering;
 #    without one the branch closes.
-# 3. Reads.  At position i the duties read only the atoms of the commitments
+# 3. Constant model.  When the tail check passes, a second one-position check
+#    places every literal, exact ones too, at the tail.  A valuation passing
+#    it can be taken at every position of any ordering, so the branch is
+#    open.  This is only sufficient: without such a valuation the ordering
+#    search below runs.  (The constant model is the degenerate ultimately
+#    periodic model of Sistla & Clarke, JACM 1985.)
+# 4. Reads.  At position i the duties read only the atoms of the commitments
 #    based at or before i; only those free atoms are enumerated there.
+#
+# Commitments are evaluated with explicit frames rather than recursion, so a
+# long & / | chain under G is checked like a short one.
 
 _TAIL = ("<tail>",)
 _OPPOSITE = {"+": "-", "-": "+"}
@@ -330,6 +360,11 @@ def _realizable(
     tail_commitments = [(f, ()) for f, _ in commitments]
     if not _check_order([_TAIL], tail_literals, tail_commitments, commit_atoms):
         return False
+    # one valuation meeting every literal, exact ones too, and every
+    # commitment at a constant tail can hold at every position of any ordering
+    constant = [(s, a, everywhere) for s, a, _ in literals]
+    if _check_order([_TAIL], constant, tail_commitments, commit_atoms):
+        return True
 
     helpers = sum(count_eventually(f) for f, _ in commitments)
     padding = [("<helper>", str(i)) for i in range(helpers)] + [_TAIL]
@@ -417,19 +452,42 @@ def _check_order(
     chosen: list[dict[str, bool] | None] = [None] * n
 
     def holds(f: Formula, i: int) -> bool:
-        if isinstance(f, Atom):
-            return chosen[i][f.name]
-        if isinstance(f, Not):
-            return not holds(f.operand, i)
-        if isinstance(f, And):
-            return holds(f.left, i) and holds(f.right, i)
-        if isinstance(f, Or):
-            return holds(f.left, i) or holds(f.right, i)
-        if isinstance(f, Eventually):
-            return any(holds(f.operand, j) for j in range(i, n))
-        if isinstance(f, Always):
-            return all(holds(f.operand, j) for j in range(i, n))
-        raise TypeError(f"unexpected formula in nnf: {f!r}")
+        # frames (formula, position it is read at, part being read): 0 or 1
+        # for the sides of & and |, the later position for F and G; a frame
+        # is dropped as soon as the part read decides it
+        frames: list[tuple[Formula, int, int]] = []
+        while True:
+            t = type(f)
+            if t is Atom:
+                value = chosen[i][f.name]
+            elif t is Not:
+                value = not chosen[i][f.operand.name]
+            elif t is And or t is Or:
+                frames.append((f, i, 0))
+                f = f.left
+                continue
+            elif t is Eventually or t is Always:
+                frames.append((f, i, i))
+                f = f.operand
+                continue
+            else:
+                raise TypeError(f"unexpected formula in nnf: {f!r}")
+            while frames:
+                g, gi, j = frames.pop()
+                tg = type(g)
+                if value != (tg is And or tg is Always):
+                    continue
+                if tg is And or tg is Or:
+                    if j == 0:
+                        frames.append((g, gi, 1))
+                        f, i = g.right, gi
+                        break
+                elif j + 1 < n:
+                    frames.append((g, gi, j + 1))
+                    f, i = g.operand, j + 1
+                    break
+            else:
+                return value
 
     def assign(i: int) -> bool:
         if i < 0:

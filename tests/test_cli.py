@@ -116,6 +116,15 @@ def test_prove_flat_chain(op, n, flags, capsys):
     assert out == "SAT\n" + tree
 
 
+def test_prove_chain_under_always(capsys):
+    # the disjunction is a commitment, evaluated by the realizability check
+    chain = " | ".join(f"a{i}" for i in range(1200))
+    assert main(["prove", f"G ({chain})"]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+    assert main(["prove", f"G ({chain}) & G !a1199"]) == 0
+    assert capsys.readouterr().out == "SAT\n"
+
+
 def test_prove_matches_the_tree_on_a_corpus(capsys):
     for f in formula_corpus(seed=3, count=80):
         text = pretty(f)

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from formula_gen import formula_corpus
 from smartlot.formulas import (
     Always,
     And,
@@ -19,6 +22,7 @@ from smartlot.formulas import (
     nnf,
     parse,
     pretty,
+    _tokenize,
 )
 from smartlot.tableaux import NOT_VALID, SATISFIABLE, build_tree, export_tree, is_satisfiable, is_valid
 
@@ -100,11 +104,14 @@ def test_nesting_past_the_limit_is_a_syntax_error(text, offset):
 @pytest.mark.parametrize("n", [1200, 5000])
 @pytest.mark.parametrize("op, dual", [("&", "|"), ("|", "&")], ids=["conjunction", "disjunction"])
 def test_flat_chain_is_no_nesting(op, dual, n):
-    # a chain nests to the left as deep as it is long; printing, normal
-    # form, proving and exporting it must not recurse per link
+    # a chain nests to the left as deep as it is long; printing, comparing,
+    # hashing, normal form, proving and exporting it must not recurse per link
     text = f" {op} ".join(f"a{i}" for i in range(n))
     f = parse(text)
     assert pretty(f) == text
+    g = parse(text)
+    assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+    assert f != parse(f"{text} {op} b")
     assert pretty(nnf(Not(f))) == f" {dual} ".join(f"!a{i}" for i in range(n))
     assert is_satisfiable(f) == SATISFIABLE
     assert is_valid(f) == NOT_VALID
@@ -178,6 +185,58 @@ def test_invalid_atom_name():
         Atom("")
 
 
+# the single-match-per-position tokenizer the one-pass one replaced
+_OLD_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<iff><->)"
+    r"|(?P<implies>->)"
+    r"|(?P<not>!)"
+    r"|(?P<and>&)"
+    r"|(?P<or>\|)"
+    r"|(?P<lpar>\()"
+    r"|(?P<rpar>\))"
+    r"|(?P<eventually>F)"
+    r"|(?P<always>G)"
+    r"|(?P<atom>[a-z][a-zA-Z0-9]*)"
+)
+
+
+def _old_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos, ("token",))
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as e:
+        return str(e), e.offset, e.expected
+
+
+MALFORMED = [
+    "", " ", "a ", "a\n", " \t a  \n ", "?", "p & ?q", "a <- b", "a - b", "a => b",
+    "A", "Fa", "Gb", "F1", "9a", "a_b", "a.b", "(a", "a)", "a <->", "é", "a\u00a0& b",
+    "!" * 1200 + "a", "(" * 1200 + "a" + ")" * 1200, "a -> " * (MAX_DEPTH + 1) + "a",
+]
+
+
+def test_tokenizer_matches_the_per_position_matcher():
+    texts = [pretty(f) for f in formula_corpus(seed=0, count=300)] + MALFORMED
+    texts += [t.replace(" ", "  \n") for t in texts[:100]]
+    for text in texts:
+        new = _tokens_or_error(lambda t: list(zip(*_tokenize(t))), text)
+        assert new == _tokens_or_error(_old_tokenize, text), text
+
+
 # -- property tests ---------------------------------------------------------
 
 names = st.sampled_from(["p", "q", "r", "g1", "p018"])
@@ -201,7 +260,8 @@ def formulas():
 
 @given(formulas())
 def test_print_parse_roundtrip(f):
-    assert parse(pretty(f)) == f
+    g = parse(pretty(f))
+    assert g == f and hash(g) == hash(f)
 
 
 def _nnf_reference(f, negate=False):

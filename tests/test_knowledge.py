@@ -165,6 +165,17 @@ def test_from_tsv_too_deep_formula():
         SpecStore.from_tsv("u\t" + "!" * 1200 + "a\t1\n")
 
 
+@pytest.mark.parametrize("n", [500, 5000])
+def test_from_tsv_long_chain_round_trips(n):
+    # storing a formula hashes and compares it; a flat chain is as deep as
+    # it is long
+    chain = " | ".join(f"a{i}" for i in range(n))
+    text = f"u\t{chain}\t2\nu\tg1 -> F p1\t1\n"
+    store = SpecStore.from_tsv(text)
+    assert store.to_tsv() == text
+    assert SpecStore.from_tsv(store.to_tsv()).to_tsv() == text
+
+
 def test_from_tsv_bad_line():
     with pytest.raises(KnowledgeError, match="line 1"):
         SpecStore.from_tsv("only two\tfields\n")

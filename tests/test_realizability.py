@@ -1,6 +1,7 @@
 """The pruned linear-realizability search against the exhaustive one it
 replaced, and on the families that made the exhaustive one factorial; the
-verdicts, which stop at the first open branch, against the whole trees."""
+verdicts, which stop at the first open branch, against the whole trees; the
+signed expansion against the expansion of the negation normal form."""
 
 import random
 
@@ -10,7 +11,7 @@ from formula_gen import formula_corpus
 from pathcheck import bounded_sat
 from realizability_reference import _realizable as exhaustive_realizable
 from smartlot import tableaux
-from smartlot.formulas import Not, parse, pretty
+from smartlot.formulas import Atom, Not, nnf, parse, pretty
 from smartlot.tableaux import (
     CLOSED,
     NOT_VALID,
@@ -19,6 +20,7 @@ from smartlot.tableaux import (
     UNSATISFIABLE,
     VALID,
     build_tree,
+    export_tree,
     is_satisfiable,
     is_valid,
 )
@@ -106,6 +108,76 @@ def test_verdict_stops_at_the_first_open_branch(monkeypatch):
     checked[0] = 0
     assert is_valid(Not(f)) == NOT_VALID
     assert checked[0] == 1
+
+
+# -- signed expansion and the constant model -----------------------------------
+
+
+def branch_data(tree):
+    return [(b.index, b.literals, b.status) for b in tree.branches]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_signed_expansion_matches_the_normal_form(seed):
+    for f in formula_corpus(seed=seed, count=500):
+        for g in (f, Not(f)):
+            normal = nnf(g)
+            tree, normal_tree = build_tree(g), build_tree(normal)
+            assert branch_data(tree) == branch_data(normal_tree), pretty(g)
+            if isinstance(normal, (Atom, Not)):
+                # a bare literal at the root is displayed by the root node
+                continue
+            below_root = export_tree(tree).splitlines()[1:]
+            assert below_root == export_tree(normal_tree).splitlines()[1:], pretty(g)
+
+
+def test_expansion_normalizes_only_commitments(monkeypatch):
+    calls = []
+    normalize = tableaux.nnf
+
+    def counting(f):
+        calls.append(f)
+        return normalize(f)
+
+    monkeypatch.setattr(tableaux, "nnf", counting)
+    f = parse("(a -> b) & !(c <-> d)")
+    assert is_satisfiable(f) == SATISFIABLE
+    assert is_valid(f) == NOT_VALID
+    assert len(build_tree(f).branches) == 4
+    assert calls == []
+    # a signed disjunction under G is normalized once, where it is recorded
+    assert is_satisfiable(parse("G !(a & F b)")) == SATISFIABLE
+    assert [pretty(g) for g in calls] == ["!(a & F b)"]
+
+
+@pytest.fixture
+def positions_checked(monkeypatch):
+    """The number of positions of every `_check_order` call."""
+    sizes = []
+    check_order = tableaux._check_order
+
+    def recording(positions, *args):
+        sizes.append(len(positions))
+        return check_order(positions, *args)
+
+    monkeypatch.setattr(tableaux, "_check_order", recording)
+    return sizes
+
+
+def test_constant_model_opens_a_committed_branch(positions_checked):
+    f = parse("!a & G (a | F b) & F c")
+    assert is_satisfiable(f) == SATISFIABLE
+    # the tail check, then the constant model: no ordering is tried
+    assert positions_checked == [1, 1]
+    assert bounded_sat(f) is True
+
+
+def test_ordering_search_runs_without_a_constant_model(positions_checked):
+    f = parse("a & F !a & G (a | b)")
+    assert is_satisfiable(f) == SATISFIABLE
+    assert positions_checked[:2] == [1, 1]
+    assert max(positions_checked) > 1
+    assert bounded_sat(f) is True
 
 
 # -- the two families that were factorial in k --------------------------------
