@@ -42,7 +42,7 @@ from .knowledge import (
     retract_inconsistent,
     spec_formula,
 )
-from .agents import DecisionConfig, PreferenceDecision, a1_detect, a2_finalize, a2_spawn, a2_update, a3_decide
+from .agents import DecisionConfig, Followers, PreferenceDecision, a1_detect, a3_decide
 from .simulator import Scenario, SimulationReport, demo_scenario, generate, parse_scenario, run, serialize_report
 
 __version__ = "0.1.0"

@@ -5,18 +5,17 @@ user take" from the specification store and a truth tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import datetime
+from dataclasses import dataclass
 
 from .formulas import Atom, Formula, eventually_atoms
 from .knowledge import (
-    EventRecord,
+    KnowledgeError,
     SpecStore,
     Trip,
     retract_inconsistent,
     spec_formula,
 )
-from .tableaux import TruthTree, build_tree, open_consequences
+from .tableaux import build_tree, open_consequences
 from .worldgraph import GraphError, WorldGraph
 
 ENTER = "enter"
@@ -45,68 +44,52 @@ class PreferenceDecision:  # A3 -> user
     suggestion: str | None
     candidates: tuple[tuple[str, int], ...]  # (spot, r), ranked
     rationale: str
-    tree: TruthTree
 
 
 # -- A1: node agents --------------------------------------------------------
 
 
-def a1_detect(
-    graph: WorldGraph, node: str, user: str, timestamp: datetime
-) -> tuple[EventRecord, str]:
-    """Event record plus the graph transformation the detection implies:
-    a gateway detection is an entry for an absent car and an exit for a
-    present one; anything else is a move."""
+def a1_detect(graph: WorldGraph, node: str, user: str) -> str:
+    """The graph transformation a detection implies: a gateway detection is
+    an entry for an absent car and an exit for a present one; anything else
+    is a move."""
     label = graph.label(node)
-    event = EventRecord(user, node, timestamp)
     present = graph.car_position(user) is not None
     if label == "G":
-        return event, EXIT if present else ENTER
+        return EXIT if present else ENTER
     if not present:
         raise GraphError(f"car {user} detected at {node} before entering")
-    return event, MOVE
+    return MOVE
 
 
 # -- A2: follower agents ----------------------------------------------------
 
 
-@dataclass
-class FollowerState:
-    user: str
-    entry_gate: str
-    events: list[EventRecord] = field(default_factory=list)
-    parked_spot: str | None = None
-    defunct: bool = False
+class Followers:
+    """One follower per car inside the lot, segmenting its detections into
+    trips: a gateway opens a trip for an absent user and closes it for a
+    present one, and the trip is parked at the last P node seen between."""
 
+    def __init__(self) -> None:
+        self._open: dict[str, tuple[str, str | None]] = {}  # user -> (entry gate, parked spot)
 
-class FollowerError(RuntimeError):
-    pass
+    def observe(self, user: str, node: str, label: str) -> Trip | None:  # A2 -> A3
+        """Follow one detection; returns the trip it closes, if any."""
+        current = self._open.get(user)
+        if label == "G":
+            if current is None:
+                self._open[user] = (node, None)
+                return None
+            del self._open[user]
+            return Trip(user, current[0], current[1], node)
+        if current is None:
+            raise KnowledgeError(f"user {user} detected at {node} before entering")
+        if label == "P":
+            self._open[user] = (current[0], node)
+        return None
 
-
-def a2_spawn(user: str, gate: str) -> FollowerState:
-    return FollowerState(user, gate)
-
-
-def a2_update(state: FollowerState, event: EventRecord, node_label: str) -> FollowerState:
-    if state.defunct:
-        raise FollowerError(f"follower for {state.user} already finalized")
-    state.events.append(event)
-    if node_label == "P":
-        state.parked_spot = event.node
-    return state
-
-
-def a2_finalize(state: FollowerState, exit_gate: str) -> Trip:  # A2 -> A3
-    if state.defunct:
-        raise FollowerError(f"follower for {state.user} already finalized")
-    state.defunct = True
-    return Trip(
-        user=state.user,
-        entry_gate=state.entry_gate,
-        parked_spot=state.parked_spot,
-        exit_gate=exit_gate,
-        events=tuple(state.events),
-    )
+    def __len__(self) -> int:
+        return len(self._open)
 
 
 # -- A3: decision agent -----------------------------------------------------
@@ -167,6 +150,5 @@ def a3_decide(
         suggestion=suggestion,
         candidates=tuple(ranked),
         rationale=rationale,
-        tree=tree,
     )
     return decision, removed

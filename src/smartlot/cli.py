@@ -11,9 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .agents import DecisionConfig
+from .agents import DecisionConfig, Followers
 from .formulas import FormulaDepthError, FormulaSyntaxError, Not, parse
-from .knowledge import EventLog, KnowledgeError, SpecStore, Trip, mine_trip
+from .knowledge import EventLog, KnowledgeError, SpecStore, mine_trip
 from .simulator import (
     ScenarioError,
     demo_scenario,
@@ -108,44 +108,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def reconstruct_trips(log: EventLog, graph) -> list[Trip]:
-    """Segment raw per-user event streams at gateway detections: each
-    gate ... gate stretch is one trip, parked at the last P node seen."""
-    by_user: dict[str, list] = {}
-    for event in log.events:
-        by_user.setdefault(event.user, []).append(event)
-    trips = []
-    for user in sorted(by_user):
-        current: list = []
-        for event in by_user[user]:
-            label = graph.label(event.node)
-            if label == "G" and current:
-                parked = next(
-                    (e.node for e in reversed(current) if graph.label(e.node) == "P"),
-                    None,
-                )
-                trips.append(
-                    Trip(
-                        user=user,
-                        entry_gate=current[0].node,
-                        parked_spot=parked,
-                        exit_gate=event.node,
-                        events=tuple(current) + (event,),
-                    )
-                )
-                current = []
-            else:
-                current.append(event)
-    return trips
-
-
 def cmd_mine(args) -> int:
     graph = load_graph(Path(args.graph).read_text())
     log = EventLog.from_csv(Path(args.events).read_text(), known_nodes=graph.nodes)
     store = SpecStore()
-    for trip in reconstruct_trips(log, graph):
-        for formula in mine_trip(trip):
-            store.upsert(trip.user, formula)
+    followers = Followers()
+    for event in log.events:
+        trip = followers.observe(event.user, event.node, graph.label(event.node))
+        if trip is not None:
+            for formula in mine_trip(trip):
+                store.upsert(trip.user, formula)
     _emit(store.to_tsv(), args.output)
     return 0
 

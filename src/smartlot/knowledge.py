@@ -120,7 +120,6 @@ class Trip:
     entry_gate: str
     parked_spot: str | None = None
     exit_gate: str | None = None
-    events: tuple[EventRecord, ...] = ()
 
 
 class SpecStore:
@@ -217,17 +216,17 @@ def mine_trip(trip: Trip) -> list[Formula]:
 def infer_never_gates(
     store: SpecStore,
     user: str,
-    trips: list[Trip],
+    trip_count: int,
+    used_gates: set[str],
     threshold: int,
     gates: set[str],
 ) -> list[Formula]:
     """After `threshold` completed trips, assert `G !gate` for every gate the
-    user never touched.  Returns the formulas added."""
-    if len(trips) < threshold:
+    user never entered or left by.  Returns the formulas added."""
+    if trip_count < threshold:
         return []
-    used = {t.entry_gate for t in trips} | {t.exit_gate for t in trips if t.exit_gate}
     added = []
-    for gate in sorted(gates - used):
+    for gate in sorted(gates - used_gates):
         formula = Always(Not(Atom(gate)))
         if not store.contains(user, formula):
             store.insert(user, formula, 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from . import fixtures
@@ -19,18 +19,14 @@ from .agents import (
     EXIT,
     MOVE,
     DecisionConfig,
+    Followers,
     PreferenceDecision,
     a1_detect,
-    a2_finalize,
-    a2_spawn,
-    a2_update,
     a3_decide,
 )
 from .knowledge import (
-    EventLog,
     KnowledgeError,
     SpecStore,
-    Trip,
     infer_never_gates,
     mine_trip,
     parse_timestamp,
@@ -78,8 +74,6 @@ class SimulationReport:
     final_store: SpecStore
     final_graph: WorldGraph
     stats: SimulationStats
-    event_log: EventLog
-    trips: list[Trip] = field(default_factory=list)
     followers_alive: int = 0
 
 
@@ -89,50 +83,45 @@ def run(scenario: Scenario) -> SimulationReport:
     scenario.validate()
     graph = scenario.graph.copy()
     store = SpecStore()
-    log = EventLog()
     config = scenario.config
+    threshold = config.never_gate_threshold
     gates = set(graph.nodes_with_label("G"))
 
-    followers: dict[str, object] = {}
-    trips_by_user: dict[str, list[Trip]] = {}
+    followers = Followers()
+    trip_count: dict[str, int] = {}
+    used_gates: dict[str, set[str]] = {}
     last_suggestion: dict[str, str | None] = {}
     decisions: list[PreferenceDecision] = []
-    completed: list[Trip] = []
     stats = SimulationStats()
 
     for det in scenario.timeline:
-        event, action = a1_detect(graph, det.node, det.user, det.timestamp)
-        log.record(event)
+        user, node = det.user, det.node
+        action = a1_detect(graph, node, user)
+        trip = followers.observe(user, node, graph.label(node))
         if action == ENTER:
-            decision, removed = a3_decide(store, graph, det.user, det.node, config)
+            decision, removed = a3_decide(store, graph, user, node, config)
             if removed:
                 stats.contradictions_resolved += 1
             decisions.append(decision)
-            last_suggestion[det.user] = decision.suggestion
-            graph.enter(det.user, det.node)
-            followers[det.user] = a2_spawn(det.user, det.node)
+            last_suggestion[user] = decision.suggestion
+            graph.enter(user, node)
         elif action == MOVE:
-            graph.move(det.user, det.node)
-            a2_update(followers[det.user], event, graph.label(det.node))
+            graph.move(user, node)
         else:  # EXIT
-            trip = a2_finalize(followers.pop(det.user), det.node)
-            completed.append(trip)
-            trips_by_user.setdefault(det.user, []).append(trip)
             for formula in mine_trip(trip):
-                store.upsert(det.user, formula)
-            infer_never_gates(
-                store,
-                det.user,
-                trips_by_user[det.user],
-                config.never_gate_threshold,
-                gates,
-            )
-            graph.exit(det.user)
+                store.upsert(user, formula)
+            count = trip_count[user] = trip_count.get(user, 0) + 1
+            used = used_gates.setdefault(user, set())
+            known = len(used)
+            used |= {trip.entry_gate, trip.exit_gate}
+            # what inference adds depends only on the count and `used`:
+            # retraction removes `G !entry_gate` alone, and that gate has
+            # just joined `used`
+            if count >= threshold and (count - 1 < threshold or len(used) > known):
+                infer_never_gates(store, user, count, used, threshold, gates)
+            graph.exit(user)
             stats.trips += 1
-            if (
-                trip.parked_spot is not None
-                and trip.parked_spot == last_suggestion.get(det.user)
-            ):
+            if trip.parked_spot is not None and trip.parked_spot == last_suggestion.get(user):
                 stats.suggestions_followed += 1
 
     return SimulationReport(
@@ -140,8 +129,6 @@ def run(scenario: Scenario) -> SimulationReport:
         final_store=store,
         final_graph=graph,
         stats=stats,
-        event_log=log,
-        trips=completed,
         followers_alive=len(followers),
     )
 

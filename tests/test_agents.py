@@ -1,5 +1,3 @@
-from datetime import datetime
-
 import pytest
 
 from smartlot.agents import (
@@ -11,20 +9,15 @@ from smartlot.agents import (
     NO_SUGGESTION,
     PREFERRED,
     DecisionConfig,
-    FollowerError,
+    Followers,
     a1_detect,
-    a2_finalize,
-    a2_spawn,
-    a2_update,
     a3_decide,
 )
 from smartlot.fixtures import parking_fixture
 from smartlot.formulas import parse
-from smartlot.knowledge import EventRecord, SpecStore, spec_formula
+from smartlot.knowledge import KnowledgeError, SpecStore, Trip, spec_formula
+from smartlot.tableaux import build_tree
 from smartlot.worldgraph import GraphError
-
-T0 = datetime(2014, 1, 28, 9, 30, 15)
-
 
 def kr55_store():
     store = SpecStore()
@@ -37,59 +30,104 @@ def kr55_store():
 
 
 def test_a1_gate_detection_is_enter_for_absent_car():
-    g = parking_fixture()
-    event, action = a1_detect(g, "g2", "idKR55", T0)
-    assert action == ENTER
-    assert event == EventRecord("idKR55", "g2", T0)
+    assert a1_detect(parking_fixture(), "g2", "idKR55") == ENTER
 
 
 def test_a1_gate_detection_is_exit_for_present_car():
     g = parking_fixture().car_enters("idKR55", "g2")
-    _, action = a1_detect(g, "g2", "idKR55", T0)
-    assert action == EXIT
+    assert a1_detect(g, "g2", "idKR55") == EXIT
 
 
 def test_a1_inner_detection_is_move():
     g = parking_fixture().car_enters("idKR55", "g2")
-    _, action = a1_detect(g, "r4", "idKR55", T0)
-    assert action == MOVE
+    assert a1_detect(g, "r4", "idKR55") == MOVE
 
 
 def test_a1_rejects_inner_detection_of_absent_car():
     with pytest.raises(GraphError):
-        a1_detect(parking_fixture(), "r4", "idKR55", T0)
+        a1_detect(parking_fixture(), "r4", "idKR55")
 
 
 # -- A2 ----------------------------------------------------------------------
 
 
+def follow(followers, steps):
+    """Trips closed by `(user, node, label)` steps, in closing order."""
+    return [t for t in (followers.observe(*step) for step in steps) if t is not None]
+
+
 def test_a2_lifecycle():
-    state = a2_spawn("idKR55", "g2")
-    a2_update(state, EventRecord("idKR55", "r4", T0), "R")
-    a2_update(state, EventRecord("idKR55", "p018", T0), "P")
-    a2_update(state, EventRecord("idKR55", "r5", T0), "R")
-    trip = a2_finalize(state, "g2")
-    assert trip.entry_gate == "g2"
-    assert trip.exit_gate == "g2"
-    assert trip.parked_spot == "p018"
-    assert [e.node for e in trip.events] == ["r4", "p018", "r5"]
-    assert state.defunct
+    followers = Followers()
+    trips = follow(
+        followers,
+        [
+            ("idKR55", "g2", "G"),
+            ("idKR55", "r4", "R"),
+            ("idKR55", "p018", "P"),
+            ("idKR55", "r5", "R"),
+        ],
+    )
+    assert trips == [] and len(followers) == 1
+    assert followers.observe("idKR55", "g2", "G") == Trip("idKR55", "g2", "p018", "g2")
+    assert len(followers) == 0
+
+
+def test_a2_interleaved_users_and_pass_through():
+    trips = follow(
+        Followers(),
+        [
+            ("idKR55", "g2", "G"),
+            ("idWX11", "g1", "G"),
+            ("idKR55", "r4", "R"),
+            ("idWX11", "g1", "G"),
+            ("idKR55", "p018", "P"),
+            ("idKR55", "g1", "G"),
+        ],
+    )
+    assert trips == [
+        Trip("idWX11", "g1", None, "g1"),
+        Trip("idKR55", "g2", "p018", "g1"),
+    ]
 
 
 def test_a2_last_parking_wins():
-    state = a2_spawn("idKR55", "g2")
-    a2_update(state, EventRecord("idKR55", "p018", T0), "P")
-    a2_update(state, EventRecord("idKR55", "p015", T0), "P")
-    assert a2_finalize(state, "g2").parked_spot == "p015"
+    trips = follow(
+        Followers(),
+        [
+            ("idKR55", "g2", "G"),
+            ("idKR55", "p018", "P"),
+            ("idKR55", "p015", "P"),
+            ("idKR55", "g2", "G"),
+        ],
+    )
+    assert [t.parked_spot for t in trips] == ["p015"]
 
 
-def test_a2_defunct_follower_rejects_reuse():
-    state = a2_spawn("idKR55", "g2")
-    a2_finalize(state, "g2")
-    with pytest.raises(FollowerError):
-        a2_update(state, EventRecord("idKR55", "r4", T0), "R")
-    with pytest.raises(FollowerError):
-        a2_finalize(state, "g2")
+def test_a2_open_trip_is_kept_and_counted():
+    followers = Followers()
+    trips = follow(
+        followers,
+        [
+            ("idKR55", "g2", "G"),
+            ("idKR55", "g2", "G"),
+            ("idKR55", "g2", "G"),
+            ("idKR55", "p018", "P"),
+            ("blocker1", "g1", "G"),
+        ],
+    )
+    assert trips == [Trip("idKR55", "g2", None, "g2")]
+    assert len(followers) == 2
+
+
+def test_a2_rejects_detection_outside_a_trip():
+    followers = Followers()
+    with pytest.raises(KnowledgeError):
+        followers.observe("idKR55", "r4", "R")
+    # a closed trip leaves no follower behind to update
+    follow(followers, [("idKR55", "g2", "G"), ("idKR55", "g2", "G")])
+    with pytest.raises(KnowledgeError):
+        followers.observe("idKR55", "p018", "P")
+    assert len(followers) == 0
 
 
 # -- A3 ----------------------------------------------------------------------
@@ -101,7 +139,7 @@ def test_a3_prefers_highest_count():
     assert decision.rationale == PREFERRED
     assert decision.candidates == (("p018", 7), ("p015", 2))
     assert removed == []
-    assert decision.tree.open
+    assert build_tree(spec_formula(kr55_store(), "idKR55", parse("g2"))).open
 
 
 def test_a3_builds_one_tree_on_a_consistent_spec(monkeypatch):

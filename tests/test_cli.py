@@ -3,10 +3,10 @@ from datetime import datetime, timedelta
 import pytest
 
 from formula_gen import formula_corpus
-from smartlot.cli import main, reconstruct_trips
+from smartlot.cli import main
 from smartlot.fixtures import parking_fixture, parking_fixture_text
 from smartlot.formulas import MAX_DEPTH, Always, Not, parse, pretty
-from smartlot.knowledge import EventLog, EventRecord, SpecStore, Trip, mine_trip
+from smartlot.knowledge import SpecStore, Trip, mine_trip
 from smartlot.simulator import (
     Detection,
     Scenario,
@@ -19,10 +19,6 @@ from smartlot.simulator import (
 )
 from smartlot.tableaux import build_tree, export_tree
 from smartlot.worldgraph import load_graph, save_graph
-
-
-def ev(user, node, iso):
-    return EventRecord(user, node, datetime.fromisoformat(iso))
 
 
 # -- prove -------------------------------------------------------------------
@@ -191,25 +187,6 @@ def test_simulate_rejects_an_edge_that_a_car_cannot_have(edge, tmp_path, capsys)
 # -- mine --------------------------------------------------------------------
 
 
-def test_reconstruct_trips():
-    g = parking_fixture()
-    log = EventLog()
-    for user, node, ts in [
-        ("idKR55", "g2", "2014-01-28T09:00:00"),
-        ("idKR55", "r4", "2014-01-28T09:00:30"),
-        ("idKR55", "p018", "2014-01-28T09:01:00"),
-        ("idKR55", "g2", "2014-01-28T11:00:00"),
-        ("idWX11", "g1", "2014-01-28T09:05:00"),
-        ("idWX11", "g1", "2014-01-28T09:30:00"),
-    ]:
-        log.record(ev(user, node, ts))
-    trips = reconstruct_trips(log, g)
-    assert [(t.user, t.entry_gate, t.parked_spot, t.exit_gate) for t in trips] == [
-        ("idKR55", "g2", "p018", "g2"),
-        ("idWX11", "g1", None, "g1"),
-    ]
-
-
 def test_mine_command(tmp_path, capsys):
     graph_file = tmp_path / "world.graph"
     graph_file.write_text(parking_fixture_text())
@@ -258,8 +235,8 @@ def interleaved_two_drivers():
 
 @pytest.mark.parametrize(
     "scenario",
-    [generate(1, 50, 4, 0.5), interleaved_two_drivers()],
-    ids=["generated", "interleaved"],
+    [generate(1, 50, 4, 0.5), interleaved_two_drivers(), demo_scenario(occupied=("p018",))],
+    ids=["generated", "interleaved", "open-trips"],
 )
 def test_mine_matches_simulator_preferences(scenario, tmp_path, capsys):
     graph_file = tmp_path / "world.graph"
@@ -277,6 +254,19 @@ def test_mine_matches_simulator_preferences(scenario, tmp_path, capsys):
         if not isinstance(t.formula, Always)
     )
     assert mined == preferences != ""
+
+
+def test_mine_rejects_a_feed_that_starts_mid_trip(tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    events_file = tmp_path / "events.csv"
+    events_file.write_text(
+        "u,r4,2014-01-28T08:00:00\nu,p018,2014-01-28T08:01:00\nu,g2,2014-01-28T08:30:00\n"
+    )
+    assert main(["mine", str(events_file), str(graph_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "r4" in captured.err
 
 
 def test_mine_bad_events(tmp_path, capsys):

@@ -204,18 +204,14 @@ def test_mine_requires_gate():
 
 def test_infer_never_gates():
     store = SpecStore()
-    trips = [
-        Trip("u", "g2", "p018", "g2"),
-        Trip("u", "g2", "p018", "g2"),
-        Trip("u", "g1", "p010", "g1"),
-    ]
+    used = {"g1", "g2"}
     gates = {"g1", "g2", "g3"}
-    added = infer_never_gates(store, "u", trips, threshold=3, gates=gates)
+    added = infer_never_gates(store, "u", 3, used, threshold=3, gates=gates)
     assert added == [parse("G !g3")]
     assert store.contains("u", parse("G !g3"))
     # idempotent, and silent below the threshold
-    assert infer_never_gates(store, "u", trips, 3, gates) == []
-    assert infer_never_gates(SpecStore(), "u", trips[:2], 3, gates) == []
+    assert infer_never_gates(store, "u", 3, used, 3, gates) == []
+    assert infer_never_gates(SpecStore(), "u", 2, used, 3, gates) == []
 
 
 # -- specification assembly --------------------------------------------------

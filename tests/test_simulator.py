@@ -4,12 +4,14 @@ from datetime import datetime
 import pytest
 
 from smartlot.agents import DecisionConfig
-from smartlot.fixtures import parking_fixture
-from smartlot.formulas import parse
+from smartlot.fixtures import all_gates, parking_fixture
+from smartlot.formulas import Always, parse
+from smartlot.knowledge import SpecStore
 from smartlot.simulator import (
     Detection,
     Scenario,
     ScenarioError,
+    TimelineBuilder,
     _route,
     demo_scenario,
     generate,
@@ -76,6 +78,26 @@ def test_never_gate_contradiction():
     # the mined preferences survive the resolution
     assert report.final_store.contains("idKR55", parse("g2 -> F p018"))
     assert report.final_store.contains("idKR55", parse("g1 -> F p010"))
+
+
+def test_never_gates_looked_up_once_for_a_user_who_reuses_one_gate(monkeypatch):
+    graph = parking_fixture()
+    b = TimelineBuilder(graph, T0)
+    for _ in range(12):
+        b.trip("idKR55", "g2", "p018")
+    looked_up = []
+    real = SpecStore.contains
+
+    def counting(self, user, formula):
+        looked_up.append(formula)
+        return real(self, user, formula)
+
+    monkeypatch.setattr(SpecStore, "contains", counting)
+    report = run(Scenario(graph, b.detections))
+    never = [parse(f"G !{g}") for g in all_gates() if g != "g2"]
+    # once on reaching the threshold; the later trips add no gate
+    assert looked_up == never
+    assert [t.formula for t in report.final_store.triples() if isinstance(t.formula, Always)] == never
 
 
 # -- mechanics ---------------------------------------------------------------
