@@ -23,6 +23,7 @@ from .tableaux import (
     NOT_VALID,
     TruthTree,
     build_tree,
+    consequences,
     export_tree,
     is_satisfiable,
     is_valid,

@@ -1,21 +1,26 @@
 """Three-tier agent hierarchy: node agents detect, follower agents track a
 car through one trip, the decision agent answers "which spot should this
-user take" from the specification store and a truth tree.
+user take" from the specification store and a truth-tree search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import Atom, Formula, eventually_atoms
+from .formulas import Atom, Formula, conjoin
 from .knowledge import (
     KnowledgeError,
     SpecStore,
     Trip,
     retract_inconsistent,
-    spec_formula,
+    spec_conjuncts,
 )
-from .tableaux import build_tree, open_consequences
+
+# build_tree is unused here but stays bound: the benchmark's hooks rebind a
+# function in every smartlot module that holds it, and its self-test
+# (perfbench/test_perfbench.py::test_hooks_bind_and_restore) reads
+# smartlot.agents.build_tree
+from .tableaux import build_tree, consequences  # noqa: F401
 from .worldgraph import GraphError, WorldGraph
 
 ENTER = "enter"
@@ -109,22 +114,20 @@ def a3_decide(
         raise GraphError(f"not a gateway: {gate}")
     observation = Atom(gate)
 
-    tree = build_tree(spec_formula(store, user, observation))
+    found = _consequences(store, spec_conjuncts(store, user, observation))
     removed: list[Formula] = []
-    if tree.closed:
-        # the closed tree is the contradiction; retract its causes and re-prove
+    if found is None:
+        # every branch closes: that is the contradiction; retract its causes
+        # and search again
         removed = retract_inconsistent(store, user, observation)
-        tree = build_tree(spec_formula(store, user, observation))
+        found = _consequences(store, spec_conjuncts(store, user, observation))
 
-    candidate_atoms: set[str] = set()
-    for _, introduced in open_consequences(tree):
-        candidate_atoms |= introduced
-    spots = {a for a in candidate_atoms if graph.has_node(a) and graph.label(a) == "P"}
+    spots = {a for a in found or () if graph.has_node(a) and graph.label(a) == "P"}
 
     # a spot's weight is the largest r among the formulas promising it
     weight: dict[str, int] = {}
     for formula, r in store.counts(user):
-        for spot in eventually_atoms(formula):
+        for spot in store.facts(formula).spots:
             weight[spot] = max(weight.get(spot, 0), r)
     ranked = sorted(
         ((spot, weight.get(spot, 0)) for spot in spots),
@@ -152,3 +155,14 @@ def a3_decide(
         rationale=rationale,
     )
     return decision, removed
+
+
+def _consequences(store: SpecStore, conjuncts: list[Formula]) -> frozenset[str] | None:
+    """`consequences` of the conjunction, searched once per distinct set of
+    conjuncts: the result does not depend on their order."""
+    key = frozenset(conjuncts)
+    try:
+        return store.proofs[key]
+    except KeyError:
+        found = store.proofs[key] = consequences(conjoin(conjuncts))
+        return found

@@ -254,7 +254,7 @@ class _Parser:
         kind = self.kinds[i]
         if kind == "atom":
             self.i = i + 1
-            return Atom(self.values[i])
+            return _parsed_atom(self.values[i])
         if kind != "lpar" and kind not in _UNARY:
             self.error(("!", "F", "G", "atom", "("))
         self.deeper()
@@ -270,6 +270,14 @@ class _Parser:
 
 
 _UNARY = {"not": Not, "eventually": Eventually, "always": Always}
+
+
+def _parsed_atom(name: str) -> Atom:
+    """An atom whose name the tokenizer has matched against ATOM_RE
+    already, built without `Atom.__post_init__` matching it again."""
+    atom = object.__new__(Atom)
+    atom.__dict__["name"] = name
+    return atom
 
 
 def parse(text: str) -> Formula:
@@ -368,6 +376,14 @@ def nnf(f: Formula) -> Formula:
 
 
 _DUAL = {And: Or, Or: And, Eventually: Always, Always: Eventually}
+
+
+def conjoin(formulas: list[Formula]) -> Formula:
+    """The left-nested conjunction of a non-empty list."""
+    combined = formulas[0]
+    for f in formulas[1:]:
+        combined = And(combined, f)
+    return combined
 
 
 def atoms(f: Formula) -> set[str]:

@@ -4,7 +4,8 @@ Observed trips become temporal formulas (`gate -> F spot`), repeated
 behaviour bumps an occurrence counter, and gates a user never visits turn
 into `G !gate` after enough trips.  When a fresh observation contradicts the
 stored specification, the offending formulas are found with the prover and
-removed.
+removed.  The store interns each distinct formula and keeps what it reads of
+it (text, atoms, spot atoms) with the one canonical object.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .formulas import (
     Implies,
     Not,
     atoms,
+    conjoin,
     eventually_atoms,
     parse,
     pretty,
@@ -122,15 +124,52 @@ class Trip:
     exit_gate: str | None = None
 
 
+@dataclass(frozen=True)
+class FormulaFacts:
+    """What the store reads of a stored formula, computed when it is
+    interned: its canonical object, text, atoms and spot atoms (the atoms
+    under an F)."""
+
+    formula: Formula
+    text: str
+    atoms: frozenset[str]
+    spots: frozenset[str]
+
+
 class SpecStore:
     """Per-user set of (formula, occurrence count) pairs; (user, formula)
     is unique under structural formula equality.  Rows are kept per user,
-    the way the decision path reads them."""
+    the way the decision path reads them.
+
+    Each distinct formula is interned on `insert`/`upsert`: every row holds
+    the one canonical object, so row and fact lookups hit by identity.
+    `proofs` maps the set of conjuncts of each specification the decision
+    agent has searched to its consequences (`tableaux.consequences`).  That
+    result depends on the set alone, so the memo stays exact as rows change;
+    it lives and dies with the store."""
 
     def __init__(self):
         self._by_user: dict[str, dict[Formula, int]] = {}
+        self._facts: dict[Formula, FormulaFacts] = {}
+        self.proofs: dict[frozenset[Formula], frozenset[str] | None] = {}
+
+    def _intern(self, formula: Formula) -> Formula:
+        facts = self._facts.get(formula)
+        if facts is None:
+            facts = self._facts[formula] = FormulaFacts(
+                formula,
+                pretty(formula),
+                frozenset(atoms(formula)),
+                frozenset(eventually_atoms(formula)),
+            )
+        return facts.formula
+
+    def facts(self, formula: Formula) -> FormulaFacts:
+        """The facts of a stored formula."""
+        return self._facts[formula]
 
     def upsert(self, user: str, formula: Formula) -> int:
+        formula = self._intern(formula)
         rows = self._by_user.setdefault(user, {})
         rows[formula] = rows.get(formula, 0) + 1
         return rows[formula]
@@ -138,7 +177,7 @@ class SpecStore:
     def insert(self, user: str, formula: Formula, r: int) -> None:
         if r < 1:
             raise KnowledgeError(f"occurrence count must be positive: {r}")
-        self._by_user.setdefault(user, {})[formula] = r
+        self._by_user.setdefault(user, {})[self._intern(formula)] = r
 
     def remove(self, user: str, formula: Formula) -> None:
         rows = self._by_user[user]
@@ -156,10 +195,11 @@ class SpecStore:
     def triples(self, user: str | None = None) -> list[SpecTriple]:
         """Rows ordered by user, then descending r, then formula text."""
         users = sorted(self._by_user) if user is None else [user]
+        facts = self._facts
         out = []
         for u in users:
             rows = [SpecTriple(u, f, r) for f, r in self._by_user.get(u, {}).items()]
-            rows.sort(key=lambda t: (-t.r, pretty(t.formula)))
+            rows.sort(key=lambda t: (-t.r, facts[t.formula].text))
             out += rows
         return out
 
@@ -167,6 +207,7 @@ class SpecStore:
         if factor < 1:
             raise KnowledgeError(f"scale factor must be positive: {factor}")
         out = SpecStore()
+        out._facts = dict(self._facts)
         for u, rows in self._by_user.items():
             out._by_user[u] = {f: r * factor for f, r in rows.items()}
         return out
@@ -177,8 +218,9 @@ class SpecStore:
     # -- persistence: user TAB formula TAB r ------------------------------
 
     def to_tsv(self) -> str:
+        facts = self._facts
         return "".join(
-            f"{t.user}\t{pretty(t.formula)}\t{t.r}\n" for t in self.triples()
+            f"{t.user}\t{facts[t.formula].text}\t{t.r}\n" for t in self.triples()
         )
 
     @classmethod
@@ -238,25 +280,25 @@ def infer_never_gates(
 # Specification assembly and contradiction resolution
 
 
-def _relevant(formula: Formula, observation: Formula) -> bool:
-    # a stored formula matters when it shares an atom with the observation
-    # or promises an eventually-reached spot
-    return bool(atoms(formula) & atoms(observation)) or bool(eventually_atoms(formula))
+def spec_conjuncts(store: SpecStore, user: str, observation: Formula) -> list[Formula]:
+    """Conjuncts analyzed on a new observation: the stored formulas that
+    share an atom with it or promise an eventually-reached spot.
+    Always-shaped knowledge (never-entered gates) goes before the
+    observation, preference formulas after, each inner group by descending
+    r then formula text."""
+    seen = atoms(observation)
+    before: list[Formula] = []
+    after: list[Formula] = []
+    for t in store.triples(user):
+        facts = store.facts(t.formula)
+        if facts.spots or not seen.isdisjoint(facts.atoms):
+            (before if isinstance(t.formula, Always) else after).append(t.formula)
+    return before + [observation] + after
 
 
 def spec_formula(store: SpecStore, user: str, observation: Formula) -> Formula:
-    """Conjunction analyzed on a new observation.  Always-shaped knowledge
-    (never-entered gates) goes before the observation, preference formulas
-    after, each inner group by descending r then formula text."""
-    triples = [
-        t for t in store.triples(user) if _relevant(t.formula, observation)
-    ]
-    before = [t.formula for t in triples if isinstance(t.formula, Always)]
-    after = [t.formula for t in triples if not isinstance(t.formula, Always)]
-    combined = None
-    for f in before + [observation] + after:
-        combined = f if combined is None else And(combined, f)
-    return combined
+    """The conjunction of `spec_conjuncts`, left-nested in their order."""
+    return conjoin(spec_conjuncts(store, user, observation))
 
 
 def resolve_contradiction(

@@ -184,10 +184,9 @@ def serialize_report(report: SimulationReport) -> str:
             verdict = f"suggest {d.suggestion} ({d.rationale})"
         lines.append(f"  {d.user} @ {d.gate}: {verdict}")
     lines.append("store:")
-    for triple in report.final_store.triples():
-        from .formulas import pretty
-
-        lines.append(f"  {triple.user}\t{pretty(triple.formula)}\t{triple.r}")
+    store = report.final_store
+    for triple in store.triples():
+        lines.append(f"  {triple.user}\t{store.facts(triple.formula).text}\t{triple.r}")
     lines.append("stats:")
     lines.append(f"  trips: {report.stats.trips}")
     lines.append(f"  contradictions_resolved: {report.stats.contradictions_resolved}")

@@ -35,7 +35,13 @@ forest.
 
 `build_tree` builds every branch, with a display node per step.  The
 verdicts `is_satisfiable` and `is_valid` run the same expansion but record
-no tree and stop at the first open branch.
+no tree and stop at the first open branch.  `consequences`, the third mode,
+records no tree either: it answers what the decision agent reads from one,
+whether every branch closes and otherwise the union of the positive atoms
+under named labels over the open branches (`open_consequences`).  After the
+first open branch it skips every pending branch that cannot add an atom not
+found yet (a goal-directed search; Goré, "Tableau methods for modal and
+temporal logics", Handbook of Tableau Methods, 1999).
 """
 
 from __future__ import annotations
@@ -155,7 +161,8 @@ class _FreshNames:
 class _Builder:
     """One depth-first expansion, left branch before right.  Built as a tree
     (`tree=True`), it records a display node per step and every branch;
-    otherwise it records nothing and stops at the first open branch."""
+    otherwise it records nothing and stops at the first open branch, unless
+    `expand` collects consequences."""
 
     def __init__(self, f: Formula, tree: bool):
         self.root_formula = f
@@ -165,17 +172,24 @@ class _Builder:
         # the root node already displays a bare literal formula
         self.literal_root = _is_literal(f)
 
-    def expand(self) -> bool:
-        """Whether some branch is open."""
+    def expand(self, collect: set[str] | None = None) -> bool:
+        """Whether some branch is open.  With `collect`, adds to it the
+        positive atoms under named labels of every open branch; once one
+        branch is open, a pending branch that cannot add one is skipped."""
         # pending branches: signed formulas left to expand, literals,
         # commitments and the node the branch continues under; each branch
         # owns its lists
         pending = [([(self.root_formula, False, WorldLabel())], [], [], self.root)]
         found_open = False
         while pending:
-            if self._branch(*pending.pop(), pending) == OPEN:
+            stack, literals, commitments, attach = pending.pop()
+            if found_open and collect is not None and not _may_add(stack, literals, collect):
+                continue
+            if self._branch(stack, literals, commitments, attach, pending) == OPEN:
                 found_open = True
-                if self.root is None:
+                if collect is not None:
+                    collect.update(a for s, a, label in literals if s == "+" and label.prefix)
+                elif self.root is None:
                     break
         return found_open
 
@@ -268,6 +282,53 @@ def is_satisfiable(f: Formula) -> str:
 
 def is_valid(f: Formula) -> str:
     return NOT_VALID if _Builder(Not(f), tree=False).expand() else VALID
+
+
+def consequences(f: Formula) -> frozenset[str] | None:
+    """None when every branch of f's tree closes; otherwise the union of
+    `open_consequences(build_tree(f))`, found without building the tree."""
+    found: set[str] = set()
+    return frozenset(found) if _Builder(f, tree=False).expand(found) else None
+
+
+def _may_add(
+    stack: list[tuple[Formula, bool, WorldLabel]], literals: list[Literal], found: set[str]
+) -> bool:
+    """Whether a pending branch may hold a positive atom under a named label
+    that is not in `found`: one it holds already, or one a formula left on
+    its stack can still produce."""
+    for sign, atom, label in literals:
+        if sign == "+" and label.prefix and atom not in found:
+            return True
+    for f, _, label in stack:
+        if label.prefix:
+            reach = atoms(f)
+        elif label.universal:
+            # F and G wait as commitments under the root's universal label,
+            # so nothing there reaches a named world
+            continue
+        else:
+            # at the root only what an F or a G encloses reaches a named world
+            reach = _temporal_atoms(f)
+        if not reach <= found:
+            return True
+    return False
+
+
+def _temporal_atoms(f: Formula) -> set[str]:
+    """Atoms that occur under an F or a G."""
+    out: set[str] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is Eventually or t is Always:
+            out |= atoms(g.operand)
+        elif t is Not:
+            stack.append(g.operand)
+        elif t is not Atom:
+            stack += (g.left, g.right)
+    return out
 
 
 def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:

@@ -1,6 +1,8 @@
 """Labeled, attributed digraph of the parking world.
 
 Node labels: G (gateway), R (road segment), P (parking place), C (car).
+Gateway and parking-place ids become atoms of the mined formulas, so
+`add_node` rejects a G or P id that is not an atom name (`[a-z][a-zA-Z0-9]*`).
 A car's only edge is its position: the single outgoing `at` edge of its C
 node.  `add_edge` rejects a second one, any edge into a C node, any other
 edge out of one and any `at` edge out of a node that is not a car.
@@ -24,6 +26,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
+
+from .formulas import ATOM_RE
 
 NODE_LABELS = {"G", "R", "P", "C"}
 AT = "at"
@@ -126,6 +130,9 @@ class WorldGraph:
             raise GraphError(f"duplicate node id: {node}")
         if label not in NODE_LABELS:
             raise GraphError(f"unknown node label {label!r} for node {node}")
+        if label in ("G", "P") and not ATOM_RE.fullmatch(node):
+            # gates and spots become atoms of the mined formulas
+            raise GraphError(f"{label} node id is not an atom name: {node!r}")
         self.labels[node] = label
         self.node_attrs[node] = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
 

@@ -13,7 +13,7 @@ from smartlot.agents import (
     a1_detect,
     a3_decide,
 )
-from smartlot.fixtures import parking_fixture
+from smartlot.fixtures import all_spots, parking_fixture
 from smartlot.formulas import parse
 from smartlot.knowledge import KnowledgeError, SpecStore, Trip, spec_formula
 from smartlot.tableaux import build_tree
@@ -142,23 +142,74 @@ def test_a3_prefers_highest_count():
     assert build_tree(spec_formula(kr55_store(), "idKR55", parse("g2"))).open
 
 
-def test_a3_builds_one_tree_on_a_consistent_spec(monkeypatch):
+def count_searches(monkeypatch) -> list:
+    """Formulas a3_decide runs the consequence search on, from now on."""
+    import smartlot.agents
+
+    searched = []
+    real = smartlot.agents.consequences
+
+    def counting(f):
+        searched.append(f)
+        return real(f)
+
+    monkeypatch.setattr(smartlot.agents, "consequences", counting)
+    return searched
+
+
+def test_a3_searches_once_on_a_consistent_spec(monkeypatch):
     import smartlot.agents
     import smartlot.tableaux
 
-    built = []
-    real = smartlot.tableaux.build_tree
+    def no_tree(f):
+        raise AssertionError("a decision builds no truth tree")
 
-    def counting(f):
-        built.append(f)
-        return real(f)
-
-    # both bindings; the verdicts build no tree, so they are not counted
-    monkeypatch.setattr(smartlot.tableaux, "build_tree", counting)
-    monkeypatch.setattr(smartlot.agents, "build_tree", counting)
+    monkeypatch.setattr(smartlot.tableaux, "build_tree", no_tree)
+    monkeypatch.setattr(smartlot.agents, "build_tree", no_tree)
+    searched = count_searches(monkeypatch)
     decision, removed = a3_decide(kr55_store(), parking_fixture(), "idKR55", "g2")
     assert (decision.suggestion, removed) == ("p018", [])
-    assert len(built) == 1
+    assert searched == [spec_formula(kr55_store(), "idKR55", parse("g2"))]
+
+
+def test_a3_searches_a_repeated_spec_once_per_store(monkeypatch):
+    searched = count_searches(monkeypatch)
+    store = kr55_store()
+    for t in store.triples():
+        store.insert("idWX11", t.formula, t.r + 1)
+    first, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
+    # the same user again, and another user with the same formulas
+    again, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
+    other, _ = a3_decide(store, parking_fixture(), "idWX11", "g2")
+    assert len(searched) == 1
+    assert first == again and other.candidates == (("p018", 8), ("p015", 3))
+    # a fresh store starts cold
+    fresh, _ = a3_decide(kr55_store(), parking_fixture(), "idKR55", "g2")
+    assert len(searched) == 2 and fresh == first
+
+
+@pytest.mark.parametrize("k", [4, 16])
+def test_a3_search_grows_linearly_with_other_gate_preferences(k, monkeypatch):
+    # each stored g2 -> F s is !g2 | F s at a g1 arrival: the tree has
+    # 2^k + 1 branches, the consequence search opens one per spot
+    import smartlot.tableaux
+
+    calls = []
+    real = smartlot.tableaux._realizable
+
+    def counting(literals, commitments):
+        calls.append(1)
+        return real(literals, commitments)
+
+    monkeypatch.setattr(smartlot.tableaux, "_realizable", counting)
+    store = SpecStore()
+    spots = all_spots()[:k]
+    for spot in spots:
+        store.insert("u", parse(f"g2 -> F {spot}"), 1)
+    decision, removed = a3_decide(store, parking_fixture(), "u", "g1")
+    assert removed == [] and decision.suggestion == spots[0]
+    assert decision.candidates == tuple((spot, 1) for spot in spots)
+    assert len(calls) <= 2 * k + 2
 
 
 def test_a3_reads_the_sorted_rows_once(monkeypatch):
@@ -220,24 +271,15 @@ def test_a3_resolves_contradiction_first():
 
 
 def test_a3_proves_a_contradicted_spec_once(monkeypatch):
-    import smartlot.agents
-    import smartlot.tableaux
-
     store = kr55_store()
     store.insert("idKR55", parse("G !g2"), 1)
     contradicted = spec_formula(store, "idKR55", parse("g2"))
-    built = []
-    real = smartlot.tableaux.build_tree
-
-    def counting(f):
-        built.append(f)
-        return real(f)
-
-    monkeypatch.setattr(smartlot.tableaux, "build_tree", counting)
-    monkeypatch.setattr(smartlot.agents, "build_tree", counting)
+    searched = count_searches(monkeypatch)
     _, removed = a3_decide(store, parking_fixture(), "idKR55", "g2")
     assert removed == [parse("G !g2")]
-    assert built.count(contradicted) == 1
+    # once on the contradicted spec, once on the repaired one
+    assert searched.count(contradicted) == 1
+    assert searched == [contradicted, spec_formula(store, "idKR55", parse("g2"))]
 
 
 def test_a3_requires_gateway():

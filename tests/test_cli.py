@@ -184,7 +184,51 @@ def test_simulate_rejects_an_edge_that_a_car_cannot_have(edge, tmp_path, capsys)
     assert captured.err.startswith("error: ") and "edge" in captured.err
 
 
+def one_road_lot(gate, spot):
+    return (
+        f"{gate} G\nr1 R\n{spot} P\n"
+        f"{gate} -> r1 road\nr1 -> {gate} road\nr1 -> {spot} road\n{spot} -> r1 road\n"
+    )
+
+
+# a lot whose gate or spot id is not an atom name, and a trip parked there
+NOT_AN_ATOM = {"gate": ("Gate1", "p1"), "spot": ("g1", "P1")}
+
+
+def parked_trip(gate, spot):
+    steps = [(gate, "08:00"), ("r1", "08:01"), (spot, "08:02"), ("r1", "08:20"), (gate, "08:21")]
+    return [("u", node, t) for node, t in steps]
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_AN_ATOM))
+def test_simulate_rejects_a_node_id_that_is_not_an_atom(kind, tmp_path, capsys):
+    gate, spot = NOT_AN_ATOM[kind]
+    scenario = tmp_path / "bad.scenario"
+    timeline = "".join(f"2014-01-28T{t}:00,{u},{n}\n" for u, n, t in parked_trip(gate, spot))
+    scenario.write_text(one_road_lot(gate, spot) + "timeline:\n" + timeline)
+    assert main(["simulate", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ") and "not an atom name" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # -- mine --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_AN_ATOM))
+def test_mine_rejects_a_node_id_that_is_not_an_atom(kind, tmp_path, capsys):
+    gate, spot = NOT_AN_ATOM[kind]
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(one_road_lot(gate, spot))
+    events_file = tmp_path / "events.csv"
+    rows = parked_trip(gate, spot)
+    events_file.write_text("".join(f"{u},{n},2014-01-28T{t}:00\n" for u, n, t in rows))
+    assert main(["mine", str(events_file), str(graph_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ") and "not an atom name" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_mine_command(tmp_path, capsys):

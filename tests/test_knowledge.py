@@ -136,6 +136,44 @@ def test_triples_match_a_global_sort():
     assert store.triples("nobody") == []
 
 
+def test_rows_share_one_canonical_formula_and_its_facts():
+    store = SpecStore()
+    store.upsert("a", parse("g2 -> F p018"))
+    store.insert("b", parse("g2 -> F p018"), 3)
+    store.upsert("a", parse("g2 -> F p018"))
+    [(fa, ra)] = store.counts("a")
+    [(fb, rb)] = store.counts("b")
+    assert fa is fb and (ra, rb) == (2, 3)
+    facts = store.facts(fa)
+    assert facts.formula is fa and facts.text == "g2 -> F p018"
+    assert facts.atoms == {"g2", "p018"} and facts.spots == {"p018"}
+    [(scaled, r)] = store.scale(2).counts("a")
+    assert scaled is fa and r == 4
+    assert SpecStore().proofs == {} and store.scale(2).proofs == {}
+
+
+def test_to_tsv_prints_each_formula_text_once(monkeypatch):
+    import smartlot.knowledge
+
+    printed = []
+    real = smartlot.knowledge.pretty
+
+    def counting(f):
+        printed.append(f)
+        return real(f)
+
+    monkeypatch.setattr(smartlot.knowledge, "pretty", counting)
+    store = SpecStore()
+    for user in ("a", "b", "c"):
+        for text in ("g2 -> F p018", "g2 -> F p018", "G !g3"):
+            store.upsert(user, parse(text))
+    assert len(printed) <= 2  # one per distinct formula, when it is stored
+    printed.clear()
+    tsv = store.to_tsv()
+    assert printed == []
+    assert tsv.splitlines()[:2] == ["a\tg2 -> F p018\t2", "a\tG !g3\t1"]
+
+
 def test_insert_validates_count():
     with pytest.raises(KnowledgeError):
         SpecStore().insert("u", parse("p"), 0)

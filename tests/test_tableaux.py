@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from formula_gen import formula_corpus
 from pathcheck import bounded_sat
-from smartlot.formulas import And, Not, Or, nnf, parse
+from smartlot.fixtures import all_gates, all_spots
+from smartlot.formulas import Always, And, Atom, Not, Or, conjoin, nnf, parse
+from smartlot.knowledge import SpecStore, Trip, mine_trip, spec_conjuncts
 from smartlot.tableaux import (
     CLOSED,
     NOT_VALID,
@@ -12,6 +16,7 @@ from smartlot.tableaux import (
     VALID,
     WorldLabel,
     build_tree,
+    consequences,
     export_tree,
     is_satisfiable,
     is_valid,
@@ -94,6 +99,62 @@ def test_open_consequences_two_preferences():
 def test_open_consequences_single_preference():
     tree = build_tree(parse("g2 & (g2 -> F p010)"))
     assert open_consequences(tree) == [(2, {"p010"})]
+
+
+def tree_consequences(f):
+    """None for a closed tree, else the union of its open consequences."""
+    tree = build_tree(f)
+    if tree.closed:
+        return None
+    return frozenset(set().union(*(atoms for _, atoms in open_consequences(tree))))
+
+
+def test_consequences_examples():
+    assert consequences(parse("G !g3 & g3")) is None
+    assert consequences(parse("p & q")) == frozenset()
+    assert consequences(parse("g1 & ((g1 -> F p018) | (g1 -> F p015))")) == {"p018", "p015"}
+    # a preference for another gate leaves a branch open either way
+    assert consequences(parse("g2 & (g2 -> F p010) & (g1 -> F p011)")) == {"p010", "p011"}
+    assert consequences(parse("g2 & (g2 -> F p010) & G !p011")) == {"p010"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_consequences_match_the_tree_on_a_corpus(seed):
+    for f in formula_corpus(seed, 500):
+        assert consequences(f) == tree_consequences(f), str(f)
+
+
+def random_mined_spec(rng: random.Random) -> list:
+    """The conjuncts of an arrival on a random store of mined shapes."""
+    store = SpecStore()
+    gates = all_gates()
+    for _ in range(rng.randint(0, 8)):
+        trip = Trip("u", rng.choice(gates), rng.choice(all_spots()), rng.choice(gates))
+        for formula in mine_trip(trip):
+            store.upsert("u", formula)
+    for gate in gates:
+        if rng.random() < 0.3:
+            store.insert("u", Always(Not(Atom(gate))), 1)
+    return spec_conjuncts(store, "u", Atom(rng.choice(gates)))
+
+
+def test_consequences_match_the_tree_on_mined_specs():
+    rng = random.Random(5)
+    for _ in range(300):
+        f = conjoin(random_mined_spec(rng))
+        assert consequences(f) == tree_consequences(f), str(f)
+
+
+def test_consequences_do_not_depend_on_conjunct_order():
+    # the decision agent's memo keys a search by its set of conjuncts
+    rng = random.Random(9)
+    corpus = formula_corpus(seed=21, count=400)
+    for i in range(200):
+        conjuncts = random_mined_spec(rng) if i % 2 else rng.sample(corpus, rng.randint(2, 4))
+        expected = consequences(conjoin(conjuncts))
+        for _ in range(3):
+            rng.shuffle(conjuncts)
+            assert consequences(conjoin(conjuncts)) == expected, conjuncts
 
 
 def test_open_consequences_no_temporal():

@@ -72,6 +72,14 @@ def test_load_errors_carry_line_numbers():
         load_graph("a R\na -> zz road\n")
 
 
+@pytest.mark.parametrize("record", ["Gate1 G", "g-1 G", "P18 P", "1p P"])
+def test_gate_and_spot_ids_must_be_atom_names(record):
+    with pytest.raises(GraphError, match="line 2: .* not an atom name"):
+        load_graph(f"r1 R\n{record}\n")
+    # roads and cars are no atoms, so their ids are free
+    assert load_graph("Road1 R\nCar-1 C\nCar-1 -> Road1 at\n").label("Car-1") == "C"
+
+
 def test_save_empty():
     assert save_graph(WorldGraph()) == ""
 
