@@ -31,14 +31,13 @@ from .tableaux import (
 )
 from .worldgraph import GraphError, GraphPartition, WorldGraph, glue, load_graph, save_graph, split
 from .knowledge import (
-    EventLog,
-    EventRecord,
     KnowledgeError,
     SpecStore,
     SpecTriple,
     Trip,
     infer_never_gates,
     mine_trip,
+    read_events,
     resolve_contradiction,
     retract_inconsistent,
     spec_formula,

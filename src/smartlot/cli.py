@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .agents import DecisionConfig, Followers
 from .formulas import FormulaDepthError, FormulaSyntaxError, Not, parse
-from .knowledge import EventLog, KnowledgeError, SpecStore, mine_trip
+from .knowledge import KnowledgeError, SpecStore, mine_trip, read_events
 from .simulator import (
     ScenarioError,
     demo_scenario,
@@ -110,11 +110,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_mine(args) -> int:
     graph = load_graph(Path(args.graph).read_text())
-    log = EventLog.from_csv(Path(args.events).read_text(), known_nodes=graph.nodes)
     store = SpecStore()
     followers = Followers()
-    for event in log.events:
-        trip = followers.observe(event.user, event.node, graph.label(event.node))
+    for lineno, user, node in read_events(Path(args.events).read_text(), graph.nodes):
+        try:
+            trip = followers.observe(user, node, graph.label(node))
+        except KnowledgeError as err:
+            raise KnowledgeError(f"line {lineno}: {err}") from None
         if trip is not None:
             for formula in mine_trip(trip):
                 store.upsert(trip.user, formula)

@@ -1,4 +1,4 @@
-"""Event log, per-user specification store and behaviour mining.
+"""Event feed reader, per-user specification store and behaviour mining.
 
 Observed trips become temporal formulas (`gate -> F spot`), repeated
 behaviour bumps an occurrence counter, and gates a user never visits turn
@@ -14,8 +14,8 @@ import csv
 import io
 import logging
 import re
-from collections.abc import ItemsView
-from dataclasses import dataclass, field
+from collections.abc import ItemsView, Iterator
+from dataclasses import dataclass
 from datetime import datetime
 
 from .formulas import (
@@ -33,6 +33,7 @@ from .formulas import (
     pretty,
 )
 from .tableaux import UNSATISFIABLE, is_satisfiable
+from .worldgraph import normalize_node_id
 
 log = logging.getLogger(__name__)
 
@@ -55,58 +56,48 @@ def parse_timestamp(text: str) -> datetime:
         raise KnowledgeError(f"unparseable timestamp: {text!r}") from None
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    user: str
-    node: str
-    timestamp: datetime
-
-
-@dataclass
-class EventLog:
-    events: list[EventRecord] = field(default_factory=list)
-    _last: dict[str, datetime] = field(default_factory=dict)
-
-    def record(self, event: EventRecord) -> None:
-        last = self._last.get(event.user)
-        if last is not None and event.timestamp < last:
+def read_events(text: str, known_nodes: set[str]) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, user, node) for each row of a user,node,timestamp
+    CSV, checking each row as it is read: three cells, a user id that fits
+    one knowledge TSV cell (not empty, no tab or line break), a node id that
+    normalizes to a known node, and a timestamp no earlier than the user's
+    previous one.  Each error names its line."""
+    nodes: dict[str, str] = {}  # raw node id -> normalized id
+    last: dict[str, datetime] = {}
+    reader = csv.reader(io.StringIO(text))
+    end = 0
+    for row in reader:
+        # a row starts on the line after the previous one ends; a quoted
+        # cell may span lines
+        lineno, end = end + 1, reader.line_num
+        if not row:
+            continue
+        if len(row) != 3:
+            raise KnowledgeError(f"line {lineno}: expected user,node,timestamp")
+        user, raw, ts = row[0].strip(), row[1].strip(), row[2]
+        # the line breaks are those of str.splitlines, which SpecStore.from_tsv
+        # splits a knowledge file on
+        if user.splitlines() != [user] or "\t" in user:
             raise KnowledgeError(
-                f"out-of-order timestamp for {event.user}: "
-                f"{event.timestamp.isoformat()} after {last.isoformat()}"
+                f"line {lineno}: bad user id {user!r}: empty, or with a tab or line break"
             )
-        self.events.append(event)
-        self._last[event.user] = event.timestamp
-
-    def for_user(self, user: str) -> list[EventRecord]:
-        return [e for e in self.events if e.user == user]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for e in self.events:
-            writer.writerow([e.user, e.node, e.timestamp.isoformat()])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, known_nodes: set[str] | None = None) -> "EventLog":
-        from .worldgraph import normalize_node_id
-
-        log_ = cls()
-        for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise KnowledgeError(f"line {lineno}: expected user,node,timestamp")
-            user, node, ts = (cell.strip() for cell in row)
-            if known_nodes is not None:
-                node = normalize_node_id(node, known_nodes)
-            if known_nodes is not None and node not in known_nodes:
-                raise KnowledgeError(f"line {lineno}: unknown node id {row[1].strip()!r}")
-            try:
-                log_.record(EventRecord(user, node, parse_timestamp(ts)))
-            except KnowledgeError as err:
-                raise KnowledgeError(f"line {lineno}: {err}") from None
-        return log_
+        node = nodes.get(raw)
+        if node is None:
+            node = nodes[raw] = normalize_node_id(raw, known_nodes)
+        if node not in known_nodes:
+            raise KnowledgeError(f"line {lineno}: unknown node id {raw!r}")
+        try:
+            timestamp = parse_timestamp(ts)
+        except KnowledgeError as err:
+            raise KnowledgeError(f"line {lineno}: {err}") from None
+        previous = last.get(user)
+        if previous is not None and timestamp < previous:
+            raise KnowledgeError(
+                f"line {lineno}: out-of-order timestamp for {user}: "
+                f"{timestamp.isoformat()} after {previous.isoformat()}"
+            )
+        last[user] = timestamp
+        yield lineno, user, node
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from formula_gen import formula_corpus
+from smartlot import knowledge
 from smartlot.cli import main
 from smartlot.fixtures import parking_fixture, parking_fixture_text
 from smartlot.formulas import MAX_DEPTH, Always, Not, parse, pretty
@@ -18,7 +19,7 @@ from smartlot.simulator import (
     serialize_scenario,
 )
 from smartlot.tableaux import build_tree, export_tree
-from smartlot.worldgraph import load_graph, save_graph
+from smartlot.worldgraph import load_graph, normalize_node_id, save_graph
 
 
 # -- prove -------------------------------------------------------------------
@@ -298,6 +299,7 @@ def test_mine_matches_simulator_preferences(scenario, tmp_path, capsys):
         if not isinstance(t.formula, Always)
     )
     assert mined == preferences != ""
+    assert SpecStore.from_tsv(mined).to_tsv() == mined
 
 
 def test_mine_rejects_a_feed_that_starts_mid_trip(tmp_path, capsys):
@@ -310,7 +312,69 @@ def test_mine_rejects_a_feed_that_starts_mid_trip(tmp_path, capsys):
     assert main(["mine", str(events_file), str(graph_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "r4" in captured.err
+    assert captured.err.startswith("error: line 1: ") and "r4" in captured.err
+
+
+def test_mine_reports_the_first_bad_row(tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    events_file = tmp_path / "events.csv"
+    # a mid-trip row comes before a row with a bad timestamp
+    events_file.write_text("u,r4,2014-01-28T08:00:00\nv,g1,yesterday\n")
+    assert main(["mine", str(events_file), str(graph_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: user u detected at r4")
+
+
+@pytest.mark.parametrize("user", ['"u\tx"', '""', '"u\nx"'], ids=["tab", "empty", "newline"])
+def test_mine_rejects_a_user_id_that_does_not_fit_a_tsv_cell(user, tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    events_file = tmp_path / "events.csv"
+    rows = [("g2", "08:00"), ("p018", "08:01"), ("g2", "08:30")]
+    events_file.write_text("".join(f"{user},{node},2014-01-28T{t}:00\n" for node, t in rows))
+    out_file = tmp_path / "knowledge.tsv"
+    assert main(["mine", str(events_file), str(graph_file), "-o", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 1: bad user id")
+    assert not out_file.exists()
+
+
+def test_mine_writes_nothing_when_a_late_row_is_bad(tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    events_file = tmp_path / "events.csv"
+    trips = "".join(
+        f"u,g1,2014-01-28T0{h}:00:00\nu,p010,2014-01-28T0{h}:01:00\nu,g1,2014-01-28T0{h}:30:00\n"
+        for h in (8, 9)
+    )
+    events_file.write_text(trips + "u,zz99,2014-01-28T10:00:00\n")
+    out_file = tmp_path / "knowledge.tsv"
+    assert main(["mine", str(events_file), str(graph_file)]) == 2
+    assert main(["mine", str(events_file), str(graph_file), "-o", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: line 7: unknown node id 'zz99'") == 2
+    assert not out_file.exists()
+
+
+def test_mine_resolves_each_raw_node_id_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(raw, known=None):
+        calls.append(raw)
+        return normalize_node_id(raw, known)
+
+    monkeypatch.setattr(knowledge, "normalize_node_id", counting)
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(one_road_lot("g1", "p18") + "p018 P\nr1 -> p018 road\np018 -> r1 road\n")
+    events_file = tmp_path / "events.csv"
+    trip = ["g01", "r001", "p0018", "r001", "g01"]
+    raws = trip * 3 + ["g1", "r1", "p18", "r1", "g1"]
+    events_file.write_text("".join(f"u,{raw},2014-01-28T08:{i:02d}:00\n" for i, raw in enumerate(raws)))
+    assert main(["mine", str(events_file), str(graph_file)]) == 0
+    # p0018 matches both p018 and p18; the first in sorted order wins
+    assert capsys.readouterr().out == "u\tg1 -> F p018\t3\nu\tg1 -> F p18\t1\n"
+    assert sorted(calls) == sorted(set(calls)) and set(calls) <= set(raws)
 
 
 def test_mine_bad_events(tmp_path, capsys):

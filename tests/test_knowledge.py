@@ -6,8 +6,6 @@ import pytest
 from smartlot.fixtures import all_gates, all_spots
 from smartlot.formulas import FormulaSyntaxError, parse, pretty
 from smartlot.knowledge import (
-    EventLog,
-    EventRecord,
     KnowledgeError,
     SpecStore,
     SpecTriple,
@@ -15,13 +13,10 @@ from smartlot.knowledge import (
     infer_never_gates,
     mine_trip,
     parse_timestamp,
+    read_events,
     resolve_contradiction,
     spec_formula,
 )
-
-
-def ev(user, node, iso):
-    return EventRecord(user, node, datetime.fromisoformat(iso))
 
 
 # -- timestamps --------------------------------------------------------------
@@ -40,49 +35,44 @@ def test_parse_timestamp_bad():
         parse_timestamp("yesterday")
 
 
-# -- event log ---------------------------------------------------------------
-
-
-def test_record_and_filter():
-    log = EventLog()
-    log.record(ev("idKR55", "g2", "2014-01-28T09:30:00"))
-    log.record(ev("idWX11", "g1", "2014-01-28T09:30:05"))
-    log.record(ev("idKR55", "p018", "2014-01-28T09:31:00"))
-    assert [e.node for e in log.for_user("idKR55")] == ["g2", "p018"]
-
-
-def test_record_rejects_out_of_order():
-    log = EventLog()
-    log.record(ev("idKR55", "g2", "2014-01-28T09:30:00"))
-    with pytest.raises(KnowledgeError, match="out-of-order"):
-        log.record(ev("idKR55", "r4", "2014-01-28T09:29:00"))
-    # other users are independent
-    log.record(ev("idWX11", "g1", "2014-01-28T09:29:00"))
-
-
-def test_csv_round_trip():
-    log = EventLog()
-    log.record(ev("idKR55", "g2", "2014-01-28T09:30:00"))
-    log.record(ev("idKR55", "p018", "2014-01-28T09:31:00"))
-    again = EventLog.from_csv(log.to_csv())
-    assert again.events == log.events
+# -- event feed --------------------------------------------------------------
 
 
 def test_from_csv_normalizes_node_ids():
     known = set(all_spots()) | set(all_gates())
-    log = EventLog.from_csv("idKR55,p0018,t2014.01.28.09.30.15\n", known)
-    assert log.events == [
-        EventRecord("idKR55", "p018", datetime(2014, 1, 28, 9, 30, 15))
-    ]
+    text = "idKR55,p0018,t2014.01.28.09.30.15\n\nidKR55, g02 ,2014-01-28T09:31:00\n"
+    rows = read_events(text, known)
+    assert list(rows) == [(1, "idKR55", "p018"), (3, "idKR55", "g2")]
+
+
+def test_record_rejects_out_of_order():
+    text = (
+        "idKR55,g2,2014-01-28T09:30:00\n"
+        "idWX11,g1,2014-01-28T09:29:00\n"  # other users are independent
+        "idKR55,r4,2014-01-28T09:29:00\n"
+    )
+    rows = read_events(text, {"g1", "g2", "r4"})
+    assert next(rows) == (1, "idKR55", "g2")
+    assert next(rows) == (2, "idWX11", "g1")
+    with pytest.raises(KnowledgeError, match="line 3: out-of-order timestamp for idKR55"):
+        next(rows)
 
 
 def test_from_csv_errors_carry_line_numbers():
-    with pytest.raises(KnowledgeError, match="line 1"):
-        EventLog.from_csv("too,few\n")
-    with pytest.raises(KnowledgeError, match="line 2"):
-        EventLog.from_csv("u,g1,2014-01-28T09:30:00\nu,r1,2014-01-28T09:00:00\n")
-    with pytest.raises(KnowledgeError, match="line 1: unknown node"):
-        EventLog.from_csv("u,zz9,2014-01-28T09:30:00\n", {"g1"})
+    errors = [
+        ("too,few\n", "line 1: expected user,node,timestamp"),
+        ("u,g1,2014-01-28T09:30:00\nu,g1,2014-01-28T09:00:00\n", "line 2: out-of-order"),
+        ("u,zz9,2014-01-28T09:30:00\n", "line 1: unknown node id 'zz9'"),
+        ("u,g1,2014-01-28T09:30:00\n\nu,g1,yesterday\n", "line 3: unparseable timestamp"),
+        ('u,g1,"2014-01-28T09:30:00\n"\nu,g1,yesterday\n', "line 3: unparseable timestamp"),
+        ('u,g1,2014-01-28T09:30:00\n"v\nx",g1,2014-01-28T09:30:00\n', "line 2: bad user id"),
+    ]
+    # a user id must fit one cell of the knowledge TSV
+    for user in ("", " ", "u\tx", "u\nx", "u\rx", "u\u2028x"):
+        errors.append((f'"{user}",g1,2014-01-28T09:30:00\n', "line 1: bad user id"))
+    for text, error in errors:
+        with pytest.raises(KnowledgeError, match=error):
+            list(read_events(text, {"g1"}))
 
 
 # -- spec store --------------------------------------------------------------
