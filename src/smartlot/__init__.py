@@ -35,14 +35,14 @@ from .knowledge import (
     SpecStore,
     SpecTriple,
     Trip,
+    consult,
     infer_never_gates,
     mine_trip,
     read_events,
-    resolve_contradiction,
     retract_inconsistent,
     spec_formula,
 )
-from .agents import DecisionConfig, Followers, PreferenceDecision, a1_detect, a3_decide
+from .agents import DecisionConfig, Followers, PreferenceDecision, a3_decide
 from .simulator import Scenario, SimulationReport, demo_scenario, generate, parse_scenario, run, serialize_report
 
 __version__ = "0.1.0"

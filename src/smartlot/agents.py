@@ -1,31 +1,23 @@
-"""Three-tier agent hierarchy: node agents detect, follower agents track a
-car through one trip, the decision agent answers "which spot should this
-user take" from the specification store and a truth-tree search.
+"""Three-tier agent hierarchy.  Node agents report a detection: the user,
+the node and the node's label.  Follower agents decide whether it opens a
+trip, continues it or closes it.  The decision agent answers "which spot
+should this user take" by ranking what `knowledge.consult` finds in the
+user's specification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import Atom, Formula, conjoin
-from .knowledge import (
-    KnowledgeError,
-    SpecStore,
-    Trip,
-    retract_inconsistent,
-    spec_conjuncts,
-)
+from .formulas import Atom, Formula
+from .knowledge import KnowledgeError, SpecStore, Trip, consult
 
 # build_tree is unused here but stays bound: the benchmark's hooks rebind a
 # function in every smartlot module that holds it, and its self-test
 # (perfbench/test_perfbench.py::test_hooks_bind_and_restore) reads
 # smartlot.agents.build_tree
-from .tableaux import build_tree, consequences  # noqa: F401
+from .tableaux import build_tree  # noqa: F401
 from .worldgraph import GraphError, WorldGraph
-
-ENTER = "enter"
-MOVE = "move"
-EXIT = "exit"
 
 PREFERRED = "Preferred"
 FALLBACK_CANDIDATE = "FallbackCandidate"
@@ -49,22 +41,6 @@ class PreferenceDecision:  # A3 -> user
     suggestion: str | None
     candidates: tuple[tuple[str, int], ...]  # (spot, r), ranked
     rationale: str
-
-
-# -- A1: node agents --------------------------------------------------------
-
-
-def a1_detect(graph: WorldGraph, node: str, user: str) -> str:
-    """The graph transformation a detection implies: a gateway detection is
-    an entry for an absent car and an exit for a present one; anything else
-    is a move."""
-    label = graph.label(node)
-    present = graph.car_position(user) is not None
-    if label == "G":
-        return EXIT if present else ENTER
-    if not present:
-        raise GraphError(f"car {user} detected at {node} before entering")
-    return MOVE
 
 
 # -- A2: follower agents ----------------------------------------------------
@@ -112,16 +88,7 @@ def a3_decide(
     when the stored specification was consistent with the observation)."""
     if graph.label(gate) != "G":
         raise GraphError(f"not a gateway: {gate}")
-    observation = Atom(gate)
-
-    found = _consequences(store, spec_conjuncts(store, user, observation))
-    removed: list[Formula] = []
-    if found is None:
-        # every branch closes: that is the contradiction; retract its causes
-        # and search again
-        removed = retract_inconsistent(store, user, observation)
-        found = _consequences(store, spec_conjuncts(store, user, observation))
-
+    found, removed = consult(store, user, Atom(gate))
     spots = {a for a in found or () if graph.has_node(a) and graph.label(a) == "P"}
 
     # a spot's weight is the largest r among the formulas promising it
@@ -155,14 +122,3 @@ def a3_decide(
         rationale=rationale,
     )
     return decision, removed
-
-
-def _consequences(store: SpecStore, conjuncts: list[Formula]) -> frozenset[str] | None:
-    """`consequences` of the conjunction, searched once per distinct set of
-    conjuncts: the result does not depend on their order."""
-    key = frozenset(conjuncts)
-    try:
-        return store.proofs[key]
-    except KeyError:
-        found = store.proofs[key] = consequences(conjoin(conjuncts))
-        return found

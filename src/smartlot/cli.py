@@ -165,8 +165,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
     except (FormulaDepthError, RecursionError):
         # the parser stops at MAX_DEPTH nested levels; RecursionError is the
-        # last resort for trees deep in another way, such as a long | chain
-        # under G, which the realizability check evaluates recursively
+        # last resort for a search deep in another way: the realizability
+        # check's ordering search takes one frame per named world, so
+        # `F a0 & ... & F a1099 & G (p | q) & F (!p & !q)` ends here
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except (FormulaSyntaxError, KnowledgeError, GraphError, ScenarioError, OSError) as err:

@@ -44,20 +44,9 @@ def parking_fixture() -> WorldGraph:
     return load_graph(parking_fixture_text())
 
 
-def road_of_spot(spot: str) -> str:
-    for road, spots in _SPOT_PLACEMENT.items():
-        if spot in spots:
-            return road
-    raise KeyError(spot)
-
-
 def all_spots() -> list[str]:
     return sorted(s for spots in _SPOT_PLACEMENT.values() for s in spots)
 
 
 def all_gates() -> list[str]:
     return sorted(_GATE_PLACEMENT)
-
-
-def gate_road(gate: str) -> str:
-    return _GATE_PLACEMENT[gate]

@@ -32,7 +32,7 @@ from .formulas import (
     parse,
     pretty,
 )
-from .tableaux import UNSATISFIABLE, is_satisfiable
+from .tableaux import UNSATISFIABLE, consequences, is_satisfiable
 from .worldgraph import normalize_node_id
 
 log = logging.getLogger(__name__)
@@ -56,10 +56,18 @@ def parse_timestamp(text: str) -> datetime:
         raise KnowledgeError(f"unparseable timestamp: {text!r}") from None
 
 
+def check_user_id(user: str) -> None:
+    """Reject a user id that does not fit one knowledge TSV cell: an empty
+    one, or one with a tab or a line break (those of str.splitlines, which
+    SpecStore.from_tsv splits a knowledge file on)."""
+    if user.splitlines() != [user] or "\t" in user:
+        raise KnowledgeError(f"bad user id {user!r}: empty, or with a tab or line break")
+
+
 def read_events(text: str, known_nodes: set[str]) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, user, node) for each row of a user,node,timestamp
     CSV, checking each row as it is read: three cells, a user id that fits
-    one knowledge TSV cell (not empty, no tab or line break), a node id that
+    one knowledge TSV cell (`check_user_id`), a node id that
     normalizes to a known node, and a timestamp no earlier than the user's
     previous one.  Each error names its line."""
     nodes: dict[str, str] = {}  # raw node id -> normalized id
@@ -75,12 +83,10 @@ def read_events(text: str, known_nodes: set[str]) -> Iterator[tuple[int, str, st
         if len(row) != 3:
             raise KnowledgeError(f"line {lineno}: expected user,node,timestamp")
         user, raw, ts = row[0].strip(), row[1].strip(), row[2]
-        # the line breaks are those of str.splitlines, which SpecStore.from_tsv
-        # splits a knowledge file on
-        if user.splitlines() != [user] or "\t" in user:
-            raise KnowledgeError(
-                f"line {lineno}: bad user id {user!r}: empty, or with a tab or line break"
-            )
+        try:
+            check_user_id(user)
+        except KnowledgeError as err:
+            raise KnowledgeError(f"line {lineno}: {err}") from None
         node = nodes.get(raw)
         if node is None:
             node = nodes[raw] = normalize_node_id(raw, known_nodes)
@@ -134,8 +140,8 @@ class SpecStore:
 
     Each distinct formula is interned on `insert`/`upsert`: every row holds
     the one canonical object, so row and fact lookups hit by identity.
-    `proofs` maps the set of conjuncts of each specification the decision
-    agent has searched to its consequences (`tableaux.consequences`).  That
+    `proofs` maps the set of conjuncts of each specification `consult` has
+    searched to its consequences (`tableaux.consequences`).  That
     result depends on the set alone, so the memo stays exact as rows change;
     it lives and dies with the store."""
 
@@ -281,10 +287,13 @@ def spec_conjuncts(store: SpecStore, user: str, observation: Formula) -> list[Fo
     before: list[Formula] = []
     after: list[Formula] = []
     for t in store.triples(user):
-        facts = store.facts(t.formula)
-        if facts.spots or not seen.isdisjoint(facts.atoms):
+        if _analyzed(store.facts(t.formula), seen):
             (before if isinstance(t.formula, Always) else after).append(t.formula)
     return before + [observation] + after
+
+
+def _analyzed(facts: FormulaFacts, seen: set[str]) -> bool:
+    return bool(facts.spots) or not seen.isdisjoint(facts.atoms)
 
 
 def spec_formula(store: SpecStore, user: str, observation: Formula) -> Formula:
@@ -292,15 +301,32 @@ def spec_formula(store: SpecStore, user: str, observation: Formula) -> Formula:
     return conjoin(spec_conjuncts(store, user, observation))
 
 
-def resolve_contradiction(
+def consult(
     store: SpecStore, user: str, observation: Formula
-) -> list[Formula]:
-    """Check that the user's specification contradicts the observation, then
-    retract what causes it (see `retract_inconsistent`)."""
-    combined = spec_formula(store, user, observation)
-    if is_satisfiable(combined) != UNSATISFIABLE:
-        raise KnowledgeError("no contradiction to resolve")
-    return retract_inconsistent(store, user, observation)
+) -> tuple[frozenset[str] | None, list[Formula]]:
+    """The consequences of the user's specification under the observation
+    (`tableaux.consequences` of `spec_formula`), and the formulas retracted
+    first when every branch closed (`retract_inconsistent`; the search then
+    runs once more).  Each distinct set of conjuncts is searched once per
+    store: its consequences do not depend on their order, so a memo hit
+    neither sorts the rows nor builds the conjunction."""
+    found = _search(store, user, observation)
+    if found is not None:
+        return found, []
+    removed = retract_inconsistent(store, user, observation)
+    return _search(store, user, observation), removed
+
+
+def _search(store: SpecStore, user: str, observation: Formula) -> frozenset[str] | None:
+    seen = atoms(observation)
+    key = frozenset(
+        [observation, *(f for f, _ in store.counts(user) if _analyzed(store.facts(f), seen))]
+    )
+    try:
+        return store.proofs[key]
+    except KeyError:
+        found = store.proofs[key] = consequences(spec_formula(store, user, observation))
+        return found
 
 
 def retract_inconsistent(

@@ -14,19 +14,11 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from . import fixtures
-from .agents import (
-    ENTER,
-    EXIT,
-    MOVE,
-    DecisionConfig,
-    Followers,
-    PreferenceDecision,
-    a1_detect,
-    a3_decide,
-)
+from .agents import DecisionConfig, Followers, PreferenceDecision, a3_decide
 from .knowledge import (
     KnowledgeError,
     SpecStore,
+    check_user_id,
     infer_never_gates,
     mine_trip,
     parse_timestamp,
@@ -59,6 +51,11 @@ class Scenario:
             if last is not None and d.timestamp < last:
                 raise ScenarioError(f"timeline not sorted at {d.timestamp.isoformat()}")
             last = d.timestamp
+        for user in dict.fromkeys(d.user for d in self.timeline):
+            try:
+                check_user_id(user)
+            except KnowledgeError as err:
+                raise ScenarioError(f"timeline has a {err}") from None
 
 
 @dataclass
@@ -79,7 +76,9 @@ class SimulationReport:
 
 def run(scenario: Scenario) -> SimulationReport:
     """Replay the timeline on one copy of the scenario's graph, which the
-    run owns and steps in place; the scenario is left untouched."""
+    run owns and steps in place; the scenario is left untouched.  The
+    followers classify each detection: one that closes a trip is an exit, a
+    gateway detection that closes none is an entry, any other is a move."""
     scenario.validate()
     graph = scenario.graph.copy()
     store = SpecStore()
@@ -96,18 +95,9 @@ def run(scenario: Scenario) -> SimulationReport:
 
     for det in scenario.timeline:
         user, node = det.user, det.node
-        action = a1_detect(graph, node, user)
-        trip = followers.observe(user, node, graph.label(node))
-        if action == ENTER:
-            decision, removed = a3_decide(store, graph, user, node, config)
-            if removed:
-                stats.contradictions_resolved += 1
-            decisions.append(decision)
-            last_suggestion[user] = decision.suggestion
-            graph.enter(user, node)
-        elif action == MOVE:
-            graph.move(user, node)
-        else:  # EXIT
+        label = graph.label(node)
+        trip = followers.observe(user, node, label)
+        if trip is not None:
             for formula in mine_trip(trip):
                 store.upsert(user, formula)
             count = trip_count[user] = trip_count.get(user, 0) + 1
@@ -123,6 +113,15 @@ def run(scenario: Scenario) -> SimulationReport:
             stats.trips += 1
             if trip.parked_spot is not None and trip.parked_spot == last_suggestion.get(user):
                 stats.suggestions_followed += 1
+        elif label == "G":
+            decision, removed = a3_decide(store, graph, user, node, config)
+            if removed:
+                stats.contradictions_resolved += 1
+            decisions.append(decision)
+            last_suggestion[user] = decision.suggestion
+            graph.enter(user, node)
+        else:
+            graph.move(user, node)
 
     return SimulationReport(
         decisions=decisions,
@@ -160,9 +159,7 @@ def parse_scenario(text: str, config: DecisionConfig = DecisionConfig()) -> Scen
         except KnowledgeError as err:
             raise ScenarioError(f"line {lineno}: {err}") from None
         timeline.append(Detection(ts, parts[1], parts[2]))
-    scenario = Scenario(graph, timeline, config)
-    scenario.validate()
-    return scenario
+    return Scenario(graph, timeline, config)
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -184,9 +181,8 @@ def serialize_report(report: SimulationReport) -> str:
             verdict = f"suggest {d.suggestion} ({d.rationale})"
         lines.append(f"  {d.user} @ {d.gate}: {verdict}")
     lines.append("store:")
-    store = report.final_store
-    for triple in store.triples():
-        lines.append(f"  {triple.user}\t{store.facts(triple.formula).text}\t{triple.r}")
+    for line in report.final_store.to_tsv().splitlines():
+        lines.append(f"  {line}")
     lines.append("stats:")
     lines.append(f"  trips: {report.stats.trips}")
     lines.append(f"  contradictions_resolved: {report.stats.contradictions_resolved}")

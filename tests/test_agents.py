@@ -1,16 +1,12 @@
 import pytest
 
 from smartlot.agents import (
-    ENTER,
-    EXIT,
     FALLBACK_CANDIDATE,
-    MOVE,
     NEAREST_FREE,
     NO_SUGGESTION,
     PREFERRED,
     DecisionConfig,
     Followers,
-    a1_detect,
     a3_decide,
 )
 from smartlot.fixtures import all_spots, parking_fixture
@@ -24,28 +20,6 @@ def kr55_store():
     store.insert("idKR55", parse("g2 -> F p018"), 7)
     store.insert("idKR55", parse("g2 -> F p015"), 2)
     return store
-
-
-# -- A1 ----------------------------------------------------------------------
-
-
-def test_a1_gate_detection_is_enter_for_absent_car():
-    assert a1_detect(parking_fixture(), "g2", "idKR55") == ENTER
-
-
-def test_a1_gate_detection_is_exit_for_present_car():
-    g = parking_fixture().car_enters("idKR55", "g2")
-    assert a1_detect(g, "g2", "idKR55") == EXIT
-
-
-def test_a1_inner_detection_is_move():
-    g = parking_fixture().car_enters("idKR55", "g2")
-    assert a1_detect(g, "r4", "idKR55") == MOVE
-
-
-def test_a1_rejects_inner_detection_of_absent_car():
-    with pytest.raises(GraphError):
-        a1_detect(parking_fixture(), "r4", "idKR55")
 
 
 # -- A2 ----------------------------------------------------------------------
@@ -144,16 +118,16 @@ def test_a3_prefers_highest_count():
 
 def count_searches(monkeypatch) -> list:
     """Formulas a3_decide runs the consequence search on, from now on."""
-    import smartlot.agents
+    import smartlot.knowledge
 
     searched = []
-    real = smartlot.agents.consequences
+    real = smartlot.knowledge.consequences
 
     def counting(f):
         searched.append(f)
         return real(f)
 
-    monkeypatch.setattr(smartlot.agents, "consequences", counting)
+    monkeypatch.setattr(smartlot.knowledge, "consequences", counting)
     return searched
 
 
@@ -212,19 +186,32 @@ def test_a3_search_grows_linearly_with_other_gate_preferences(k, monkeypatch):
     assert len(calls) <= 2 * k + 2
 
 
-def test_a3_reads_the_sorted_rows_once(monkeypatch):
-    # spec_formula needs the sorted rows; the spot weights need no order
-    calls = []
-    real = SpecStore.triples
+def test_a3_repeated_decision_neither_sorts_nor_assembles(monkeypatch):
+    # the memo key needs only the set of relevant rows; the spot weights
+    # need no order
+    import smartlot.knowledge
 
-    def counting(self, user=None):
-        calls.append(user)
-        return real(self, user)
+    sorted_for, assembled = [], []
+    real_triples, real_conjuncts = SpecStore.triples, smartlot.knowledge.spec_conjuncts
 
-    monkeypatch.setattr(SpecStore, "triples", counting)
-    decision, _ = a3_decide(kr55_store(), parking_fixture(), "idKR55", "g2")
-    assert decision.candidates == (("p018", 7), ("p015", 2))
-    assert calls == ["idKR55"]
+    def counting_triples(self, user=None):
+        sorted_for.append(user)
+        return real_triples(self, user)
+
+    def counting_conjuncts(store, user, observation):
+        assembled.append(user)
+        return real_conjuncts(store, user, observation)
+
+    monkeypatch.setattr(SpecStore, "triples", counting_triples)
+    monkeypatch.setattr(smartlot.knowledge, "spec_conjuncts", counting_conjuncts)
+    store = kr55_store()
+    first, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
+    # a miss sorts the rows once, to assemble the specification
+    assert first.candidates == (("p018", 7), ("p015", 2))
+    assert sorted_for == assembled == ["idKR55"]
+    again, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
+    assert again == first
+    assert sorted_for == assembled == ["idKR55"]
 
 
 def test_a3_falls_back_to_next_candidate():

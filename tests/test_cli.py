@@ -214,6 +214,30 @@ def test_simulate_rejects_a_node_id_that_is_not_an_atom(kind, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# a car the graph already holds meets a gate; user ids that do not fit a
+# knowledge TSV cell; a user first seen mid-trip
+BAD_TIMELINES = {
+    "car-in-graph": ("c1 C\nc1 -> p010 at\n", "c1,g1", "error: car already present: c1"),
+    "empty-user": ("", ",g1", "error: timeline has a bad user id ''"),
+    "tab-user": ("", "u\tx,g1", "error: timeline has a bad user id 'u\\tx'"),
+    "mid-trip": ("", "u,r4", "error: user u detected at r4 before entering"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TIMELINES))
+def test_simulate_rejects_a_bad_detection(case, tmp_path, capsys):
+    graph, detection, error = BAD_TIMELINES[case]
+    scenario = tmp_path / "bad.scenario"
+    scenario.write_text(
+        parking_fixture_text() + graph + f"timeline:\n2014-01-28T08:00:00,{detection}\n"
+    )
+    assert main(["simulate", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(error)
+    assert "Traceback" not in captured.err
+
+
 # -- mine --------------------------------------------------------------------
 
 

@@ -10,11 +10,11 @@ from smartlot.knowledge import (
     SpecStore,
     SpecTriple,
     Trip,
+    consult,
     infer_never_gates,
     mine_trip,
     parse_timestamp,
     read_events,
-    resolve_contradiction,
     spec_formula,
 )
 
@@ -281,26 +281,29 @@ def test_resolve_removes_never_gate():
     store = SpecStore()
     store.insert("idKR55", parse("G !g3"), 1)
     store.insert("idKR55", parse("g2 -> F p018"), 7)
-    removed = resolve_contradiction(store, "idKR55", parse("g3"))
+    found, removed = consult(store, "idKR55", parse("g3"))
     assert removed == [parse("G !g3")]
     assert not store.contains("idKR55", parse("G !g3"))
     assert store.contains("idKR55", parse("g2 -> F p018"))
+    # the repaired spec g3 & (g2 -> F p018) is searched once more
+    assert found == {"p018"}
 
 
 def test_resolve_removes_every_offender():
     store = SpecStore()
     store.insert("u", parse("G !g3"), 4)
     store.insert("u", parse("G !g3 | G !g3"), 1)
-    removed = resolve_contradiction(store, "u", parse("g3"))
+    found, removed = consult(store, "u", parse("g3"))
     assert set(removed) == {parse("G !g3"), parse("G !g3 | G !g3")}
     assert len(store) == 0
+    assert found == set()
 
 
-def test_resolve_requires_contradiction():
+def test_resolve_consistent_spec_removes_nothing():
     store = SpecStore()
     store.insert("u", parse("g2 -> F p018"), 1)
-    with pytest.raises(KnowledgeError, match="no contradiction"):
-        resolve_contradiction(store, "u", parse("g2"))
+    assert consult(store, "u", parse("g2")) == ({"p018"}, [])
+    assert store.contains("u", parse("g2 -> F p018")) and len(store) == 1
 
 
 def test_resolve_joint_only_warns(caplog):
@@ -312,8 +315,8 @@ def test_resolve_joint_only_warns(caplog):
 
     assert is_satisfiable(combined) == UNSATISFIABLE
     with caplog.at_level("WARNING"):
-        removed = resolve_contradiction(store, "u", parse("g2"))
-    assert removed == []
+        found, removed = consult(store, "u", parse("g2"))
+    assert (found, removed) == (None, [])
     assert len(store) == 2
     assert any("joint-only" in r.message for r in caplog.records)
 

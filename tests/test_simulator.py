@@ -21,7 +21,7 @@ from smartlot.simulator import (
     serialize_report,
     serialize_scenario,
 )
-from smartlot.worldgraph import WorldGraph, save_graph
+from smartlot.worldgraph import GraphError, WorldGraph, save_graph
 
 T0 = datetime(2014, 1, 28, 8, 0, 0)
 
@@ -151,6 +151,22 @@ def test_unsorted_timeline_rejected():
 def test_unknown_node_rejected():
     with pytest.raises(ScenarioError, match="unknown node"):
         run(Scenario(parking_fixture(), [Detection(T0, "u", "zz")]))
+
+
+@pytest.mark.parametrize(
+    "user", ["", "u\tx", "u\nx", "u\x1cx"], ids=["empty", "tab", "newline", "separator"]
+)
+def test_user_id_that_does_not_fit_a_tsv_cell_rejected(user):
+    with pytest.raises(ScenarioError, match="bad user id"):
+        run(Scenario(parking_fixture(), [Detection(T0, user, "g1")]))
+
+
+def test_gate_detection_of_a_car_the_graph_holds_is_an_entry():
+    # the followers see no open trip, so this is an entry, which the graph
+    # refuses for a car it already holds
+    graph = parking_fixture().car_enters("c1", "g2").car_moves("c1", "p010")
+    with pytest.raises(GraphError, match="car already present: c1"):
+        run(Scenario(graph, [Detection(T0, "c1", "g1")]))
 
 
 @pytest.mark.parametrize("users", [1, 4, 12])
