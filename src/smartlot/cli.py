@@ -1,7 +1,8 @@
 """Command-line front end: prover, simulator, event mining and graph tools.
 
 Exit codes: 0 success (for `prove`: satisfiable / valid), 1 refuted
-(unsatisfiable / not valid), 2 usage or input error.  Diagnostics go to
+(unsatisfiable / not valid), 2 usage or input error, or an internal error
+(`error: internal error: <type>: <message>`).  Diagnostics go to
 stderr, results to stdout or the chosen output file.
 """
 
@@ -172,6 +173,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (FormulaSyntaxError, KnowledgeError, GraphError, ScenarioError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:
+        # a fault of the program; a traceback would exit 1, which means "refuted"
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     return 2
 

@@ -11,6 +11,7 @@ it (text, atoms, spot atoms) with the one canonical object.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import re
@@ -249,7 +250,15 @@ def mine_trip(trip: Trip) -> list[Formula]:
         raise KnowledgeError("trip without an entry gate")
     if trip.parked_spot is None:
         return []
-    return [Implies(Atom(trip.entry_gate), Eventually(Atom(trip.parked_spot)))]
+    return [_preference(trip.entry_gate, trip.parked_spot)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _preference(gate: str, spot: str) -> Formula:
+    """`gate -> F spot`, one shared object per pair while it stays cached, so
+    that `SpecStore` finds it by identity and hashes it once.  Formulas are
+    immutable; the bound only caps what a long process with many lots keeps."""
+    return Implies(Atom(gate), Eventually(Atom(spot)))
 
 
 def infer_never_gates(

@@ -3,62 +3,62 @@
 Node labels: G (gateway), R (road segment), P (parking place), C (car).
 Gateway and parking-place ids become atoms of the mined formulas, so
 `add_node` rejects a G or P id that is not an atom name (`[a-z][a-zA-Z0-9]*`).
-A car's only edge is its position: the single outgoing `at` edge of its C
-node.  `add_edge` rejects a second one, any edge into a C node, any other
-edge out of one and any `at` edge out of a node that is not a car.
-Occupancy of a spot is derived purely from incoming `at` edges.  Both are
-indexed, so `car_position` and `is_free` are dict lookups.
+A car's only edge is its position, one `at` edge out of its C node, and a
+position has no attributes.  `add_edge` rejects a second `at` edge, one with
+attributes, any edge into a car, any other edge out of one and any `at`
+edge out of a node that is not a car.
 
-Each car transformation is one in-place step: `enter`, `move` and `exit`
-run all their checks before they change anything, so a rejected step
-leaves the graph untouched, and each costs O(1).  `car_enters`,
-`car_moves` and `car_exits` are the same steps on a `copy()`, for callers
-that keep the old graph; the simulator copies its scenario's graph once
-and steps that copy.  Node and edge attributes are read-only mappings,
-shared between a graph and its copies.  So is the road adjacency
-(`road_successors`) that `nearest_free_spot` and the scenario builder's
-routes walk: it is built on first use and dropped only when a non-`at`
-edge changes, which no car step does.
+The position map (car -> node) owns where each car is; beside it are only
+the occupancy index (spot -> number of cars) that `is_free` reads and the
+road edges (every edge but `at`).  `edges` is a read-only view of both
+kinds, built on each read.  `enter`, `move` and `exit` are in-place steps of
+a few dict operations, each checking everything before its first change;
+`car_enters`, `car_moves` and `car_exits` make the same step on a `copy()`.
+Node and edge attributes are read-only mappings shared with copies (a node
+or edge with none has no entry), and so is the road adjacency
+(`road_successors`), which no car step changes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .formulas import ATOM_RE
 
 NODE_LABELS = {"G", "R", "P", "C"}
 AT = "at"
-_NO_ATTRS = MappingProxyType({})
 
 
 class GraphError(ValueError):
     pass
 
 
-@dataclass
 class WorldGraph:
-    labels: dict[str, str] = field(default_factory=dict)  # node -> label
-    edges: dict[tuple[str, str], str] = field(default_factory=dict)  # (src, dst) -> label
-    node_attrs: dict[str, MappingProxyType] = field(default_factory=dict)
-    edge_attrs: dict[tuple[str, str], MappingProxyType] = field(default_factory=dict)
-    # indexes derived from `edges`: car -> node it is at, node -> number of cars at it
-    _position: dict[str, str] = field(init=False, repr=False, compare=False)
-    _occupancy: dict[str, int] = field(init=False, repr=False, compare=False)
-    # node -> successors over non-`at` edges in id order; None until first needed
-    _roads: dict[str, list[str]] | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, labels=None, edges=None, node_attrs=None, edge_attrs=None) -> None:
+        self.labels = dict(labels or {})  # node -> label
+        self.node_attrs = {n: MappingProxyType(dict(a)) for n, a in (node_attrs or {}).items() if a}
+        self.edge_attrs: dict[tuple[str, str], MappingProxyType] = {}
+        self._road_edges: dict[tuple[str, str], str] = {}  # every edge but `at`
+        self._position: dict[str, str] = {}  # car -> node it is at
+        self._occupancy: dict[str, int] = {}  # spot -> number of cars at it
+        # node -> successors over road edges in id order; None until first needed
+        self._roads: dict[str, list[str]] | None = None
+        for (src, dst), label in (edges or {}).items():  # (src, dst) -> label
+            self.add_edge(src, dst, label, (edge_attrs or {}).get((src, dst)))
 
-    def __post_init__(self) -> None:
-        self.node_attrs = {n: MappingProxyType(dict(a)) for n, a in self.node_attrs.items()}
-        self.edge_attrs = {e: MappingProxyType(dict(a)) for e, a in self.edge_attrs.items()}
-        self._position = {}
-        self._occupancy = {}
-        for (src, dst), lab in self.edges.items():
-            self._check_edge(src, dst, lab)
-            if lab == AT:
-                self._place(src, dst)
+    @property
+    def edges(self) -> MappingProxyType:
+        """(src, dst) -> label for the road edges and each car's `at` edge."""
+        at = {(car, node): AT for car, node in self._position.items()}
+        return MappingProxyType({**self._road_edges, **at})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WorldGraph):
+            return NotImplemented
+        mine = (self.labels, self._position, self._road_edges, self.node_attrs, self.edge_attrs)
+        return mine == (other.labels, other._position, other._road_edges, other.node_attrs, other.edge_attrs)
 
     # -- queries ----------------------------------------------------------
 
@@ -87,41 +87,18 @@ class WorldGraph:
         return spot not in self._occupancy
 
     def copy(self) -> "WorldGraph":
-        """An independent graph equal to this one.  The outer dicts are
-        copied; the read-only attribute mappings and the road adjacency,
-        which is replaced but never mutated, are shared."""
+        """An independent graph equal to this one.  The dicts are copied;
+        the read-only attribute mappings and the road adjacency, which is
+        replaced but never mutated, are shared."""
         g = object.__new__(WorldGraph)
-        g.__dict__ = {name: dict(value) for name, value in vars(self).items() if name != "_roads"}
-        g._roads = self._roads
+        g.__dict__ = {k: v if k == "_roads" else dict(v) for k, v in vars(self).items()}
         return g
 
-    def _place(self, car: str, node: str) -> None:
-        if car in self._position:
-            raise GraphError(f"second at edge out of {car}")
-        self._position[car] = node
-        self._occupancy[node] = self._occupancy.get(node, 0) + 1
-
-    def _unplace(self, car: str) -> None:
-        node = self._position.pop(car)
-        self._occupancy[node] -= 1
-        if not self._occupancy[node]:
-            del self._occupancy[node]
-
-    def _remove_at_edge(self, car: str) -> None:
-        edge = (car, self._position[car])
-        del self.edges[edge]
-        self.edge_attrs.pop(edge, None)
-        self._unplace(car)
-
-    def _check_edge(self, src: str, dst: str, label: str) -> None:
-        for end in (src, dst):
-            if end not in self.labels:
-                raise GraphError(f"dangling edge endpoint: {end}")
-        if self.labels[dst] == "C":
-            raise GraphError(f"edge into a car: {src} -> {dst}")
-        if (label == AT) != (self.labels[src] == "C"):
-            kind = "non-car" if label == AT else "car"
-            raise GraphError(f"{label} edge out of a {kind}: {src} -> {dst}")
+    def _vacate(self, node: str) -> None:
+        # only spots are counted, so any other node pops nothing
+        count = self._occupancy.pop(node, 0)
+        if count > 1:
+            self._occupancy[node] = count - 1
 
     # -- construction -----------------------------------------------------
 
@@ -134,18 +111,37 @@ class WorldGraph:
             # gates and spots become atoms of the mined formulas
             raise GraphError(f"{label} node id is not an atom name: {node!r}")
         self.labels[node] = label
-        self.node_attrs[node] = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
+        if attrs:
+            self.node_attrs[node] = MappingProxyType(dict(attrs))
 
     def add_edge(self, src: str, dst: str, label: str, attrs: dict[str, str] | None = None) -> None:
-        self._check_edge(src, dst, label)
-        # only cars have `at` edges and cars have no others, so an edge
-        # replaced here keeps its kind
+        """Add or replace an edge.  An `at` edge places the car `src` at
+        `dst`; placing it where it already is changes nothing."""
+        for end in (src, dst):
+            if end not in self.labels:
+                raise GraphError(f"dangling edge endpoint: {end}")
+        if self.labels[dst] == "C":
+            raise GraphError(f"edge into a car: {src} -> {dst}")
+        if (label == AT) != (self.labels[src] == "C"):
+            kind = "non-car" if label == AT else "car"
+            raise GraphError(f"{label} edge out of a {kind}: {src} -> {dst}")
+        edge = (src, dst)
         if label != AT:
+            self._road_edges[edge] = label
+            self.edge_attrs.pop(edge, None)
+            if attrs:
+                self.edge_attrs[edge] = MappingProxyType(dict(attrs))
             self._roads = None
-        elif (src, dst) not in self.edges:
-            self._place(src, dst)
-        self.edges[(src, dst)] = label
-        self.edge_attrs[(src, dst)] = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
+            return
+        if attrs:
+            raise GraphError(f"at edge with attributes: {src} -> {dst}")
+        node = self._position.get(src)
+        if node is None:
+            self._position[src] = dst
+            if self.labels[dst] == "P":
+                self._occupancy[dst] = self._occupancy.get(dst, 0) + 1
+        elif node != dst:
+            raise GraphError(f"second at edge out of {src}")
 
     # -- parking transformations ------------------------------------------
     # In-place steps; each checks everything before its first change.
@@ -155,24 +151,28 @@ class WorldGraph:
             raise GraphError(f"not a gateway: {gate}")
         if car in self.labels:
             raise GraphError(f"car already present: {car}")
-        self.add_node(car, "C")
-        self.add_edge(car, gate, AT)
+        self.labels[car] = "C"
+        self._position[car] = gate
 
     def move(self, car: str, node: str) -> None:
-        if self.car_position(car) is None:
+        old = self._position.get(car)
+        if old is None:
             raise GraphError(f"car not present: {car}")
-        target_label = self.label(node)
-        if target_label not in {"G", "R", "P"}:
-            raise GraphError(f"cannot move onto a {target_label} node: {node}")
-        if target_label == "P" and not self.is_free(node):
+        label = self.label(node)
+        if label not in ("G", "R", "P"):
+            raise GraphError(f"cannot move onto a {label} node: {node}")
+        if node in self._occupancy:  # only spots are counted
             raise GraphError(f"parking place occupied: {node}")
-        self._remove_at_edge(car)
-        self.add_edge(car, node, AT)
+        self._vacate(old)
+        self._position[car] = node
+        if label == "P":
+            self._occupancy[node] = 1
 
     def exit(self, car: str) -> None:
-        if self.car_position(car) is None:
+        node = self._position.pop(car, None)
+        if node is None:
             raise GraphError(f"car not present: {car}")
-        self._remove_at_edge(car)  # a car's only edge
+        self._vacate(node)
         del self.labels[car]
         self.node_attrs.pop(car, None)
 
@@ -194,28 +194,25 @@ class WorldGraph:
         return g
 
     def road_successors(self) -> dict[str, list[str]]:
-        """Each node's successors over non-`at` edges, in node id order.
+        """Each node's successors over road edges, in node id order.
         Built on first use and shared with copies, so it must not be changed."""
         if self._roads is None:
             self._roads = {}
-            for (src, dst), lab in sorted(self.edges.items()):
-                if lab != AT:
-                    self._roads.setdefault(src, []).append(dst)
+            for src, dst in sorted(self._road_edges):
+                self._roads.setdefault(src, []).append(dst)
         return self._roads
 
     def nearest_free_spot(self, start: str) -> str | None:
-        """Hop-nearest free P node from `start`, ties broken by node id.
-        Car position edges are not traversable road topology."""
+        """Hop-nearest free P node from `start` over road edges, ties broken
+        by node id."""
         self.label(start)  # existence check
         adj = self.road_successors()
         seen = {start}
         frontier = [start]
         while frontier:
-            best = sorted(
-                n for n in frontier if self.labels[n] == "P" and self.is_free(n)
-            )
-            if best:
-                return best[0]
+            free = [n for n in frontier if self.labels[n] == "P" and n not in self._occupancy]
+            if free:
+                return min(free)
             nxt = []
             for node in frontier:
                 for dst in adj.get(node, ()):
@@ -278,11 +275,11 @@ def save_graph(g: WorldGraph) -> str:
             f" {k}={v}" for k, v in sorted(g.node_attrs.get(node, {}).items())
         )
         lines.append(f"{node} {g.labels[node]}{attrs}")
-    for (src, dst) in sorted(g.edges):
+    for (src, dst), label in sorted(g.edges.items()):
         attrs = "".join(
             f" {k}={v}" for k, v in sorted(g.edge_attrs.get((src, dst), {}).items())
         )
-        lines.append(f"{src} -> {dst} {g.edges[(src, dst)]}{attrs}")
+        lines.append(f"{src} -> {dst} {label}{attrs}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -292,8 +289,8 @@ def export_dot(g: WorldGraph) -> str:
     for node in sorted(g.labels):
         lab = g.labels[node]
         lines.append(f'  "{node}" [label="{node} ({lab})", shape={shape[lab]}];')
-    for (src, dst) in sorted(g.edges):
-        lines.append(f'  "{src}" -> "{dst}" [label="{g.edges[(src, dst)]}"];')
+    for (src, dst), label in sorted(g.edges.items()):
+        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -372,10 +369,12 @@ def glue(p: GraphPartition) -> WorldGraph:
                 g.add_node(node, part.labels[node], part.node_attrs.get(node))
             elif g.labels[node] != part.labels[node]:
                 raise GraphError(f"conflicting labels for replicated node {node}")
+    seen: set[tuple[str, str]] = set()
     for part in p.parts:
         for (src, dst), label in part.edges.items():
-            if (src, dst) in g.edges:
+            if (src, dst) in seen:
                 raise GraphError(f"edge duplicated across parts: {src} -> {dst}")
+            seen.add((src, dst))
             g.add_edge(src, dst, label, part.edge_attrs.get((src, dst)))
     return g
 

@@ -1,9 +1,10 @@
+import hashlib
 from datetime import datetime, timedelta
 
 import pytest
 
 from formula_gen import formula_corpus
-from smartlot import knowledge
+from smartlot import cli, knowledge
 from smartlot.cli import main
 from smartlot.fixtures import parking_fixture, parking_fixture_text
 from smartlot.formulas import MAX_DEPTH, Always, Not, parse, pretty
@@ -175,7 +176,7 @@ def test_simulate_bad_scenario(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edge", ["g1 -> c1 road", "c1 -> r1 road", "r1 -> g2 at"])
+@pytest.mark.parametrize("edge", ["g1 -> c1 road", "c1 -> r1 road", "r1 -> g2 at", "c1 -> g1 at len=3"])
 def test_simulate_rejects_an_edge_that_a_car_cannot_have(edge, tmp_path, capsys):
     bad = tmp_path / "bad.scenario"
     bad.write_text(parking_fixture_text() + f"c1 C\nc1 -> g1 at\n{edge}\ntimeline:\n")
@@ -271,6 +272,21 @@ def test_mine_command(tmp_path, capsys):
     events_file.write_text("\n".join(rows) + "\n")
     assert main(["mine", str(events_file), str(graph_file)]) == 0
     assert capsys.readouterr().out == "idKR55\tg2 -> F p018\t2\n"
+
+
+def test_mined_tsv_is_pinned(tmp_path):
+    # the sha256 of the knowledge TSV mined from this feed, as first recorded
+    scenario = generate(1, 200, 4, 0.5)
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(save_graph(scenario.graph))
+    events_file = tmp_path / "events.csv"
+    events_file.write_text(
+        "".join(f"{d.user},{d.node},{d.timestamp.isoformat()}\n" for d in scenario.timeline)
+    )
+    tsv_file = tmp_path / "knowledge.tsv"
+    assert main(["mine", str(events_file), str(graph_file), "-o", str(tsv_file)]) == 0
+    digest = hashlib.sha256(tsv_file.read_bytes()).hexdigest()
+    assert digest == "55adaf63614ccfc3270369bf37ab0400e3342b9e3c794599adc4feb49df125fd"
 
 
 def test_mine_equivalent_to_library(tmp_path, capsys):
@@ -448,3 +464,19 @@ def test_demo_prints_scenario(capsys):
     out = capsys.readouterr().out
     assert out == serialize_scenario(demo_scenario())
     assert "timeline:" in out
+
+
+# -- errors of the program ---------------------------------------------------
+
+
+def test_an_internal_error_exits_2_without_a_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise AttributeError("'NoneType' object has no attribute 'suggestion'")
+
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    assert main(["simulate", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal error: AttributeError: 'NoneType' object has no attribute 'suggestion'\n"
+    )

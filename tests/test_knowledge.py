@@ -221,6 +221,13 @@ def test_mine_parked_trip():
     assert mine_trip(trip) == [parse("g2 -> F p018")]
 
 
+def test_mine_shares_one_formula_per_gate_and_spot():
+    first = mine_trip(Trip("a", "g2", parked_spot="p018", exit_gate="g2"))
+    second = mine_trip(Trip("b", "g2", parked_spot="p018", exit_gate="g1"))
+    assert first[0] is second[0]
+    assert mine_trip(Trip("a", "g1", parked_spot="p018"))[0] != first[0]
+
+
 def test_mine_pass_through_trip():
     assert mine_trip(Trip("idKR55", "g2", exit_gate="g1")) == []
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 from datetime import datetime
 
@@ -27,6 +28,30 @@ T0 = datetime(2014, 1, 28, 8, 0, 0)
 
 
 # -- the worked story --------------------------------------------------------
+
+
+# sha256 of serialize_report(run(...)) as first recorded; the demo run ends
+# with three cars inside, so its `graph:` section lists three `at` edges
+PINNED_REPORTS = {
+    "generated": (
+        lambda: generate(1, 200, 4, 0.5),
+        "f989b6ff196f843da65e37d8dfd6592e4659d05d79d74ec716554fceaab3c968",
+    ),
+    "demo-occupied": (
+        lambda: demo_scenario(occupied=("p018", "p015")),
+        "e93934d5351b5ed2d47bc0ca74aad73ec706d9d21091826dc20009508c3a63aa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_is_pinned(name):
+    make, digest = PINNED_REPORTS[name]
+    text = serialize_report(run(make()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if name == "demo-occupied":
+        at_edges = [line for line in text.splitlines() if line.endswith(" at")]
+        assert at_edges == ["  blocker1 -> p018 at", "  blocker2 -> p015 at", "  idKR55 -> g2 at"]
 
 
 def test_demo_builds_preference_counts():

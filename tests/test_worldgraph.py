@@ -189,6 +189,59 @@ def test_graph_built_from_dicts_is_indexed():
         g.node_attrs["g1"]["zone"] = "south"
 
 
+def test_edges_are_a_read_only_view():
+    g = parking_fixture().car_enters("c1", "g1")
+    with pytest.raises(TypeError):
+        g.edges[("c1", "r1")] = "at"
+    with pytest.raises(TypeError):
+        del g.edges[("c1", "g1")]
+    assert g.car_position("c1") == "g1" and ("c1", "r1") not in g.edges
+
+
+def test_steps_on_a_graph_built_from_dicts_keep_edges_and_indexes_agreeing():
+    labels = {"c1": "C", "c2": "C", "g1": "G", "r1": "R", "p1": "P", "p2": "P"}
+    roads = {("g1", "r1"): "road", ("r1", "p1"): "road", ("r1", "p2"): "road", ("p1", "r1"): "road"}
+    g = WorldGraph(labels, {**roads, ("c1", "p1"): "at", ("c2", "r1"): "at"})
+    cars = ["c1", "c2", "c3"]
+    assert_indexes_match_edges(g, cars)
+    for step in (
+        lambda: g.move("c2", "p2"),
+        lambda: g.enter("c3", "g1"),
+        lambda: g.move("c1", "r1"),
+        lambda: g.move("c3", "p1"),
+        lambda: g.exit("c2"),
+    ):
+        step()
+        assert_indexes_match_edges(g, cars)
+        assert {e: lab for e, lab in g.edges.items() if lab != AT} == roads
+    assert dict(g.edges) == {**roads, ("c1", "r1"): "at", ("c3", "p1"): "at"}
+    assert not g.is_free("p1") and g.is_free("p2")
+
+
+def test_equality_ignores_stored_empty_attributes():
+    g = parking_fixture().car_enters("c1", "g1").car_moves("c1", "r1").car_moves("c1", "p018")
+    g = g.car_enters("c2", "g2")
+    assert load_graph(save_graph(g)) == g
+    labels = {"c1": "C", "g1": "G"}
+    edges = {("c1", "g1"): "at"}
+    bare = WorldGraph(labels, edges)
+    assert WorldGraph(labels, edges, {"c1": {}, "g1": {}}, {("c1", "g1"): {}}) == bare
+    assert load_graph(save_graph(bare)) == bare
+    assert WorldGraph(labels, edges, {"c1": {"color": "red"}}) != bare
+
+
+def test_at_edge_with_attributes_rejected():
+    g = parking_fixture()
+    g.add_node("c1", "C")
+    with pytest.raises(GraphError, match="at edge with attributes: c1 -> p018"):
+        g.add_edge("c1", "p018", AT, {"len": "3"})
+    assert g.car_position("c1") is None and g.is_free("p018")
+    with pytest.raises(GraphError, match="at edge with attributes: c1 -> p1"):
+        load_graph("c1 C\np1 P\nc1 -> p1 at len=3\n")
+    with pytest.raises(GraphError, match="at edge with attributes: c1 -> p1"):
+        WorldGraph({"c1": "C", "p1": "P"}, {("c1", "p1"): AT}, {}, {("c1", "p1"): {"len": "3"}})
+
+
 def test_attributes_are_read_only_and_shared():
     g = load_graph("g1 G zone=north\nr1 R\ng1 -> r1 road len=40\n")
     with pytest.raises(TypeError):
