@@ -48,13 +48,14 @@ class KnowledgeError(ValueError):
 
 def parse_timestamp(text: str) -> datetime:
     text = text.strip()
-    m = LEGACY_TS_RE.fullmatch(text)
-    if m:
-        return datetime(*(int(x) for x in m.groups()))
+    legacy = LEGACY_TS_RE.fullmatch(text) if text.startswith("t") else None
     try:
-        return datetime.fromisoformat(text)
+        timestamp = datetime(*map(int, legacy.groups())) if legacy else datetime.fromisoformat(text)
     except ValueError:
         raise KnowledgeError(f"unparseable timestamp: {text!r}") from None
+    if timestamp.tzinfo is not None:
+        raise KnowledgeError(f"timestamp with a UTC offset: {text!r}")
+    return timestamp
 
 
 def check_user_id(user: str) -> None:

@@ -3,14 +3,16 @@
 Detections are processed in timestamp order (input order on ties); every
 gateway entry triggers a preference decision before the car proceeds.  The
 report is a pure function of the scenario, so two runs with the same inputs
-serialize byte-identically.
+serialize byte-identically.  `run` walks the timeline once and checks each
+detection as it applies it; an error for one read from a scenario file names
+its line, as `mine`'s errors do.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from . import fixtures
@@ -23,18 +25,19 @@ from .knowledge import (
     mine_trip,
     parse_timestamp,
 )
-from .worldgraph import WorldGraph, load_graph, save_graph
+from .worldgraph import GraphError, WorldGraph, load_graph, save_graph
 
 
 class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     timestamp: datetime
     user: str
     node: str
+    line: int | None = field(default=None, compare=False)  # in the scenario file
 
 
 @dataclass
@@ -42,20 +45,6 @@ class Scenario:
     graph: WorldGraph
     timeline: list[Detection]
     config: DecisionConfig = DecisionConfig()
-
-    def validate(self) -> None:
-        last = None
-        for d in self.timeline:
-            if not self.graph.has_node(d.node):
-                raise ScenarioError(f"timeline references unknown node: {d.node}")
-            if last is not None and d.timestamp < last:
-                raise ScenarioError(f"timeline not sorted at {d.timestamp.isoformat()}")
-            last = d.timestamp
-        for user in dict.fromkeys(d.user for d in self.timeline):
-            try:
-                check_user_id(user)
-            except KnowledgeError as err:
-                raise ScenarioError(f"timeline has a {err}") from None
 
 
 @dataclass
@@ -79,7 +68,6 @@ def run(scenario: Scenario) -> SimulationReport:
     run owns and steps in place; the scenario is left untouched.  The
     followers classify each detection: one that closes a trip is an exit, a
     gateway detection that closes none is an entry, any other is a move."""
-    scenario.validate()
     graph = scenario.graph.copy()
     store = SpecStore()
     config = scenario.config
@@ -93,35 +81,51 @@ def run(scenario: Scenario) -> SimulationReport:
     decisions: list[PreferenceDecision] = []
     stats = SimulationStats()
 
+    last = None
     for det in scenario.timeline:
         user, node = det.user, det.node
-        label = graph.label(node)
-        trip = followers.observe(user, node, label)
-        if trip is not None:
-            for formula in mine_trip(trip):
-                store.upsert(user, formula)
-            count = trip_count[user] = trip_count.get(user, 0) + 1
-            used = used_gates.setdefault(user, set())
-            known = len(used)
-            used |= {trip.entry_gate, trip.exit_gate}
-            # what inference adds depends only on the count and `used`:
-            # retraction removes `G !entry_gate` alone, and that gate has
-            # just joined `used`
-            if count >= threshold and (count - 1 < threshold or len(used) > known):
-                infer_never_gates(store, user, count, used, threshold, gates)
-            graph.exit(user)
-            stats.trips += 1
-            if trip.parked_spot is not None and trip.parked_spot == last_suggestion.get(user):
-                stats.suggestions_followed += 1
-        elif label == "G":
-            decision, removed = a3_decide(store, graph, user, node, config)
-            if removed:
-                stats.contradictions_resolved += 1
-            decisions.append(decision)
-            last_suggestion[user] = decision.suggestion
-            graph.enter(user, node)
-        else:
-            graph.move(user, node)
+        try:
+            if last is not None and det.timestamp < last:
+                raise ScenarioError(f"timeline not sorted at {det.timestamp.isoformat()}")
+            last = det.timestamp
+            label = graph.labels.get(node)
+            if label is None:
+                raise ScenarioError(f"timeline references unknown node: {node}")
+            trip = followers.observe(user, node, label)
+            if trip is not None:
+                for formula in mine_trip(trip):
+                    store.upsert(user, formula)
+                count = trip_count[user] = trip_count.get(user, 0) + 1
+                used = used_gates.setdefault(user, set())
+                known = len(used)
+                used |= {trip.entry_gate, trip.exit_gate}
+                # what inference adds depends only on the count and `used`:
+                # retraction removes `G !entry_gate` alone, and that gate has
+                # just joined `used`
+                if count >= threshold and (count - 1 < threshold or len(used) > known):
+                    infer_never_gates(store, user, count, used, threshold, gates)
+                graph.exit(user)
+                stats.trips += 1
+                if trip.parked_spot is not None and trip.parked_spot == last_suggestion.get(user):
+                    stats.suggestions_followed += 1
+            elif label == "G":
+                # a user's first detection is an entry: no user goes unchecked
+                try:
+                    check_user_id(user)
+                except KnowledgeError as err:
+                    raise ScenarioError(f"timeline has a {err}") from None
+                decision, removed = a3_decide(store, graph, user, node, config)
+                if removed:
+                    stats.contradictions_resolved += 1
+                decisions.append(decision)
+                last_suggestion[user] = decision.suggestion
+                graph.enter(user, node)
+            else:
+                graph.move(user, node)
+        except (ScenarioError, KnowledgeError, GraphError) as err:
+            if det.line is None:
+                raise
+            raise type(err)(f"line {det.line}: {err}") from None
 
     return SimulationReport(
         decisions=decisions,
@@ -151,14 +155,14 @@ def parse_scenario(text: str, config: DecisionConfig = DecisionConfig()) -> Scen
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) != 3:
             raise ScenarioError(f"line {lineno}: expected timestamp,user,node")
         try:
             ts = parse_timestamp(parts[0])
         except KnowledgeError as err:
             raise ScenarioError(f"line {lineno}: {err}") from None
-        timeline.append(Detection(ts, parts[1], parts[2]))
+        timeline.append(Detection(ts, parts[1].strip(), parts[2].strip(), lineno))
     return Scenario(graph, timeline, config)
 
 

@@ -5,12 +5,13 @@ Gateway and parking-place ids become atoms of the mined formulas, so
 `add_node` rejects a G or P id that is not an atom name (`[a-z][a-zA-Z0-9]*`).
 A car's only edge is its position, one `at` edge out of its C node, and a
 position has no attributes.  `add_edge` rejects a second `at` edge, one with
-attributes, any edge into a car, any other edge out of one and any `at`
-edge out of a node that is not a car.
+attributes, one onto a spot another car holds, any edge into a car, any
+other edge out of one and any `at` edge out of a node that is not a car.
+`load_graph` names the line of each rejected record.
 
 The position map (car -> node) owns where each car is; beside it are only
-the occupancy index (spot -> number of cars) that `is_free` reads and the
-road edges (every edge but `at`).  `edges` is a read-only view of both
+the occupancy index (the set of spots a car is at) that `is_free` reads and
+the road edges (every edge but `at`).  `edges` is a read-only view of both
 kinds, built on each read.  `enter`, `move` and `exit` are in-place steps of
 a few dict operations, each checking everything before its first change;
 `car_enters`, `car_moves` and `car_exits` make the same step on a `copy()`.
@@ -42,7 +43,7 @@ class WorldGraph:
         self.edge_attrs: dict[tuple[str, str], MappingProxyType] = {}
         self._road_edges: dict[tuple[str, str], str] = {}  # every edge but `at`
         self._position: dict[str, str] = {}  # car -> node it is at
-        self._occupancy: dict[str, int] = {}  # spot -> number of cars at it
+        self._occupancy: set[str] = set()  # spots a car is at
         # node -> successors over road edges in id order; None until first needed
         self._roads: dict[str, list[str]] | None = None
         for (src, dst), label in (edges or {}).items():  # (src, dst) -> label
@@ -87,18 +88,12 @@ class WorldGraph:
         return spot not in self._occupancy
 
     def copy(self) -> "WorldGraph":
-        """An independent graph equal to this one.  The dicts are copied;
-        the read-only attribute mappings and the road adjacency, which is
-        replaced but never mutated, are shared."""
+        """An independent graph equal to this one.  The dicts and the
+        occupancy set are copied; the read-only attribute mappings and the
+        road adjacency, which is replaced but never mutated, are shared."""
         g = object.__new__(WorldGraph)
-        g.__dict__ = {k: v if k == "_roads" else dict(v) for k, v in vars(self).items()}
+        g.__dict__ = {k: v if k == "_roads" else v.copy() for k, v in vars(self).items()}
         return g
-
-    def _vacate(self, node: str) -> None:
-        # only spots are counted, so any other node pops nothing
-        count = self._occupancy.pop(node, 0)
-        if count > 1:
-            self._occupancy[node] = count - 1
 
     # -- construction -----------------------------------------------------
 
@@ -137,9 +132,11 @@ class WorldGraph:
             raise GraphError(f"at edge with attributes: {src} -> {dst}")
         node = self._position.get(src)
         if node is None:
+            if dst in self._occupancy:
+                raise GraphError(f"parking place occupied: {dst}")
             self._position[src] = dst
             if self.labels[dst] == "P":
-                self._occupancy[dst] = self._occupancy.get(dst, 0) + 1
+                self._occupancy.add(dst)
         elif node != dst:
             raise GraphError(f"second at edge out of {src}")
 
@@ -161,18 +158,18 @@ class WorldGraph:
         label = self.label(node)
         if label not in ("G", "R", "P"):
             raise GraphError(f"cannot move onto a {label} node: {node}")
-        if node in self._occupancy:  # only spots are counted
+        if node in self._occupancy:
             raise GraphError(f"parking place occupied: {node}")
-        self._vacate(old)
+        self._occupancy.discard(old)
         self._position[car] = node
         if label == "P":
-            self._occupancy[node] = 1
+            self._occupancy.add(node)
 
     def exit(self, car: str) -> None:
         node = self._position.pop(car, None)
         if node is None:
             raise GraphError(f"car not present: {car}")
-        self._vacate(node)
+        self._occupancy.discard(node)
         del self.labels[car]
         self.node_attrs.pop(car, None)
 
@@ -232,29 +229,21 @@ class WorldGraph:
 
 def load_graph(text: str) -> WorldGraph:
     g = WorldGraph()
-    pending_edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    records = [(lineno, line, line.split()) for lineno, line in enumerate(lines, start=1)]
+    # nodes before edges, so that an edge may name a node declared below it
+    for lineno, line, parts in sorted(records, key=lambda record: "->" in record[2]):
         try:
             if "->" in parts:
-                i = parts.index("->")
-                if i != 1 or len(parts) < 4:
+                if parts.index("->") != 1 or len(parts) < 4:
                     raise GraphError(f"malformed edge record: {line!r}")
-                src, dst, label = parts[0], parts[2], parts[3]
-                attrs = _parse_attrs(parts[4:])
-                pending_edges.append((src, dst, label, attrs))
-            else:
+                g.add_edge(parts[0], parts[2], parts[3], _parse_attrs(parts[4:]))
+            elif parts:
                 if len(parts) < 2:
                     raise GraphError(f"malformed node record: {line!r}")
-                node, label = parts[0], parts[1]
-                g.add_node(node, label, _parse_attrs(parts[2:]))
+                g.add_node(parts[0], parts[1], _parse_attrs(parts[2:]))
         except GraphError as err:
             raise GraphError(f"line {lineno}: {err}") from None
-    for src, dst, label, attrs in pending_edges:
-        g.add_edge(src, dst, label, attrs)
     return g
 
 

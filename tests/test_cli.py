@@ -215,28 +215,62 @@ def test_simulate_rejects_a_node_id_that_is_not_an_atom(kind, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-# a car the graph already holds meets a gate; user ids that do not fit a
-# knowledge TSV cell; a user first seen mid-trip
+# graph records added to the fixture, timeline rows (minute,user,node) and
+# the error; the fixture takes lines 1-100, so with no records added the
+# first row is line 102
+CAR_AT_P010 = "c1 C\nc1 -> p010 at\n"
 BAD_TIMELINES = {
-    "car-in-graph": ("c1 C\nc1 -> p010 at\n", "c1,g1", "error: car already present: c1"),
-    "empty-user": ("", ",g1", "error: timeline has a bad user id ''"),
-    "tab-user": ("", "u\tx,g1", "error: timeline has a bad user id 'u\\tx'"),
-    "mid-trip": ("", "u,r4", "error: user u detected at r4 before entering"),
+    "car-in-graph": (CAR_AT_P010, ["00,c1,g1"], "error: line 104: car already present: c1"),
+    "empty-user": ("", ["00,,g1"], "error: line 102: timeline has a bad user id ''"),
+    "tab-user": ("", ["00,u\tx,g1"], "error: line 102: timeline has a bad user id 'u\\tx'"),
+    "mid-trip": ("", ["00,u,r4"], "error: line 102: user u detected at r4 before entering"),
+    "unknown-node": ("", ["00,u,g1", "01,u,zz"], "error: line 103: timeline references unknown node: zz"),
+    "unsorted": ("", ["01,u,g1", "00,u,r1"], "error: line 103: timeline not sorted at 2014-01-28T08:00:00"),
+    "occupied": (
+        CAR_AT_P010,
+        ["00,u,g1", "01,u,r1", "02,u,p010"],
+        "error: line 106: parking place occupied: p010",
+    ),
+    "onto-car": (CAR_AT_P010, ["00,u,g1", "01,u,c1"], "error: line 105: cannot move onto a C node: c1"),
+    "two-cars-on-a-spot": (
+        "c1 C\nc2 C\nc1 -> p010 at\nc2 -> p010 at\n",
+        ["00,u,g1"],
+        "error: line 104: parking place occupied: p010",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TIMELINES))
 def test_simulate_rejects_a_bad_detection(case, tmp_path, capsys):
-    graph, detection, error = BAD_TIMELINES[case]
+    graph, rows, error = BAD_TIMELINES[case]
+    timeline = "".join(f"2014-01-28T08:{row[:2]}:00{row[2:]}\n" for row in rows)
     scenario = tmp_path / "bad.scenario"
-    scenario.write_text(
-        parking_fixture_text() + graph + f"timeline:\n2014-01-28T08:00:00,{detection}\n"
-    )
+    scenario.write_text(parking_fixture_text() + graph + "timeline:\n" + timeline)
     assert main(["simulate", str(scenario)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(error)
     assert "Traceback" not in captured.err
+
+
+def test_simulate_and_mine_reject_a_utc_offset(tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    rows = [("g1", "08:00:00"), ("r1", "08:01:00+01:00")]
+    events_file = tmp_path / "events.csv"
+    events_file.write_text("".join(f"u,{node},2014-01-28T{t}\n" for node, t in rows))
+    scenario = tmp_path / "offset.scenario"
+    scenario.write_text(
+        parking_fixture_text() + "timeline:\n" + "".join(f"2014-01-28T{t},u,{node}\n" for node, t in rows)
+    )
+    for argv, line in (
+        (["mine", str(events_file), str(graph_file)], 2),
+        (["simulate", str(scenario)], 103),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: timestamp with a UTC offset")
 
 
 # -- mine --------------------------------------------------------------------

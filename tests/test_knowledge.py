@@ -33,6 +33,12 @@ def test_parse_timestamp_iso():
 def test_parse_timestamp_bad():
     with pytest.raises(KnowledgeError):
         parse_timestamp("yesterday")
+    with pytest.raises(KnowledgeError, match="unparseable timestamp: 't2014.13.28.09.30.15'"):
+        parse_timestamp("t2014.13.28.09.30.15")
+    # a local time cannot be ordered against one with an offset
+    for text in ("2014-01-28T09:30:15+01:00", "2014-01-28T09:30:15Z"):
+        with pytest.raises(KnowledgeError, match="timestamp with a UTC offset"):
+            parse_timestamp(text)
 
 
 # -- event feed --------------------------------------------------------------

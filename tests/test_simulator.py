@@ -1,13 +1,15 @@
 import hashlib
+import re
 from collections import deque
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smartlot.agents import DecisionConfig
 from smartlot.fixtures import all_gates, parking_fixture
 from smartlot.formulas import Always, parse
-from smartlot.knowledge import SpecStore
+from smartlot.knowledge import KnowledgeError, SpecStore
 from smartlot.simulator import (
     Detection,
     Scenario,
@@ -211,6 +213,77 @@ def test_run_copies_the_graph_once_and_leaves_the_scenario_alone(users, monkeypa
     assert save_graph(scenario.graph) == before
     assert report.final_graph is not scenario.graph
     assert report.stats.trips == users * 3
+
+
+def test_run_walks_the_timeline_once():
+    class Timeline(list):
+        walks = 0
+
+        def __iter__(self):
+            self.walks += 1
+            return super().__iter__()
+
+    scenario = generate(seed=3, users=4, trips_per_user=3, spot_affinity=0.5)
+    scenario.timeline = Timeline(scenario.timeline)
+    run(scenario)
+    assert scenario.timeline.walks == 1
+
+
+# a two-spot lot, with a car parked at p1 or, in the last graph, two (line 14)
+FUZZ_LOT = (
+    "g1 G\nr1 R\np1 P\np2 P\ng1 -> r1 road\nr1 -> g1 road\n"
+    "r1 -> p1 road\np1 -> r1 road\nr1 -> p2 road\np2 -> r1 road\n"
+)
+FUZZ_CARS = ["", "c0 C\nc0 -> p1 at\n", "c0 C\nc9 C\nc0 -> p1 at\nc9 -> p1 at\n"]
+
+
+@st.composite
+def fuzz_rows(draw):
+    """Timeline rows in which users u, v and w enter at g1, move about the
+    lot competing for its spots and leave, with at most one cell replaced:
+    an earlier or offset timestamp, a user id that is empty, holds a tab or
+    names a node or the parked car, or an unknown node or a car as node."""
+    rows, inside = [], set()
+    for minute in range(draw(st.integers(0, 16))):
+        user = draw(st.sampled_from(["u", "v", "w"]))
+        node = draw(st.sampled_from(["r1", "p1", "p2", "g1"])) if user in inside else "g1"
+        if node == "g1":
+            inside ^= {user}
+        rows.append([f"2014-01-28T08:{20 + minute:02d}:00", user, node])
+    column, value = draw(
+        st.sampled_from(
+            [
+                (None, None),
+                (0, "2014-01-28T08:00:00"),
+                (0, "2014-01-28T08:59:00+01:00"),
+                (1, ""),
+                (1, "u\tx"),
+                (1, "g1"),
+                (1, "c0"),
+                (2, "zz"),
+                (2, "c0"),
+            ]
+        )
+    )
+    if rows and column is not None:
+        draw(st.sampled_from(rows))[column] = value
+    return [",".join(row) + "\n" for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_CARS), fuzz_rows())
+def test_fuzzed_scenario_fails_only_with_a_declared_error_naming_its_line(cars, rows):
+    graph = FUZZ_LOT + cars
+    first = graph.count("\n") + 2  # the line of the first timeline row
+    try:
+        run(parse_scenario(graph + "timeline:\n" + "".join(rows)))
+    except (ScenarioError, KnowledgeError, GraphError) as err:
+        found = re.match(r"line (\d+): ", str(err))
+        assert found, err
+        if "c9" in cars:
+            assert str(err) == "line 14: parking place occupied: p1"
+        else:
+            assert first <= int(found[1]) < first + len(rows)
 
 
 def edge_scan_route(graph, start, goal):

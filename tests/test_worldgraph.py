@@ -68,7 +68,7 @@ def test_load_errors_carry_line_numbers():
         load_graph("a R\nb R\na -> b\n")
     with pytest.raises(GraphError, match="line 2"):
         load_graph("a R\na P\n")
-    with pytest.raises(GraphError, match="dangling"):
+    with pytest.raises(GraphError, match="line 2: dangling edge endpoint: zz"):
         load_graph("a R\na -> zz road\n")
 
 
@@ -251,6 +251,20 @@ def test_attributes_are_read_only_and_shared():
     h = g.car_enters("c1", "g1").car_moves("c1", "r1")
     assert h.node_attrs["g1"] is g.node_attrs["g1"]
     assert h.edge_attrs[("g1", "r1")] == {"len": "40"}
+
+
+def test_two_cars_on_one_spot_rejected():
+    labels = {"c1": "C", "c2": "C", "p1": "P"}
+    with pytest.raises(GraphError, match="parking place occupied: p1"):
+        WorldGraph(labels, {("c1", "p1"): AT, ("c2", "p1"): AT})
+    with pytest.raises(GraphError, match="^line 5: parking place occupied: p1$"):
+        load_graph("c1 C\nc2 C\np1 P\nc1 -> p1 at\nc2 -> p1 at\n")
+    g = WorldGraph(labels, {("c1", "p1"): AT})
+    g.add_edge("c1", "p1", AT)  # placing a car where it is changes nothing
+    copied = g.copy()
+    assert not copied.is_free("p1") and copied._occupancy == {"p1"}
+    copied.exit("c1")
+    assert copied.is_free("p1") and not g.is_free("p1")
 
 
 def test_second_at_edge_rejected():
