@@ -28,7 +28,6 @@ NO_SUGGESTION = "NoSuggestion"
 @dataclass(frozen=True)
 class DecisionConfig:
     fallback_nearest: bool = False
-    never_gate_threshold: int = 3
 
 
 # -- messages ---------------------------------------------------------------

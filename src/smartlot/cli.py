@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the report here instead of stdout")
     p.add_argument("--dot-graph", help="also write the final world graph as DOT")
     p.add_argument("--fallback-nearest", action="store_true")
-    p.add_argument("--never-gate-threshold", type=int, default=3, metavar="K")
 
     p = sub.add_parser("mine", help="reconstruct trips from an event CSV")
     p.add_argument("events", help="CSV of user,node,timestamp")
@@ -94,10 +93,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = DecisionConfig(
-        fallback_nearest=args.fallback_nearest,
-        never_gate_threshold=args.never_gate_threshold,
-    )
+    config = DecisionConfig(fallback_nearest=args.fallback_nearest)
     if args.scenario == "-":
         scenario = demo_scenario(config=config)
     else:

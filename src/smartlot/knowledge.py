@@ -2,10 +2,10 @@
 
 Observed trips become temporal formulas (`gate -> F spot`), repeated
 behaviour bumps an occurrence counter, and gates a user never visits turn
-into `G !gate` after enough trips.  When a fresh observation contradicts the
-stored specification, the offending formulas are found with the prover and
-removed.  The store interns each distinct formula and keeps what it reads of
-it (text, atoms, spot atoms) with the one canonical object.
+into `G !gate` at the user's third completed trip.  When a fresh observation
+contradicts the stored specification, the offending formulas are found with
+the prover and removed.  The store interns each distinct formula and keeps
+what it reads of it (text, atoms, spot atoms) with the one canonical object.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .formulas import (
     Atom,
     Eventually,
     Formula,
+    FormulaSyntaxError,
     Implies,
     Not,
     atoms,
@@ -69,43 +70,43 @@ def check_user_id(user: str) -> None:
 def read_events(text: str, known_nodes: set[str]) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, user, node) for each row of a user,node,timestamp
     CSV, checking each row as it is read: three cells, a user id that fits
-    one knowledge TSV cell (`check_user_id`), a node id that
-    normalizes to a known node, and a timestamp no earlier than the user's
-    previous one.  Each error names its line."""
+    one knowledge TSV cell (`check_user_id`, on the user's first row), a
+    node id that normalizes to a known node, and a timestamp no earlier than
+    the user's previous one.  Each error names its line."""
     nodes: dict[str, str] = {}  # raw node id -> normalized id
     last: dict[str, datetime] = {}
     reader = csv.reader(io.StringIO(text))
     end = 0
-    for row in reader:
-        # a row starts on the line after the previous one ends; a quoted
-        # cell may span lines
-        lineno, end = end + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) != 3:
-            raise KnowledgeError(f"line {lineno}: expected user,node,timestamp")
-        user, raw, ts = row[0].strip(), row[1].strip(), row[2]
-        try:
-            check_user_id(user)
-        except KnowledgeError as err:
-            raise KnowledgeError(f"line {lineno}: {err}") from None
-        node = nodes.get(raw)
-        if node is None:
-            node = nodes[raw] = normalize_node_id(raw, known_nodes)
-        if node not in known_nodes:
-            raise KnowledgeError(f"line {lineno}: unknown node id {raw!r}")
-        try:
+    try:
+        for row in reader:
+            # a row starts on the line after the previous one ends; a quoted
+            # cell may span lines
+            lineno, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != 3:
+                raise KnowledgeError("expected user,node,timestamp")
+            user, raw, ts = row[0].strip(), row[1].strip(), row[2]
+            previous = last.get(user)
+            if previous is None:  # the user's first row
+                check_user_id(user)
+            node = nodes.get(raw)
+            if node is None:
+                node = nodes[raw] = normalize_node_id(raw, known_nodes)
+            if node not in known_nodes:
+                raise KnowledgeError(f"unknown node id {raw!r}")
             timestamp = parse_timestamp(ts)
-        except KnowledgeError as err:
-            raise KnowledgeError(f"line {lineno}: {err}") from None
-        previous = last.get(user)
-        if previous is not None and timestamp < previous:
-            raise KnowledgeError(
-                f"line {lineno}: out-of-order timestamp for {user}: "
-                f"{timestamp.isoformat()} after {previous.isoformat()}"
-            )
-        last[user] = timestamp
-        yield lineno, user, node
+            if previous is not None and timestamp < previous:
+                raise KnowledgeError(
+                    f"out-of-order timestamp for {user}: "
+                    f"{timestamp.isoformat()} after {previous.isoformat()}"
+                )
+            last[user] = timestamp
+            yield lineno, user, node
+    except KnowledgeError as err:
+        raise KnowledgeError(f"line {lineno}: {err}") from None
+    except csv.Error as err:  # such as a cell over csv.field_size_limit()
+        raise KnowledgeError(f"line {end + 1}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,12 @@ class SpecStore:
             if len(parts) != 3:
                 raise KnowledgeError(f"line {lineno}: expected user<TAB>formula<TAB>r")
             user, formula_text, r = parts
-            formula = parse(formula_text)
+            try:
+                check_user_id(user)
+                formula = parse(formula_text)
+            except (KnowledgeError, FormulaSyntaxError) as err:  # each keeps its type
+                err.args = (f"line {lineno}: {err}",)
+                raise
             try:
                 store.insert(user, formula, int(r))
             except ValueError:  # not an integer, or below 1
@@ -262,17 +268,22 @@ def _preference(gate: str, spot: str) -> Formula:
     return Implies(Atom(gate), Eventually(Atom(spot)))
 
 
+# The completed trip at which a user's never-gates are asserted, once: later
+# trips only shrink the unused set, and retraction takes back only `G !g` for
+# a gate g the user enters by, which joins the used gates by that trip's end.
+NEVER_GATE_TRIPS = 3
+
+
 def infer_never_gates(
     store: SpecStore,
     user: str,
     trip_count: int,
     used_gates: set[str],
-    threshold: int,
     gates: set[str],
 ) -> list[Formula]:
-    """After `threshold` completed trips, assert `G !gate` for every gate the
-    user never entered or left by.  Returns the formulas added."""
-    if trip_count < threshold:
+    """On the user's NEVER_GATE_TRIPS-th completed trip, assert `G !gate` for
+    every gate the user never entered or left by; returns the formulas added."""
+    if trip_count != NEVER_GATE_TRIPS:
         return []
     added = []
     for gate in sorted(gates - used_gates):

@@ -70,8 +70,6 @@ def run(scenario: Scenario) -> SimulationReport:
     gateway detection that closes none is an entry, any other is a move."""
     graph = scenario.graph.copy()
     store = SpecStore()
-    config = scenario.config
-    threshold = config.never_gate_threshold
     gates = set(graph.nodes_with_label("G"))
 
     followers = Followers()
@@ -97,13 +95,8 @@ def run(scenario: Scenario) -> SimulationReport:
                     store.upsert(user, formula)
                 count = trip_count[user] = trip_count.get(user, 0) + 1
                 used = used_gates.setdefault(user, set())
-                known = len(used)
                 used |= {trip.entry_gate, trip.exit_gate}
-                # what inference adds depends only on the count and `used`:
-                # retraction removes `G !entry_gate` alone, and that gate has
-                # just joined `used`
-                if count >= threshold and (count - 1 < threshold or len(used) > known):
-                    infer_never_gates(store, user, count, used, threshold, gates)
+                infer_never_gates(store, user, count, used, gates)
                 graph.exit(user)
                 stats.trips += 1
                 if trip.parked_spot is not None and trip.parked_spot == last_suggestion.get(user):
@@ -114,7 +107,7 @@ def run(scenario: Scenario) -> SimulationReport:
                     check_user_id(user)
                 except KnowledgeError as err:
                     raise ScenarioError(f"timeline has a {err}") from None
-                decision, removed = a3_decide(store, graph, user, node, config)
+                decision, removed = a3_decide(store, graph, user, node, scenario.config)
                 if removed:
                     stats.contradictions_resolved += 1
                 decisions.append(decision)
@@ -269,7 +262,7 @@ def demo_scenario(
     return Scenario(graph, b.detections, config)
 
 
-def never_gate_scenario(config: DecisionConfig = DecisionConfig()) -> Scenario:
+def never_gate_scenario() -> Scenario:
     """Three trips avoiding gate g3 (so `G !g3` is asserted), then an entry
     at g3 forcing contradiction resolution."""
     graph = fixtures.parking_fixture()
@@ -278,7 +271,7 @@ def never_gate_scenario(config: DecisionConfig = DecisionConfig()) -> Scenario:
     b.trip("idKR55", "g2", "p018")
     b.trip("idKR55", "g1", "p010")
     b.tick("idKR55", "g3")
-    return Scenario(graph, b.detections, config)
+    return Scenario(graph, b.detections)
 
 
 def generate(
@@ -286,7 +279,6 @@ def generate(
     users: int,
     trips_per_user: int,
     spot_affinity: float,
-    config: DecisionConfig = DecisionConfig(),
 ) -> Scenario:
     """Synthetic scenario: each user favors one spot and parks there with
     probability `spot_affinity`, otherwise at a random other spot."""
@@ -311,4 +303,4 @@ def generate(
             else:
                 spot = rng.choice([s for s in spots if s != favorite])
             b.trip(user, gate, spot)
-    return Scenario(graph, b.detections, config)
+    return Scenario(graph, b.detections)

@@ -22,6 +22,7 @@ or edge with none has no entry), and so is the road adjacency
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -30,6 +31,7 @@ from .formulas import ATOM_RE
 
 NODE_LABELS = {"G", "R", "P", "C"}
 AT = "at"
+NUMBERED_ID_RE = re.compile(r"([^0-9]*)([0-9]+)")  # [0-9] is ASCII only, unlike \d
 
 
 class GraphError(ValueError):
@@ -368,23 +370,22 @@ def glue(p: GraphPartition) -> WorldGraph:
     return g
 
 
-def normalize_node_id(raw: str, known: set[str] | None = None) -> str:
+def normalize_node_id(raw: str, known: set[str]) -> str:
     """Canonicalize ids like p0018 to the fixture form p018: match against
-    known ids by (letter prefix, numeric value), else strip leading zeros."""
-    if known and raw in known:
+    known ids by prefix and ASCII digits compared as text without leading
+    zeros, the first in sorted order winning, else strip leading zeros."""
+    if raw in known:
         return raw
-    i = 0
-    while i < len(raw) and not raw[i].isdigit():
-        i += 1
-    prefix, digits = raw[:i], raw[i:]
-    if not digits.isdigit():
+    key = _number_key(raw)
+    if key is None:
         return raw
-    value = int(digits)
-    if known:
-        for cand in sorted(known):
-            j = 0
-            while j < len(cand) and not cand[j].isdigit():
-                j += 1
-            if cand[:j] == prefix and cand[j:].isdigit() and int(cand[j:]) == value:
-                return cand
-    return f"{prefix}{value}"
+    for cand in sorted(known):
+        if _number_key(cand) == key:
+            return cand
+    return "".join(key)
+
+
+def _number_key(node: str) -> tuple[str, str] | None:
+    """(prefix, ASCII digits without leading zeros) of an id like p0018."""
+    found = NUMBERED_ID_RE.fullmatch(node)
+    return None if found is None else (found[1], found[2].lstrip("0") or "0")

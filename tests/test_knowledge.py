@@ -1,15 +1,18 @@
 import random
+import re
 from datetime import datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smartlot.fixtures import all_gates, all_spots
-from smartlot.formulas import FormulaSyntaxError, parse, pretty
+from smartlot.formulas import FormulaDepthError, FormulaSyntaxError, parse, pretty
 from smartlot.knowledge import (
     KnowledgeError,
     SpecStore,
     SpecTriple,
     Trip,
+    check_user_id,
     consult,
     infer_never_gates,
     mine_trip,
@@ -17,6 +20,7 @@ from smartlot.knowledge import (
     read_events,
     spec_formula,
 )
+from smartlot.worldgraph import GraphError, load_graph
 
 
 # -- timestamps --------------------------------------------------------------
@@ -72,7 +76,12 @@ def test_from_csv_errors_carry_line_numbers():
         ("u,g1,2014-01-28T09:30:00\n\nu,g1,yesterday\n", "line 3: unparseable timestamp"),
         ('u,g1,"2014-01-28T09:30:00\n"\nu,g1,yesterday\n', "line 3: unparseable timestamp"),
         ('u,g1,2014-01-28T09:30:00\n"v\nx",g1,2014-01-28T09:30:00\n', "line 2: bad user id"),
+        # over csv.field_size_limit(), 131,072 characters by default
+        ("u,g1,2014-01-28T09:30:00\nu,g1," + "x" * 140_000 + "\n", "line 2: field larger than field limit"),
     ]
+    # a node id is read by its ASCII digits alone, of any number of them
+    for node in ("g\u00b2", "g\u0661", "g" + "1" * 5000):
+        errors.append((f"u,{node},2014-01-28T09:30:00\n", "line 1: unknown node id"))
     # a user id must fit one cell of the knowledge TSV
     for user in ("", " ", "u\tx", "u\nx", "u\rx", "u\u2028x"):
         errors.append((f'"{user}",g1,2014-01-28T09:30:00\n', "line 1: bad user id"))
@@ -195,7 +204,7 @@ def test_tsv_round_trip():
 
 
 def test_from_tsv_too_deep_formula():
-    with pytest.raises(FormulaSyntaxError, match="nesting deeper than"):
+    with pytest.raises(FormulaDepthError, match="line 1: nesting deeper than"):
         SpecStore.from_tsv("u\t" + "!" * 1200 + "a\t1\n")
 
 
@@ -217,6 +226,11 @@ def test_from_tsv_bad_line():
         SpecStore.from_tsv("u\tg1 -> F p1\t3\nu\tg1 -> F p1\tabc\n")
     with pytest.raises(KnowledgeError, match="line 1: count must be a positive integer"):
         SpecStore.from_tsv("u\tg1 -> F p1\t0\n")
+    with pytest.raises(KnowledgeError, match="line 2: bad user id ''"):
+        SpecStore.from_tsv("u\tg1 -> F p1\t3\n\tg1 -> F p1\t3\n")
+    with pytest.raises(FormulaSyntaxError, match="line 2: unexpected end of input at offset 2") as err:
+        SpecStore.from_tsv("u\tg1 -> F p1\t3\nu\t(a\t1\n")
+    assert err.type is FormulaSyntaxError and err.value.offset == 2
 
 
 # -- mining ------------------------------------------------------------------
@@ -247,12 +261,13 @@ def test_infer_never_gates():
     store = SpecStore()
     used = {"g1", "g2"}
     gates = {"g1", "g2", "g3"}
-    added = infer_never_gates(store, "u", 3, used, threshold=3, gates=gates)
+    added = infer_never_gates(store, "u", 3, used, gates)
     assert added == [parse("G !g3")]
     assert store.contains("u", parse("G !g3"))
-    # idempotent, and silent below the threshold
-    assert infer_never_gates(store, "u", 3, used, 3, gates) == []
-    assert infer_never_gates(SpecStore(), "u", 2, used, 3, gates) == []
+    # idempotent, and silent on any trip but the third
+    assert infer_never_gates(store, "u", 3, used, gates) == []
+    for count in (2, 4):
+        assert infer_never_gates(SpecStore(), "u", count, used, gates) == []
 
 
 # -- specification assembly --------------------------------------------------
@@ -338,3 +353,92 @@ def test_triples_are_frozen():
     t = SpecTriple("u", parse("p"), 1)
     with pytest.raises(AttributeError):
         t.r = 2
+
+
+# -- fuzzed input files ------------------------------------------------------
+
+# ASCII digits and digits str.isdigit also accepts: superscript two,
+# Arabic-Indic one and eight, fullwidth one
+FUZZ_DIGITS = "0123456789\u00b2\u0661\u0668\uff11"
+OVERSIZED = "x" * 140_000  # over csv.field_size_limit(), 131,072 by default
+FUZZ_NODE_IDS = st.one_of(
+    st.builds(str.__add__, st.sampled_from(["g", "p", "r", "c", ""]), st.text(FUZZ_DIGITS, max_size=4)),
+    st.just("p" + "1" * 5000),  # past int()'s 4,300-digit limit
+)
+
+
+def assert_names_a_line(err: Exception, text: str) -> None:
+    found = re.match(r"line (\d+): ", str(err))
+    assert found, err
+    assert 1 <= int(found[1]) <= text.count("\n")
+
+
+@st.composite
+def fuzz_lot(draw):
+    """A graph file of nodes with ids such as `p0\u00b2` or `r\u0661`, any
+    label, and road edges between them."""
+    nodes = draw(st.lists(st.tuples(FUZZ_NODE_IDS, st.sampled_from("GRPCX")), max_size=6))
+    ids = [node for node, _ in nodes] or ["g1"]
+    records = [f"{node} {label}" for node, label in nodes]
+    for _ in range(draw(st.integers(0, 3))):
+        records.append(f"{draw(st.sampled_from(ids))} -> {draw(st.sampled_from(ids))} road")
+    return ids, "".join(f"{record}\n" for record in records)
+
+
+@st.composite
+def fuzz_feed(draw, ids):
+    """Rows of three cells naming the lot's nodes or others, with at most one
+    cell replaced by an oversized one, a bad user id or an earlier timestamp."""
+    rows = []
+    for minute in range(draw(st.integers(0, 6))):
+        node = draw(st.one_of(st.sampled_from(ids), FUZZ_NODE_IDS))
+        rows.append([draw(st.sampled_from(["u", "v"])), node, f"2014-01-28T08:{minute:02d}:00"])
+    column, value = draw(
+        st.sampled_from([(None, None), (0, ""), (0, "u\tx"), (1, OVERSIZED), (2, OVERSIZED), (2, "2014-01-28T07:00:00")])
+    )
+    if rows and column is not None:
+        draw(st.sampled_from(rows))[column] = value
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_feed_fails_only_with_a_declared_error_naming_its_line(data):
+    ids, graph_text = data.draw(fuzz_lot())
+    feed = data.draw(fuzz_feed(ids))
+    try:
+        graph = load_graph(graph_text)
+    except GraphError as err:
+        assert_names_a_line(err, graph_text)
+        return
+    try:
+        rows = list(read_events(feed, graph.nodes))
+    except KnowledgeError as err:
+        assert_names_a_line(err, feed)
+        return
+    assert all(node in graph.nodes for _, _, node in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["u", "v", ""]),
+            st.one_of(
+                st.sampled_from(["g1 -> F p018", "G !g3", "(a", "a &", "!" * 1200 + "a", OVERSIZED]),
+                FUZZ_NODE_IDS,
+            ),
+            st.sampled_from(["1", "3", "0", "-2", "x"]),
+        ),
+        max_size=5,
+    )
+)
+def test_fuzzed_knowledge_tsv_fails_only_with_a_declared_error_naming_its_line(rows):
+    text = "".join("\t".join(cells) + "\n" for cells in rows)
+    try:
+        store = SpecStore.from_tsv(text)
+    except (KnowledgeError, FormulaSyntaxError) as err:
+        assert_names_a_line(err, text)
+        return
+    for triple in store.triples():
+        check_user_id(triple.user)

@@ -107,11 +107,8 @@ def test_never_gate_contradiction():
     assert report.final_store.contains("idKR55", parse("g1 -> F p010"))
 
 
-def test_never_gates_looked_up_once_for_a_user_who_reuses_one_gate(monkeypatch):
-    graph = parking_fixture()
-    b = TimelineBuilder(graph, T0)
-    for _ in range(12):
-        b.trip("idKR55", "g2", "p018")
+def record_lookups(monkeypatch) -> list:
+    """The formulas that `SpecStore.contains` is asked about, in order."""
     looked_up = []
     real = SpecStore.contains
 
@@ -120,11 +117,35 @@ def test_never_gates_looked_up_once_for_a_user_who_reuses_one_gate(monkeypatch):
         return real(self, user, formula)
 
     monkeypatch.setattr(SpecStore, "contains", counting)
+    return looked_up
+
+
+def test_never_gates_looked_up_once_for_a_user_who_reuses_one_gate(monkeypatch):
+    graph = parking_fixture()
+    b = TimelineBuilder(graph, T0)
+    for _ in range(12):
+        b.trip("idKR55", "g2", "p018")
+    looked_up = record_lookups(monkeypatch)
     report = run(Scenario(graph, b.detections))
     never = [parse(f"G !{g}") for g in all_gates() if g != "g2"]
-    # once on reaching the threshold; the later trips add no gate
+    # once, on the third trip; the later trips add no gate
     assert looked_up == never
     assert [t.formula for t in report.final_store.triples() if isinstance(t.formula, Always)] == never
+
+
+def test_never_gates_not_looked_up_again_after_a_retraction(monkeypatch):
+    graph = parking_fixture()
+    b = TimelineBuilder(graph, T0)
+    for _ in range(3):
+        b.trip("idKR55", "g2", "p018")
+    b.trip("idKR55", "g1", "p018")
+    looked_up = record_lookups(monkeypatch)
+    report = run(Scenario(graph, b.detections))
+    # the fourth trip enters by g1, which retracts `G !g1`; g3 stays unused
+    # and is not looked up again
+    assert looked_up == [parse("G !g1"), parse("G !g3")]
+    assert report.stats.contradictions_resolved == 1
+    assert [t.formula for t in report.final_store.triples() if isinstance(t.formula, Always)] == [parse("G !g3")]
 
 
 # -- mechanics ---------------------------------------------------------------

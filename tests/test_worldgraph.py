@@ -499,3 +499,9 @@ def test_normalize_node_id():
     assert normalize_node_id("g02", known) == "g2"
     assert normalize_node_id("other", known) == "other"
     assert normalize_node_id("p0042", set()) == "p42"
+    # the digits are ASCII and compared as text, so any length is read
+    assert normalize_node_id("p" + "0" * 5000 + "18", known) == "p018"
+    for raw in ("p\u00b2", "p\u0661\u0668", "p" + "1" * 5000):
+        assert normalize_node_id(raw, known) == raw
+    # ties go to the first match in sorted order
+    assert normalize_node_id("p18", {"p018", "p0018"}) == "p0018"
