@@ -142,134 +142,117 @@ _UNARY_NODES = (Not, Eventually, Always)
 # Precedence, tightest first: unary (!, F, G), &, |, -> (right assoc),
 # <-> (non-associative: a <-> b <-> c is rejected).
 #
-# The parser recurses once per unary operator, parenthesis and right operand
-# of ->.  MAX_DEPTH bounds that nesting well below the interpreter's
-# recursion limit (a parenthesis costs five parser frames).  A flat & / |
-# chain is no nesting to the parser but a tree as deep as it is long; the
-# printer, the normal form and the prover's expansion walk it with explicit
-# stacks.
+# One `findall` reads the tokens as bare texts.  A character that starts no
+# token ends the scan: the pattern's last alternative takes it with the rest
+# of the text, so the last token tells at once whether the text holds a bad
+# character, and where the first one is.  That error is raised before the
+# parser starts, so it wins over any other.  The parser dispatches on the
+# token text itself.  It keeps no offsets: one re-scan of the text with the
+# same pattern finds the offset of the token an error is raised at.
+#
+# The parser nests one call per unary operator, parenthesis and right
+# operand of ->, and at most two more per parenthesis (the right side of
+# <->, an operand of |).  MAX_DEPTH bounds that nesting well below the
+# interpreter's recursion limit.  A flat & / | chain is no nesting to the
+# parser but a tree as deep as it is long; the printer, the normal form and
+# the prover's expansion walk it with explicit stacks.
 
 MAX_DEPTH = 100
 
-# one match per token: blanks, then a token or any other visible character,
-# which is an error; trailing blanks match nothing
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<iff><->)"
-    r"|(?P<implies>->)"
-    r"|(?P<not>!)"
-    r"|(?P<and>&)"
-    r"|(?P<or>\|)"
-    r"|(?P<lpar>\()"
-    r"|(?P<rpar>\))"
-    r"|(?P<eventually>F)"
-    r"|(?P<always>G)"
-    r"|(?P<atom>[a-z][a-zA-Z0-9]*)"
-    r"|(?P<bad>\S))"
-)
+# blanks, then a token, or a bad character and all that follows it;
+# trailing blanks match nothing
+_TOKEN_RE = re.compile(r"\s*(<->|->|[!&|()FG]|[a-z][a-zA-Z0-9]*|\S.*)", re.DOTALL)
 
-
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Token kinds, texts and offsets, ending in an "eof" token."""
-    kinds: list[str] = []
-    values: list[str] = []
-    offsets: list[int] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        pos = m.start(kind)
-        if kind == "bad":
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos, ("token",))
-        kinds.append(kind)
-        values.append(m.group(kind))
-        offsets.append(pos)
-    kinds.append("eof")
-    values.append("")
-    offsets.append(len(text))
-    return kinds, values, offsets
+_OPERATORS = frozenset(("<->", "->", "!", "&", "|", "(", ")", "F", "G"))
+_UNARY = {"!": Not, "F": Eventually, "G": Always}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.kinds, self.values, self.offsets = _tokenize(text)
+        self.text = text
+        self.tokens = tokens = _TOKEN_RE.findall(text)
+        last = tokens[-1]
+        if last not in _OPERATORS and not "a" <= last < "{":
+            offset = len(text) - len(last)
+            raise FormulaSyntaxError(f"unexpected character {last[0]!r}", offset, ("token",))
+        tokens.append("")  # end of input
         self.i = 0  # index of the next token
         self.depth = 0  # operators and parentheses enclosing the next token
+
+    def offset(self) -> int:
+        """The offset of the next token, for an error."""
+        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if k == self.i:
+                return m.start(1)
+        return len(self.text)  # end of input
+
+    def error(self, expected: tuple[str, ...]):
+        token = self.tokens[self.i]
+        what = repr(token) if token else "end of input"
+        raise FormulaSyntaxError(f"unexpected {what}", self.offset(), expected)
 
     def deeper(self) -> None:
         """Take an operator or "(" whose operand nests one level deeper; the
         caller steps back out with `self.depth -= 1`."""
         if self.depth == MAX_DEPTH:
-            raise FormulaDepthError(self.offsets[self.i])
+            raise FormulaDepthError(self.offset())
         self.i += 1
         self.depth += 1
 
-    def error(self, expected: tuple[str, ...]):
-        i = self.i
-        what = "end of input" if self.kinds[i] == "eof" else repr(self.values[i])
-        raise FormulaSyntaxError(f"unexpected {what}", self.offsets[i], expected)
-
     def parse(self) -> Formula:
-        f = self.iff()
-        if self.kinds[self.i] != "eof":
+        f = self.expression(1)
+        if self.tokens[self.i]:
             self.error(("end of input",))
         return f
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.kinds[self.i] == "iff":
-            self.i += 1
-            right = self.implies()
-            if self.kinds[self.i] == "iff":
-                # chained <-> without parentheses is ambiguous; reject
-                self.error(("end of input", ")"))
-            return Iff(left, right)
-        return left
+    def expression(self, bind: int) -> Formula:
+        """A formula whose binary operators bind at least as tightly as
+        `bind`: 1 for <-> (a whole formula), 2 for ->, 4 for & (an operand
+        of |)."""
+        tokens = self.tokens
+        f = self.operand()
+        while True:
+            token = tokens[self.i]
+            if token == "&":
+                self.i += 1
+                f = And(f, self.operand())
+            elif token == "|" and bind <= 3:
+                self.i += 1
+                f = Or(f, self.expression(4))
+            elif token == "->" and bind <= 2:
+                self.deeper()
+                f = Implies(f, self.expression(2))
+                self.depth -= 1
+            elif token == "<->" and bind == 1:
+                self.i += 1
+                f = Iff(f, self.expression(2))
+                if tokens[self.i] == "<->":
+                    # chained <-> without parentheses is ambiguous; reject
+                    self.error(("end of input", ")"))
+                return f
+            else:
+                return f
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.kinds[self.i] == "implies":
+    def operand(self) -> Formula:
+        """An atom, a parenthesized formula, or a unary operator and its
+        operand."""
+        token = self.tokens[self.i]
+        if "a" <= token < "{":  # the pattern matched an atom
+            self.i += 1
+            return _parsed_atom(token)
+        if token == "(":
             self.deeper()
-            f = Implies(left, self.implies())
-            self.depth -= 1
-            return f
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        kinds = self.kinds
-        while kinds[self.i] == "or":
-            self.i += 1
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        kinds = self.kinds
-        while kinds[self.i] == "and":
-            self.i += 1
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "atom":
-            self.i = i + 1
-            return _parsed_atom(self.values[i])
-        if kind != "lpar" and kind not in _UNARY:
-            self.error(("!", "F", "G", "atom", "("))
-        self.deeper()
-        if kind == "lpar":
-            f = self.iff()
-            if self.kinds[self.i] != "rpar":
+            f = self.expression(1)
+            if self.tokens[self.i] != ")":
                 self.error((")",))
             self.i += 1
+        elif token in _UNARY:
+            self.deeper()
+            f = _UNARY[token](self.operand())
         else:
-            f = _UNARY[kind](self.unary())
+            self.error(("!", "F", "G", "atom", "("))
         self.depth -= 1
         return f
-
-
-_UNARY = {"not": Not, "eventually": Eventually, "always": Always}
 
 
 def _parsed_atom(name: str) -> Atom:

@@ -40,7 +40,7 @@ from .worldgraph import normalize_node_id
 log = logging.getLogger(__name__)
 
 # the event example timestamp form t2014.01.28.09.30.15 is accepted on input
-LEGACY_TS_RE = re.compile(r"t(\d{4})\.(\d{2})\.(\d{2})\.(\d{2})\.(\d{2})\.(\d{2})")
+LEGACY_TS_RE = re.compile(r"t([0-9]{4})\.([0-9]{2})\.([0-9]{2})\.([0-9]{2})\.([0-9]{2})\.([0-9]{2})")
 
 
 class KnowledgeError(ValueError):
@@ -240,8 +240,9 @@ class SpecStore:
                 err.args = (f"line {lineno}: {err}",)
                 raise
             try:
-                store.insert(user, formula, int(r))
-            except ValueError:  # not an integer, or below 1
+                # int() would also read " 3", "+3" and non-ASCII digits
+                store.insert(user, formula, int(r) if r.isascii() and r.isdigit() else 0)
+            except ValueError:  # not ASCII digits, or below 1
                 raise KnowledgeError(f"line {lineno}: count must be a positive integer: {r!r}") from None
         return store
 

@@ -98,6 +98,16 @@ def test_prove_past_the_depth_limit_is_an_input_error(formula, capsys):
     assert capsys.readouterr().err == "error: formula nested too deeply\n"
 
 
+def test_prove_reports_a_bad_character_after_a_long_chain(capsys):
+    # the tokens are read without offsets, and the error still names the
+    # exact one
+    chain = " & ".join(f"a{i}" for i in range(20000)) + " & ?"
+    assert main(["prove", chain]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected character '?' at offset 168890 (expected token)\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--tree", "dot"], ["--valid"]], ids=["verdict", "tree", "valid"])
 @pytest.mark.parametrize("n", [1200, 5000])
 @pytest.mark.parametrize("op", ["|", "&"])
@@ -271,6 +281,28 @@ def test_simulate_and_mine_reject_a_utc_offset(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: line {line}: timestamp with a UTC offset")
+
+
+def test_simulate_and_mine_reject_a_legacy_timestamp_with_non_ascii_digits(tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    # the year of the second row in Arabic-Indic digits
+    rows = [("g1", "t2014.01.28.08.00.00"), ("r1", "t\u0662\u0660\u0661\u0664.01.28.08.01.00")]
+    events_file = tmp_path / "events.csv"
+    events_file.write_text("".join(f"u,{node},{t}\n" for node, t in rows), encoding="utf-8")
+    scenario = tmp_path / "digits.scenario"
+    scenario.write_text(
+        parking_fixture_text() + "timeline:\n" + "".join(f"{t},u,{node}\n" for node, t in rows),
+        encoding="utf-8",
+    )
+    for argv, line in (
+        (["mine", str(events_file), str(graph_file)], 2),
+        (["simulate", str(scenario)], 103),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: unparseable timestamp")
 
 
 # -- mine --------------------------------------------------------------------

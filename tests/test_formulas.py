@@ -1,8 +1,7 @@
-import re
-
 import pytest
 from hypothesis import given, strategies as st
 
+import parse_reference
 from formula_gen import formula_corpus
 from smartlot.formulas import (
     Always,
@@ -22,7 +21,6 @@ from smartlot.formulas import (
     nnf,
     parse,
     pretty,
-    _tokenize,
 )
 from smartlot.tableaux import NOT_VALID, SATISFIABLE, build_tree, export_tree, is_satisfiable, is_valid
 
@@ -82,15 +80,18 @@ def test_nesting_up_to_the_limit_parses():
     assert parse("a -> " * MAX_DEPTH + "a") is not None
 
 
+DEPTH_CASES = [
+    ("!" * 1200 + "a", MAX_DEPTH),
+    ("(" * 1200 + "a" + ")" * 1200, MAX_DEPTH),
+    ("G (" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, 3 * MAX_DEPTH // 2),
+    ("a -> " * (MAX_DEPTH + 1) + "a", 5 * MAX_DEPTH + 2),
+    ("p & " + "F " * (MAX_DEPTH + 1) + "q", 4 + 2 * MAX_DEPTH),
+]
+
+
 @pytest.mark.parametrize(
     "text, offset",
-    [
-        ("!" * 1200 + "a", MAX_DEPTH),
-        ("(" * 1200 + "a" + ")" * 1200, MAX_DEPTH),
-        ("G (" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, 3 * MAX_DEPTH // 2),
-        ("a -> " * (MAX_DEPTH + 1) + "a", 5 * MAX_DEPTH + 2),
-        ("p & " + "F " * (MAX_DEPTH + 1) + "q", 4 + 2 * MAX_DEPTH),
-    ],
+    DEPTH_CASES,
     ids=["negations", "parentheses", "always-parenthesis", "implications", "conjunct"],
 )
 def test_nesting_past_the_limit_is_a_syntax_error(text, offset):
@@ -185,56 +186,51 @@ def test_invalid_atom_name():
         Atom("")
 
 
-# the single-match-per-position tokenizer the one-pass one replaced
-_OLD_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<iff><->)"
-    r"|(?P<implies>->)"
-    r"|(?P<not>!)"
-    r"|(?P<and>&)"
-    r"|(?P<or>\|)"
-    r"|(?P<lpar>\()"
-    r"|(?P<rpar>\))"
-    r"|(?P<eventually>F)"
-    r"|(?P<always>G)"
-    r"|(?P<atom>[a-z][a-zA-Z0-9]*)"
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("!" * 1200 + "a ?", 1202),
+        ("(a & ?", 5),
+        ("a <-> b <-> c ?", 14),
+        ("a b ?", 4),
+        ("(" * 1200 + "a" + ")" * 1199 + " é", 2401),
+    ],
+    ids=["past-the-depth-limit", "open-parenthesis", "chained-iff", "two-atoms", "unclosed"],
 )
+def test_a_bad_character_wins_over_an_earlier_error(text, offset):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(text)
+    assert type(exc.value) is FormulaSyntaxError
+    assert exc.value.offset == offset
+    assert str(exc.value).startswith(f"unexpected character {text[offset]!r} at offset {offset}")
 
 
-def _old_tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _OLD_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos, ("token",))
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
-def _tokens_or_error(tokenize, text):
+def _outcome(parser, text):
+    """The tree `parser` reads from text, or its error as (type, text,
+    offset, expected)."""
     try:
-        return tokenize(text)
+        return parser(text)
     except FormulaSyntaxError as e:
-        return str(e), e.offset, e.expected
+        return type(e), str(e), e.offset, e.expected
 
 
 MALFORMED = [
     "", " ", "a ", "a\n", " \t a  \n ", "?", "p & ?q", "a <- b", "a - b", "a => b",
     "A", "Fa", "Gb", "F1", "9a", "a_b", "a.b", "(a", "a)", "a <->", "é", "a\u00a0& b",
     "!" * 1200 + "a", "(" * 1200 + "a" + ")" * 1200, "a -> " * (MAX_DEPTH + 1) + "a",
+    "a b", "a <-> b <-> c", "(a <-> b <-> c)", "a ->", "!", "()", "(a))", "a & | b", "<->",
+    "a <-->b", "a ->> b", "a\n?", "p ? & (", "!" * 1200 + "a ?", "(a & ?",
 ]
 
 
-def test_tokenizer_matches_the_per_position_matcher():
+def test_parse_matches_the_reference_front_end():
     texts = [pretty(f) for f in formula_corpus(seed=0, count=300)] + MALFORMED
     texts += [t.replace(" ", "  \n") for t in texts[:100]]
+    texts += [text for text, _ in DEPTH_CASES]
+    # the most parser frames per parenthesis
+    texts += ["(a <-> b | " * n + "c" + ")" * n for n in (MAX_DEPTH, MAX_DEPTH + 1)]
     for text in texts:
-        new = _tokens_or_error(lambda t: list(zip(*_tokenize(t))), text)
-        assert new == _tokens_or_error(_old_tokenize, text), text
+        assert _outcome(parse, text) == _outcome(parse_reference.parse, text), text
 
 
 # -- property tests ---------------------------------------------------------
@@ -298,3 +294,20 @@ def test_nnf_idempotent(f):
 @given(formulas())
 def test_nnf_preserves_atoms(f):
     assert atoms(nnf(f)) == atoms(f)
+
+
+def _tokens(text):
+    """The token texts of text, by the reference tokenizer."""
+    return parse_reference._tokenize(text)[1][:-1]
+
+
+@given(formulas(), st.data())
+def test_parse_matches_the_reference_on_spaced_formulas(f, data):
+    blanks = st.text(alphabet=" \t\n", max_size=3)
+    text = "".join(data.draw(blanks) + token for token in _tokens(pretty(f))) + data.draw(blanks)
+    assert _outcome(parse, text) == _outcome(parse_reference.parse, text)
+
+
+@given(st.text(alphabet="pqFGA1!&|()<->? \t\n", max_size=30))
+def test_parse_matches_the_reference_on_token_soup(text):
+    assert _outcome(parse, text) == _outcome(parse_reference.parse, text)

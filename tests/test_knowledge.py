@@ -45,6 +45,13 @@ def test_parse_timestamp_bad():
             parse_timestamp(text)
 
 
+def test_parse_timestamp_legacy_takes_ascii_digits_only():
+    # Arabic-Indic digits in the year, as the ISO form rejects them too
+    for text in ("t\u0662\u0660\u0661\u0664.01.28.09.30.15", "\u0662\u0660\u0661\u0664-01-28T09:30:15"):
+        with pytest.raises(KnowledgeError, match="unparseable timestamp"):
+            parse_timestamp(text)
+
+
 # -- event feed --------------------------------------------------------------
 
 
@@ -226,6 +233,11 @@ def test_from_tsv_bad_line():
         SpecStore.from_tsv("u\tg1 -> F p1\t3\nu\tg1 -> F p1\tabc\n")
     with pytest.raises(KnowledgeError, match="line 1: count must be a positive integer"):
         SpecStore.from_tsv("u\tg1 -> F p1\t0\n")
+    # a count cell holds ASCII digits only, though int() reads all but the
+    # superscript
+    for r in ("\u0663", "\u00b3", " 3", "+3", "1_0"):
+        with pytest.raises(KnowledgeError, match=f"line 1: count must be a positive integer: {re.escape(repr(r))}"):
+            SpecStore.from_tsv(f"u\tG !g3\t{r}\n")
     with pytest.raises(KnowledgeError, match="line 2: bad user id ''"):
         SpecStore.from_tsv("u\tg1 -> F p1\t3\n\tg1 -> F p1\t3\n")
     with pytest.raises(FormulaSyntaxError, match="line 2: unexpected end of input at offset 2") as err:
