@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="decide satisfiability or validity of a formula")
-    p.add_argument("formula")
+    p.add_argument("formula", help="formula text, or '-' to read it from stdin")
     p.add_argument("--valid", action="store_true", help="decide validity instead")
     p.add_argument("--tree", choices=["ascii", "dot"], help="print the truth tree")
 
@@ -75,7 +75,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_prove(args) -> int:
-    formula = parse(args.formula)
+    # '-' is never a formula; a formula longer than one command-line
+    # argument may be comes in on stdin
+    formula = parse(sys.stdin.read() if args.formula == "-" else args.formula)
     # φ is valid when !(φ) has no open branch; that tree is the one shown
     subject = Not(formula) if args.valid else formula
     if args.tree:
@@ -134,7 +136,7 @@ def cmd_graph(args) -> int:
         return 0
     if args.graph_command == "glue":
         parts = [load_graph(Path(p).read_text()) for p in args.paths]
-        merged = glue(GraphPartition(parts, set(), {}))
+        merged = glue(GraphPartition(parts, set()))
         _emit(save_graph(merged), args.output)
         return 0
     g = load_graph(Path(args.path).read_text())

@@ -1,8 +1,14 @@
-"""Temporal formula trees, parsing, printing and negation normal form.
+"""Temporal formula trees, parsing, printing, negation normal form and atom
+queries.
 
 The fragment covers the classical connectives plus the two unary temporal
 operators F ("eventually") and G ("always").  Formulas are immutable values;
 structural equality is used everywhere for deduplication.
+
+One walk, `atoms`, answers every atom query: all the atoms of a formula, or
+only those that an operator of given types encloses: an F for the spots a
+mined preference names (`eventually_atoms`), an F or a G for what the
+prover's goal-directed search may still reach.
 """
 
 from __future__ import annotations
@@ -369,38 +375,28 @@ def conjoin(formulas: list[Formula]) -> Formula:
     return combined
 
 
-def atoms(f: Formula) -> set[str]:
+def atoms(f: Formula, under: tuple[type, ...] = ()) -> set[str]:
+    """The names of f's atoms; given operator types, only those of the
+    atoms that such an operator encloses."""
     out: set[str] = set()
-    stack = [f]
+    # (formula, whether an operator in `under` encloses it) pairs
+    stack: list[tuple[Formula, bool]] = [(f, not under)]
     while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            out.add(g.name)
-        elif isinstance(g, (Not, Eventually, Always)):
-            stack.append(g.operand)
+        g, inside = stack.pop()
+        t = type(g)
+        if t is Atom:
+            if inside:
+                out.add(g.name)
+        elif t in _UNARY_NODES:
+            stack.append((g.operand, inside or t in under))
         else:
-            stack.append(g.left)
-            stack.append(g.right)
+            stack += ((g.left, inside), (g.right, inside))
     return out
 
 
 def eventually_atoms(f: Formula) -> set[str]:
     """Atoms that occur somewhere under an F operator."""
-    out: set[str] = set()
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        g, inside = stack.pop()
-        if isinstance(g, Atom):
-            if inside:
-                out.add(g.name)
-        elif isinstance(g, Eventually):
-            stack.append((g.operand, True))
-        elif isinstance(g, (Not, Always)):
-            stack.append((g.operand, inside))
-        else:
-            stack.append((g.left, inside))
-            stack.append((g.right, inside))
-    return out
+    return atoms(f, (Eventually,))
 
 
 def count_eventually(f: Formula) -> int:

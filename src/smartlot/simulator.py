@@ -217,25 +217,24 @@ def _route(graph: WorldGraph, start: str, goal: str) -> list[str]:
 
 
 class TimelineBuilder:
-    def __init__(self, graph: WorldGraph, start: datetime, step_seconds: int = 30):
+    """Detections along shortest routes, one every 30 seconds."""
+
+    STEP = timedelta(seconds=30)
+
+    def __init__(self, graph: WorldGraph, start: datetime):
         self.graph = graph
         self.clock = start
-        self.step = timedelta(seconds=step_seconds)
         self.detections: list[Detection] = []
 
     def tick(self, user: str, node: str) -> None:
         self.detections.append(Detection(self.clock, user, node))
-        self.clock += self.step
+        self.clock += self.STEP
 
-    def trip(self, user: str, gate: str, spot: str | None, exit_gate: str | None = None) -> None:
-        exit_gate = exit_gate or gate
-        self.tick(user, gate)
-        if spot is not None:
-            for node in _route(self.graph, gate, spot)[1:]:
-                self.tick(user, node)
-            for node in _route(self.graph, spot, exit_gate)[1:-1]:
-                self.tick(user, node)
-        self.tick(user, exit_gate)
+    def trip(self, user: str, gate: str, spot: str) -> None:
+        """Enter at `gate`, park at `spot` and leave by `gate` again."""
+        self.enter_and_park(user, gate, spot)
+        for node in _route(self.graph, spot, gate)[1:]:
+            self.tick(user, node)
 
     def enter_and_park(self, user: str, gate: str, spot: str) -> None:
         self.tick(user, gate)

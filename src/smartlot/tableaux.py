@@ -41,7 +41,9 @@ whether every branch closes and otherwise the union of the positive atoms
 under named labels over the open branches (`open_consequences`).  After the
 first open branch it skips every pending branch that cannot add an atom not
 found yet (a goal-directed search; Goré, "Tableau methods for modal and
-temporal logics", Handbook of Tableau Methods, 1999).
+temporal logics", Handbook of Tableau Methods, 1999).  What a pending part
+may add is read with `formulas.atoms`: each of its atoms under a named
+label, and at the root only those that an F or a G encloses.
 """
 
 from __future__ import annotations
@@ -309,26 +311,10 @@ def _may_add(
             continue
         else:
             # at the root only what an F or a G encloses reaches a named world
-            reach = _temporal_atoms(f)
+            reach = atoms(f, (Eventually, Always))
         if not reach <= found:
             return True
     return False
-
-
-def _temporal_atoms(f: Formula) -> set[str]:
-    """Atoms that occur under an F or a G."""
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        t = type(g)
-        if t is Eventually or t is Always:
-            out |= atoms(g.operand)
-        elif t is Not:
-            stack.append(g.operand)
-        elif t is not Atom:
-            stack += (g.left, g.right)
-    return out
 
 
 def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:

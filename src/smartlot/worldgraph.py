@@ -7,7 +7,8 @@ A car's only edge is its position, one `at` edge out of its C node, and a
 position has no attributes.  `add_edge` rejects a second `at` edge, one with
 attributes, one onto a spot another car holds, any edge into a car, any
 other edge out of one and any `at` edge out of a node that is not a car.
-`load_graph` names the line of each rejected record.
+`load_graph` names the line of each rejected record, and the constructor
+adds what it is given through the same two methods.
 
 The position map (car -> node) owns where each car is; beside it are only
 the occupancy index (the set of spots a car is at) that `is_free` reads and
@@ -40,16 +41,27 @@ class GraphError(ValueError):
 
 class WorldGraph:
     def __init__(self, labels=None, edges=None, node_attrs=None, edge_attrs=None) -> None:
-        self.labels = dict(labels or {})  # node -> label
-        self.node_attrs = {n: MappingProxyType(dict(a)) for n, a in (node_attrs or {}).items() if a}
+        """A graph of the given nodes (node -> label) and edges ((src, dst)
+        -> label), each added with its attributes by `add_node` and
+        `add_edge`; an attribute of a node or edge not given is an error."""
+        self.labels: dict[str, str] = {}  # node -> label
+        self.node_attrs: dict[str, MappingProxyType] = {}
         self.edge_attrs: dict[tuple[str, str], MappingProxyType] = {}
         self._road_edges: dict[tuple[str, str], str] = {}  # every edge but `at`
         self._position: dict[str, str] = {}  # car -> node it is at
         self._occupancy: set[str] = set()  # spots a car is at
         # node -> successors over road edges in id order; None until first needed
         self._roads: dict[str, list[str]] | None = None
-        for (src, dst), label in (edges or {}).items():  # (src, dst) -> label
-            self.add_edge(src, dst, label, (edge_attrs or {}).get((src, dst)))
+        labels, edges = labels or {}, edges or {}
+        node_attrs, edge_attrs = node_attrs or {}, edge_attrs or {}
+        for attrs, owners in ((node_attrs, labels), (edge_attrs, edges)):
+            stray = sorted(attrs.keys() - owners.keys())
+            if stray:
+                raise GraphError(f"attributes of an unknown node or edge: {stray[0]}")
+        for node, label in labels.items():
+            self.add_node(node, label, node_attrs.get(node))
+        for (src, dst), label in edges.items():
+            self.add_edge(src, dst, label, edge_attrs.get((src, dst)))
 
     @property
     def edges(self) -> MappingProxyType:
@@ -294,7 +306,6 @@ def export_dot(g: WorldGraph) -> str:
 class GraphPartition:
     parts: list[WorldGraph]
     border_nodes: set[str]
-    provenance: dict[str, int]  # node -> owning part
 
 
 def split(g: WorldGraph, k: int) -> GraphPartition:
@@ -309,7 +320,7 @@ def split(g: WorldGraph, k: int) -> GraphPartition:
         adj[src].add(dst)
         adj[dst].add(src)
 
-    provenance: dict[str, int] = {}
+    provenance: dict[str, int] = {}  # node -> owning part
     queues = [deque([s]) for s in seeds]
     remaining = set(nodes)
     while remaining:
@@ -347,7 +358,7 @@ def split(g: WorldGraph, k: int) -> GraphPartition:
         parts[part].add_edge(src, dst, label, g.edge_attrs.get((src, dst)))
 
     border = {n for n, ms in membership.items() if len(ms) > 1}
-    return GraphPartition(parts, border, provenance)
+    return GraphPartition(parts, border)
 
 
 def glue(p: GraphPartition) -> WorldGraph:

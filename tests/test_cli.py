@@ -1,4 +1,5 @@
 import hashlib
+import io
 from datetime import datetime, timedelta
 
 import pytest
@@ -106,6 +107,20 @@ def test_prove_reports_a_bad_character_after_a_long_chain(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unexpected character '?' at offset 168890 (expected token)\n"
+
+
+def test_prove_dash_reads_the_formula_from_stdin(monkeypatch, capsys):
+    # a formula too long for one command-line argument comes in on stdin
+    chain = " & ".join(f"a{i}" for i in range(20000)) + " & ?"
+    monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+    assert main(["prove", "-"]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '?' at offset 168890 (expected token)\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("G p -> F p\n"))
+    assert main(["prove", "--valid", "-"]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["prove", "-"]) == 2
+    assert capsys.readouterr().err == "error: empty input at offset 0 (expected formula)\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--tree", "dot"], ["--valid"]], ids=["verdict", "tree", "valid"])

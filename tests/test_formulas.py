@@ -296,6 +296,35 @@ def test_nnf_preserves_atoms(f):
     assert atoms(nnf(f)) == atoms(f)
 
 
+def _children(f):
+    return (f.operand,) if isinstance(f, (Not, Eventually, Always)) else (f.left, f.right)
+
+
+def _all_atoms(f):
+    """The plain recursive definition of `atoms(f)`."""
+    if isinstance(f, Atom):
+        return {f.name}
+    return set().union(*map(_all_atoms, _children(f)))
+
+
+def _atoms_under(f, ops):
+    """The plain recursive definition of `atoms(f, ops)`: every atom of the
+    operand of each outermost operator of a type in ops."""
+    if isinstance(f, ops):
+        return _all_atoms(f.operand)
+    if isinstance(f, Atom):
+        return set()
+    return set().union(*(_atoms_under(g, ops) for g in _children(f)))
+
+
+@given(formulas())
+def test_atom_queries_match_the_recursive_definitions(f):
+    assert atoms(f) == _all_atoms(f)
+    assert eventually_atoms(f) == _atoms_under(f, Eventually)
+    assert atoms(f, (Eventually, Always)) == _atoms_under(f, (Eventually, Always))
+    assert atoms(f, (Always,)) == _atoms_under(f, Always)
+
+
 def _tokens(text):
     """The token texts of text, by the reference tokenizer."""
     return parse_reference._tokenize(text)[1][:-1]

@@ -189,6 +189,19 @@ def test_graph_built_from_dicts_is_indexed():
         g.node_attrs["g1"]["zone"] = "south"
 
 
+def test_graph_built_from_dicts_checks_nodes_like_add_node():
+    with pytest.raises(GraphError, match="G node id is not an atom name: 'Gate 1'"):
+        WorldGraph({"Gate 1": "G"}, {})
+    with pytest.raises(GraphError, match="unknown node label 'Q' for node n"):
+        WorldGraph({"g1": "G", "n": "Q"}, {})
+    with pytest.raises(GraphError, match="attributes of an unknown node or edge: ghost"):
+        WorldGraph({"g1": "G"}, {}, {"ghost": {"a": "1"}})
+    with pytest.raises(GraphError, match="attributes of an unknown node or edge"):
+        WorldGraph({"g1": "G", "r1": "R"}, {}, {}, {("g1", "r1"): {"len": "40"}})
+    g = WorldGraph({"g1": "G", "r1": "R"}, {("g1", "r1"): "road"}, {"g1": {"zone": "north"}})
+    assert load_graph(save_graph(g)) == g
+
+
 def test_edges_are_a_read_only_view():
     g = parking_fixture().car_enters("c1", "g1")
     with pytest.raises(TypeError):
@@ -473,12 +486,12 @@ def test_glue_rejects_conflicts():
     b = WorldGraph()
     b.add_node("n", "P")
     with pytest.raises(GraphError, match="conflicting"):
-        glue(GraphPartition([a, b], {"n"}, {}))
+        glue(GraphPartition([a, b], {"n"}))
 
 
 def test_glue_empty():
     with pytest.raises(GraphError):
-        glue(GraphPartition([], set(), {}))
+        glue(GraphPartition([], set()))
 
 
 # -- misc --------------------------------------------------------------------
