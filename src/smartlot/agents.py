@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import Atom, Formula
-from .knowledge import KnowledgeError, SpecStore, Trip, consult
+from .formulas import Formula
+from .knowledge import KnowledgeError, SpecStore, Trip, arrival, consult
 
 # build_tree is unused here but stays bound: the benchmark's hooks rebind a
 # function in every smartlot module that holds it, and its self-test
@@ -87,13 +87,13 @@ def a3_decide(
     when the stored specification was consistent with the observation)."""
     if graph.label(gate) != "G":
         raise GraphError(f"not a gateway: {gate}")
-    found, removed = consult(store, user, Atom(gate))
-    spots = {a for a in found or () if graph.has_node(a) and graph.label(a) == "P"}
+    found, removed = consult(store, user, arrival(gate))
+    spots = {a for a in found or () if graph.labels.get(a) == "P"}
 
     # a spot's weight is the largest r among the formulas promising it
     weight: dict[str, int] = {}
-    for formula, r in store.counts(user):
-        for spot in store.facts(formula).spots:
+    for facts, r in store.rows(user):
+        for spot in facts.spots:
             weight[spot] = max(weight.get(spot, 0), r)
     ranked = sorted(
         ((spot, weight.get(spot, 0)) for spot in spots),

@@ -4,8 +4,9 @@ Observed trips become temporal formulas (`gate -> F spot`), repeated
 behaviour bumps an occurrence counter, and gates a user never visits turn
 into `G !gate` at the user's third completed trip.  When a fresh observation
 contradicts the stored specification, the offending formulas are found with
-the prover and removed.  The store interns each distinct formula and keeps
-what it reads of it (text, atoms, spot atoms) with the one canonical object.
+the prover and removed.  The store interns each distinct formula as one
+`FormulaFacts` (the canonical object, its text, atoms and spot atoms), and
+rows and memo keys are keyed by it, hashed by identity.
 """
 
 from __future__ import annotations
@@ -124,11 +125,12 @@ class Trip:
     exit_gate: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormulaFacts:
     """What the store reads of a stored formula, computed when it is
     interned: its canonical object, text, atoms and spot atoms (the atoms
-    under an F)."""
+    under an F).  A store makes one per structurally distinct formula, so
+    equality and hashing are by identity."""
 
     formula: Formula
     text: str
@@ -141,19 +143,20 @@ class SpecStore:
     is unique under structural formula equality.  Rows are kept per user,
     the way the decision path reads them.
 
-    Each distinct formula is interned on `insert`/`upsert`: every row holds
-    the one canonical object, so row and fact lookups hit by identity.
-    `proofs` maps the set of conjuncts of each specification `consult` has
-    searched to its consequences (`tableaux.consequences`).  That
-    result depends on the set alone, so the memo stays exact as rows change;
-    it lives and dies with the store."""
+    Each distinct formula is interned once (`facts`), and rows are keyed by
+    its facts object, which the store never drops.  `proofs` maps the set of
+    facts of the conjuncts of each specification `consult` has searched to
+    its consequences (`tableaux.consequences`).  That result depends on the
+    set alone, so the memo stays exact as rows change; it lives and dies
+    with the store."""
 
     def __init__(self):
-        self._by_user: dict[str, dict[Formula, int]] = {}
+        self._by_user: dict[str, dict[FormulaFacts, int]] = {}
         self._facts: dict[Formula, FormulaFacts] = {}
-        self.proofs: dict[frozenset[Formula], frozenset[str] | None] = {}
+        self.proofs: dict[frozenset[FormulaFacts], frozenset[str] | None] = {}
 
-    def _intern(self, formula: Formula) -> Formula:
+    def facts(self, formula: Formula) -> FormulaFacts:
+        """The store's one facts object for formula, made on first sight."""
         facts = self._facts.get(formula)
         if facts is None:
             facts = self._facts[formula] = FormulaFacts(
@@ -162,46 +165,46 @@ class SpecStore:
                 frozenset(atoms(formula)),
                 frozenset(eventually_atoms(formula)),
             )
-        return facts.formula
-
-    def facts(self, formula: Formula) -> FormulaFacts:
-        """The facts of a stored formula."""
-        return self._facts[formula]
+        return facts
 
     def upsert(self, user: str, formula: Formula) -> int:
-        formula = self._intern(formula)
+        facts = self.facts(formula)
         rows = self._by_user.setdefault(user, {})
-        rows[formula] = rows.get(formula, 0) + 1
-        return rows[formula]
+        rows[facts] = rows.get(facts, 0) + 1
+        return rows[facts]
 
     def insert(self, user: str, formula: Formula, r: int) -> None:
         if r < 1:
             raise KnowledgeError(f"occurrence count must be positive: {r}")
-        self._by_user.setdefault(user, {})[self._intern(formula)] = r
+        self._by_user.setdefault(user, {})[self.facts(formula)] = r
 
     def remove(self, user: str, formula: Formula) -> None:
         rows = self._by_user[user]
-        del rows[formula]
+        del rows[self._facts[formula]]
         if not rows:
             del self._by_user[user]
 
     def contains(self, user: str, formula: Formula) -> bool:
-        return formula in self._by_user.get(user, ())
+        facts = self._facts.get(formula)
+        return facts is not None and facts in self._by_user.get(user, ())
 
-    def counts(self, user: str) -> ItemsView[Formula, int]:
-        """(formula, r) pairs of one user, in no particular order."""
+    def rows(self, user: str) -> ItemsView[FormulaFacts, int]:
+        """(facts, r) pairs of one user, in no particular order."""
         return self._by_user.get(user, {}).items()
+
+    def counts(self, user: str) -> list[tuple[Formula, int]]:
+        """(formula, r) pairs of one user, in no particular order."""
+        return [(facts.formula, r) for facts, r in self.rows(user)]
+
+    def _sorted(self, user: str | None) -> Iterator[tuple[str, FormulaFacts, int]]:
+        """(user, facts, r) rows in the order of `triples`."""
+        for u in sorted(self._by_user) if user is None else [user]:
+            for facts, r in sorted(self.rows(u), key=lambda row: (-row[1], row[0].text)):
+                yield u, facts, r
 
     def triples(self, user: str | None = None) -> list[SpecTriple]:
         """Rows ordered by user, then descending r, then formula text."""
-        users = sorted(self._by_user) if user is None else [user]
-        facts = self._facts
-        out = []
-        for u in users:
-            rows = [SpecTriple(u, f, r) for f, r in self._by_user.get(u, {}).items()]
-            rows.sort(key=lambda t: (-t.r, facts[t.formula].text))
-            out += rows
-        return out
+        return [SpecTriple(u, facts.formula, r) for u, facts, r in self._sorted(user)]
 
     def scale(self, factor: int) -> "SpecStore":
         if factor < 1:
@@ -218,14 +221,12 @@ class SpecStore:
     # -- persistence: user TAB formula TAB r ------------------------------
 
     def to_tsv(self) -> str:
-        facts = self._facts
-        return "".join(
-            f"{t.user}\t{facts[t.formula].text}\t{t.r}\n" for t in self.triples()
-        )
+        return "".join(f"{u}\t{facts.text}\t{r}\n" for u, facts, r in self._sorted(None))
 
     @classmethod
     def from_tsv(cls, text: str) -> "SpecStore":
         store = cls()
+        first: dict[tuple[str, FormulaFacts], int] = {}  # row -> its line
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -244,6 +245,13 @@ class SpecStore:
                 store.insert(user, formula, int(r) if r.isascii() and r.isdigit() else 0)
             except ValueError:  # not ASCII digits, or below 1
                 raise KnowledgeError(f"line {lineno}: count must be a positive integer: {r!r}") from None
+            # two texts of one formula, such as "a" and "(a)", are one row
+            facts = store.facts(formula)
+            if first.setdefault((user, facts), lineno) != lineno:
+                raise KnowledgeError(
+                    f"line {lineno}: duplicate row for {user}: {facts.text} "
+                    f"(first on line {first[user, facts]})"
+                )
         return store
 
 
@@ -269,6 +277,19 @@ def _preference(gate: str, spot: str) -> Formula:
     return Implies(Atom(gate), Eventually(Atom(spot)))
 
 
+@functools.lru_cache(maxsize=4096)
+def _never(gate: str) -> Formula:
+    """`G !gate`, one shared object per gate, as `_preference`."""
+    return Always(Not(Atom(gate)))
+
+
+@functools.lru_cache(maxsize=4096)
+def arrival(gate: str) -> Formula:
+    """The observation `gate` of an arrival, one shared object per gate, as
+    `_preference`."""
+    return Atom(gate)
+
+
 # The completed trip at which a user's never-gates are asserted, once: later
 # trips only shrink the unused set, and retraction takes back only `G !g` for
 # a gate g the user enters by, which joins the used gates by that trip's end.
@@ -288,7 +309,7 @@ def infer_never_gates(
         return []
     added = []
     for gate in sorted(gates - used_gates):
-        formula = Always(Not(Atom(gate)))
+        formula = _never(gate)
         if not store.contains(user, formula):
             store.insert(user, formula, 1)
             added.append(formula)
@@ -306,10 +327,13 @@ def spec_conjuncts(store: SpecStore, user: str, observation: Formula) -> list[Fo
     observation, preference formulas after, each inner group by descending
     r then formula text."""
     seen = atoms(observation)
+    # rows hold the store's canonical formulas, so identity picks them out
+    # without hashing one
+    analyzed = {id(f.formula) for f, _ in store.rows(user) if _analyzed(f, seen)}
     before: list[Formula] = []
     after: list[Formula] = []
     for t in store.triples(user):
-        if _analyzed(store.facts(t.formula), seen):
+        if id(t.formula) in analyzed:
             (before if isinstance(t.formula, Always) else after).append(t.formula)
     return before + [observation] + after
 
@@ -340,10 +364,9 @@ def consult(
 
 
 def _search(store: SpecStore, user: str, observation: Formula) -> frozenset[str] | None:
-    seen = atoms(observation)
-    key = frozenset(
-        [observation, *(f for f, _ in store.counts(user) if _analyzed(store.facts(f), seen))]
-    )
+    # the key holds facts objects, hashed and compared by identity
+    obs = store.facts(observation)
+    key = frozenset([obs, *(f for f, _ in store.rows(user) if _analyzed(f, obs.atoms))])
     try:
         return store.proofs[key]
     except KeyError:

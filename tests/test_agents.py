@@ -10,7 +10,7 @@ from smartlot.agents import (
     a3_decide,
 )
 from smartlot.fixtures import all_spots, parking_fixture
-from smartlot.formulas import parse
+from smartlot.formulas import Formula, parse
 from smartlot.knowledge import KnowledgeError, SpecStore, Trip, spec_formula
 from smartlot.tableaux import build_tree
 from smartlot.worldgraph import GraphError
@@ -212,6 +212,26 @@ def test_a3_repeated_decision_neither_sorts_nor_assembles(monkeypatch):
     again, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
     assert again == first
     assert sorted_for == assembled == ["idKR55"]
+
+
+def test_a3_memo_hit_hashes_no_formula(monkeypatch):
+    # rows and memo keys are the store's interned facts, hashed by identity:
+    # a repeated decision hashes only its observation, to intern it
+    calls = {"__hash__": 0, "__eq__": 0}
+    for name in calls:
+        real = getattr(Formula, name)
+
+        def counting(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Formula, name, counting)
+    store, graph = kr55_store(), parking_fixture()
+    first, _ = a3_decide(store, graph, "idKR55", "g2")
+    calls.update({"__hash__": 0, "__eq__": 0})
+    again, removed = a3_decide(store, graph, "idKR55", "g2")
+    assert calls["__eq__"] == 0 and calls["__hash__"] <= 1
+    assert (again, removed) == (first, [])
 
 
 def test_a3_falls_back_to_next_candidate():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartlot.fixtures import all_gates, all_spots
-from smartlot.formulas import FormulaDepthError, FormulaSyntaxError, parse, pretty
+from smartlot.formulas import Atom, FormulaDepthError, FormulaSyntaxError, parse, pretty
 from smartlot.knowledge import (
     KnowledgeError,
     SpecStore,
@@ -18,8 +18,10 @@ from smartlot.knowledge import (
     mine_trip,
     parse_timestamp,
     read_events,
+    retract_inconsistent,
     spec_formula,
 )
+from smartlot.tableaux import consequences
 from smartlot.worldgraph import GraphError, load_graph
 
 
@@ -240,6 +242,12 @@ def test_from_tsv_bad_line():
             SpecStore.from_tsv(f"u\tG !g3\t{r}\n")
     with pytest.raises(KnowledgeError, match="line 2: bad user id ''"):
         SpecStore.from_tsv("u\tg1 -> F p1\t3\n\tg1 -> F p1\t3\n")
+    # two texts of one formula are one row; the second would overwrite the first
+    with pytest.raises(
+        KnowledgeError, match=re.escape("line 2: duplicate row for u: g1 -> F p1 (first on line 1)")
+    ):
+        SpecStore.from_tsv("u\tg1 -> F p1\t3\nu\t(g1 -> F p1)\t5\n")
+    assert len(SpecStore.from_tsv("u\tg1 -> F p1\t3\nv\t(g1 -> F p1)\t5\n")) == 2
     with pytest.raises(FormulaSyntaxError, match="line 2: unexpected end of input at offset 2") as err:
         SpecStore.from_tsv("u\tg1 -> F p1\t3\nu\t(a\t1\n")
     assert err.type is FormulaSyntaxError and err.value.offset == 2
@@ -280,6 +288,17 @@ def test_infer_never_gates():
     assert infer_never_gates(store, "u", 3, used, gates) == []
     for count in (2, 4):
         assert infer_never_gates(SpecStore(), "u", count, used, gates) == []
+
+
+def test_never_gates_share_one_formula_per_gate():
+    # G !g3 is one object wherever it is asserted, so a store finds it by
+    # identity
+    stores = [SpecStore(), SpecStore()]
+    for store, user in zip(stores, ("a", "b")):
+        assert infer_never_gates(store, user, 3, {"g1", "g2"}, {"g1", "g2", "g3"}) == [parse("G !g3")]
+    [(fa, _)] = stores[0].counts("a")
+    [(fb, _)] = stores[1].counts("b")
+    assert fa is fb
 
 
 # -- specification assembly --------------------------------------------------
@@ -359,6 +378,43 @@ def test_resolve_joint_only_warns(caplog):
     assert (found, removed) == (None, [])
     assert len(store) == 2
     assert any("joint-only" in r.message for r in caplog.records)
+
+
+DIFF_USERS = ["u1", "u2", "u3"]
+DIFF_GATES = ["g1", "g2"]
+DIFF_FORMULAS = [f"{g} -> F {s}" for g in DIFF_GATES for s in ("p1", "p2")] + [f"G !{g}" for g in DIFF_GATES]
+DIFF_STEP = st.one_of(
+    st.tuples(st.just("upsert"), st.sampled_from(DIFF_USERS), st.sampled_from(DIFF_FORMULAS)),
+    st.tuples(st.just("insert"), st.sampled_from(DIFF_USERS), st.sampled_from(DIFF_FORMULAS), st.integers(1, 3)),
+    st.tuples(st.just("remove"), st.sampled_from(DIFF_USERS), st.sampled_from(DIFF_FORMULAS)),
+    st.tuples(st.just("scale"), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(DIFF_STEP, st.sampled_from(DIFF_USERS), st.sampled_from(DIFF_GATES)), max_size=20))
+def test_memo_agrees_with_an_uncached_search(steps):
+    # every formula is parsed afresh, so equal formulas reach the store as
+    # distinct objects; the memo, keyed by the store's interned facts, must
+    # answer as a fresh store that searches every specification does
+    store = SpecStore()
+    for step, user, gate in steps:
+        op, *args = step
+        if op == "scale":
+            store = store.scale(args[0])
+        elif op == "remove":
+            if store.contains(args[0], parse(args[1])):
+                store.remove(args[0], parse(args[1]))
+        else:
+            getattr(store, op)(args[0], parse(args[1]), *args[2:])
+        fresh = SpecStore.from_tsv(store.to_tsv())
+        expected = consequences(spec_formula(fresh, user, Atom(gate)))
+        removed = []
+        if expected is None:
+            removed = retract_inconsistent(fresh, user, Atom(gate))
+            expected = consequences(spec_formula(fresh, user, Atom(gate)))
+        assert consult(store, user, Atom(gate)) == (expected, removed)
+        assert store.to_tsv() == fresh.to_tsv()
 
 
 def test_triples_are_frozen():
