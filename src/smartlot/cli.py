@@ -163,10 +163,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(serialize_scenario(demo_scenario()))
             return 0
     except (FormulaDepthError, RecursionError):
-        # the parser stops at MAX_DEPTH nested levels; RecursionError is the
-        # last resort for a search deep in another way: the realizability
-        # check's ordering search takes one frame per named world, so
-        # `F a0 & ... & F a1099 & G (p | q) & F (!p & !q)` ends here
+        # the parser stops at MAX_DEPTH nested levels; nothing after it
+        # recurses, so RecursionError is only a last resort
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except (FormulaSyntaxError, KnowledgeError, GraphError, ScenarioError, OSError) as err:

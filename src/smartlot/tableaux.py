@@ -19,19 +19,18 @@ eventually constant tail), label unification alone is not a complete
 satisfiability test: two universally labeled literals in sibling scopes both
 reach the tail, and disjunctions under G may pick different disjuncts at
 different worlds.  Branches that survive unification therefore go through a
-realizability check that searches for an ordering of the introduced worlds,
-plus a constant tail state, satisfying every recorded constraint.  A branch
-with no such arrangement is closed as well.
+realizability check: is there a sequence of positions, ending in a constant
+tail state, that holds the introduced worlds and meets every recorded
+constraint?  A branch with no such sequence is closed as well.
 
-The search is exact but pruned in four steps (see "Linear realizability"
-below): orderings must respect precedence edges forced by universal vs.
-exact literals, and a cycle among them closes the branch; the tail, which
-every ordering shares, is checked once up front; a branch whose constraints
-one constant valuation meets is open without any ordering; and each position
-only enumerates the atoms its duties read.  A branch without deferred
-commitments costs one topological sort of its worlds; one that also has no
-universal literal under a named world costs nothing, since its worlds form a
-forest.
+The check is exact (see "Linear realizability" below).  Precedence edges
+forced by universal vs. exact literals order the worlds, and a cycle closes
+the branch; without deferred commitments nothing more is needed, and without
+a universal literal under a named world either, the worlds form a forest and
+cost nothing.  Then a one-position check of the tail, which every model
+shares, may close the branch, and one of a constant model may open it.  Only
+then does an iterative search run, back to front over the sets of worlds
+already placed, without the leaf worlds that nothing else reads.
 
 `build_tree` builds every branch, with a display node per step.  The
 verdicts `is_satisfiable` and `is_valid` run the same expansion but record
@@ -62,7 +61,6 @@ from .formulas import (
     Not,
     Or,
     atoms,
-    count_eventually,
     nnf,
     pretty,
 )
@@ -144,20 +142,12 @@ def _is_literal(f: Formula) -> bool:
     return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.operand, Atom))
 
 
-class _FreshNames:
-    """Deterministic a, b, c, ... generator; skips x, reserved for universals."""
-
-    def __init__(self):
-        self.n = 0
-
-    def next(self) -> str:
-        letters = "abcdefghijklmnopqrstuvwyz"  # no x
-        n = self.n
-        self.n += 1
-        name = letters[n % len(letters)]
-        if n >= len(letters):
-            name += str(n // len(letters))
-        return name
+def _world_name(n: int) -> str:
+    """The n-th fresh world name: a, b, c, ..., then a1, b1, ...; x is
+    reserved for universals."""
+    letters = "abcdefghijklmnopqrstuvwyz"
+    name = letters[n % len(letters)]
+    return name + str(n // len(letters)) if n >= len(letters) else name
 
 
 class _Builder:
@@ -168,7 +158,7 @@ class _Builder:
 
     def __init__(self, f: Formula, tree: bool):
         self.root_formula = f
-        self.fresh = _FreshNames()
+        self.fresh = itertools.count()
         self.branches: list[Branch] = []
         self.root = TreeNode(f, WorldLabel()) if tree else None
         # the root node already displays a bare literal formula
@@ -241,7 +231,7 @@ class _Builder:
             if label.universal:
                 commitments.append((nnf(Not(f)) if neg else nnf(f), label.prefix))
             elif t is Always or t is Eventually:
-                world = label.prefix + (self.fresh.next(),)
+                world = label.prefix + (_world_name(next(self.fresh)),)
                 stack.append((f.operand, neg, WorldLabel(world, False)))
             elif t is Iff:
                 # Iff+ splits into l & r | !l & !r, Iff- into l & !r | !l & r
@@ -337,39 +327,39 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 # A surviving branch supplies exact literals (at a specific named world),
 # universal literals (at a world and all later ones), and deferred
 # commitments: formulas under a G whose decomposition depends on the world
-# (disjunctions and nested F).  The branch is realizable when some linear
-# arrangement of its worlds, padded with one helper position per F occurring
-# inside commitments and ending in a constant tail state, admits valuations
-# meeting every constraint.
-#
-# The search skips only arrangements and valuations that cannot succeed, or
-# that a constant model makes unnecessary:
+# (disjunctions and nested F), each holding from its base world on.  The
+# branch is realizable when valuations meeting every constraint exist for a
+# sequence of positions: the root, each named world once and after its
+# parent, and a constant tail state last.  Any other position is free: only
+# the universal literals and commitments that reach it constrain it.
 #
 # 1. Precedence.  A universal literal from named world P and an opposite
 #    exact literal at named world Q clash wherever Q sits at or after P, so Q
 #    must come before P.  (Pairs with P at the root, or with Q extending P,
 #    already closed by unification.)  These edges join the parent-before-child
-#    edges; one topological sort closes a branch whose edges form a cycle.
-#    Without commitments there are no duties, so an acyclic branch is
-#    realizable at the cost of that one sort.  Otherwise only orderings
-#    respecting the edges are enumerated.
-# 2. Tail.  Every universal literal and every commitment holds at the
-#    constant tail whatever the ordering, and there F and G read only the
-#    tail itself.  One search for a tail valuation runs before any ordering;
-#    without one the branch closes.
-# 3. Constant model.  When the tail check passes, a second one-position check
-#    places every literal, exact ones too, at the tail.  A valuation passing
-#    it can be taken at every position of any ordering, so the branch is
-#    open.  This is only sufficient: without such a valuation the ordering
-#    search below runs.  (The constant model is the degenerate ultimately
-#    periodic model of Sistla & Clarke, JACM 1985.)
-# 4. Reads.  At position i the duties read only the atoms of the commitments
-#    based at or before i; only those free atoms are enumerated there.
-#
-# Commitments are evaluated with explicit frames rather than recursion, so a
-# long & / | chain under G is checked like a short one.
+#    edges; one topological sort closes a branch whose edges form a cycle,
+#    and without commitments an acyclic branch is realizable.
+# 2. Tail.  Every universal literal and every commitment holds at the tail,
+#    and there F and G read only the tail itself.  Without a tail valuation
+#    the branch closes; only the first one is computed here.
+# 3. Constant model.  A valuation meeting every literal, exact ones too, and
+#    every commitment at the tail can be taken at every position, so the
+#    branch is open.  (It is the degenerate ultimately periodic model of
+#    Sistla & Clarke, JACM 1985.)
+# 4. Search.  Positions are added back to front from the tail.  A state is
+#    the set of named worlds placed behind a position and the values there
+#    of the F and G subformulas of the commitments, all that an earlier
+#    position reads.  In front of a state goes a free position, a world whose
+#    children and precedence successors are all placed or, once all are, the
+#    root.  A position enumerates only the atoms of the commitments that
+#    reach it.  Each state is expanded once: at most 2^k sets of worlds, not
+#    k! orderings (Held & Karp's subset recursion, J. SIAM 1962).
+# 5. Leaves.  A leaf world with no universal literal or commitment of its
+#    own, whose atoms no other literal and no commitment reads, stays out of
+#    the search: in a model its position can be a free one, and a model
+#    without it has room for it after its parent, with the next position's
+#    valuation plus its own literals.
 
-_TAIL = ("<tail>",)
 _OPPOSITE = {"+": "-", "-": "+"}
 
 
@@ -379,14 +369,11 @@ def _realizable(
     if not commitments and not any(label.universal and label.prefix for _, _, label in literals):
         # only parent-before-child edges: a forest, so some ordering exists
         return True
-    named_set: set[tuple[str, ...]] = set()
-    for prefix in [label.prefix for _, _, label in literals] + [b for _, b in commitments]:
-        for i in range(1, len(prefix) + 1):
-            named_set.add(prefix[:i])
-    named = sorted(named_set)
+    prefixes = [label.prefix for _, _, label in literals] + [b for _, b in commitments]
+    named_set = {prefix[:i] for prefix in prefixes for i in range(1, len(prefix) + 1)}
 
-    # before[w]: the worlds an ordering must place ahead of w
-    before = {w: {w[:-1]} if len(w) > 1 else set() for w in named}
+    # before[w]: the worlds that must come ahead of w, by name order
+    before = {w: {w[:-1]} if len(w) > 1 else set() for w in sorted(named_set)}
     exact: dict[tuple[str, str], list[tuple[str, ...]]] = {}
     for sign, atom, label in literals:
         if label.prefix and not label.universal:
@@ -394,32 +381,24 @@ def _realizable(
     for sign, atom, label in literals:
         if label.prefix and label.universal:
             before[label.prefix].update(exact.get((_OPPOSITE[sign], atom), ()))
-    if not _acyclic(named, before):
+    if not _acyclic(list(before), before):
         return False
     if not commitments:
         return True
 
-    # the tail alone, as a one-position arrangement reached by every
-    # universal literal and every commitment
-    commit_atoms = [atoms(f) for f, _ in commitments]
-    everywhere = WorldLabel((), True)
-    tail_literals = [(s, a, everywhere) for s, a, label in literals if label.universal]
-    tail_commitments = [(f, ()) for f, _ in commitments]
-    if not _check_order([_TAIL], tail_literals, tail_commitments, commit_atoms):
+    compiled = _compile([f for f, _ in commitments])
+    nodes, roots, _ = compiled
+    reads = {x for t, x, _ in nodes if t is Atom or t is Not}
+    # two universal literals that clash close the branch by unification
+    universal = {a: s == "+" for s, a, label in literals if label.universal}
+    tail = _position(compiled, universal, reads, roots, None)
+    first = next(tail, None)
+    if first is None:
         return False
-    # one valuation meeting every literal, exact ones too, and every
-    # commitment at a constant tail can hold at every position of any ordering
-    constant = [(s, a, everywhere) for s, a, _ in literals]
-    if _check_order([_TAIL], constant, tail_commitments, commit_atoms):
+    constant = _forced({}, ((a, s == "+") for s, a, _ in literals))
+    if next(_position(compiled, constant, reads, roots, None), None) is not None:
         return True
-
-    helpers = sum(count_eventually(f) for f, _ in commitments)
-    padding = [("<helper>", str(i)) for i in range(helpers)] + [_TAIL]
-    for order in _linear_extensions(named, before):
-        positions = [()] + list(order) + padding
-        if _check_order(positions, literals, commitments, commit_atoms):
-            return True
-    return False
+    return _search(literals, commitments, before, compiled, itertools.chain([first], tail))
 
 
 def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
@@ -435,121 +414,135 @@ def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
     return True
 
 
-def _linear_extensions(worlds: list[tuple[str, ...]], before: dict):
-    """All orderings of the named worlds that place each world after every
-    world in its `before` set (its parent and its precedence edges)."""
-
-    def rec(placed: tuple[tuple[str, ...], ...], left: list[tuple[str, ...]]):
-        if not left:
-            yield placed
-            return
-        done = set(placed)
-        for w in left:
-            if before[w] <= done:
-                rest = [v for v in left if v != w]
-                yield from rec(placed + (w,), rest)
-
-    yield from rec((), worlds)
-
-
-def _check_order(
-    positions: list[tuple[str, ...]],
-    literals: list[Literal],
-    commitments: list[tuple[Formula, tuple[str, ...]]],
-    commit_atoms: list[set[str]],
-) -> bool:
-    idx = {w: i for i, w in enumerate(positions)}
-    n = len(positions)
-    tail_i = n - 1
-
-    def base_index(prefix: tuple[str, ...]) -> int:
-        return idx[prefix] if prefix else 0
-
-    # forced[i]: atom -> bool
-    forced: list[dict[str, bool]] = [dict() for _ in range(n)]
+def _search(literals: list, commitments: list, before: dict, compiled: tuple, tail) -> bool:
+    """Steps 4 and 5, from the F and G values at the tail that `tail` yields."""
+    exact: dict[tuple[str, ...], list[tuple[str, bool]]] = {}
+    universal: list[tuple[tuple[str, ...], str, bool]] = []
+    mentions: dict[str, set[WorldLabel]] = {}
     for sign, atom, label in literals:
-        value = sign == "+"
         if label.universal:
-            start = base_index(label.prefix)
-            span = range(start, n)
+            universal.append((label.prefix, atom, sign == "+"))
         else:
-            span = [idx[label.prefix]]
-        for i in span:
-            if forced[i].get(atom, value) != value:
-                return False
-            forced[i][atom] = value
+            exact.setdefault(label.prefix, []).append((atom, sign == "+"))
+        mentions.setdefault(atom, set()).add(label)
+    reads = [atoms(f) for f, _ in commitments]
+    bases = list(zip([b for _, b in commitments], compiled[1], reads))
+    owners = {p for p, _, _ in universal} | {b for _, b in commitments}
+    committed = set().union(*reads)
 
-    # duties[i]: formulas that must hold at position i; reads[i]: their atoms
-    duties: list[list[Formula]] = [[] for _ in range(n)]
-    reads: list[set[str]] = [set() for _ in range(n)]
-    for (f, base), names in zip(commitments, commit_atoms):
-        for i in range(base_index(base), n):
-            duties[i].append(f)
-            reads[i] |= names
+    kept: list[tuple[str, ...]] = []
+    parents: set[tuple[str, ...]] = set()
+    for w in reversed(before):  # children before their parent
+        alone = {WorldLabel(w, False)}
+        read = any(a in committed or mentions[a] != alone for a, _ in exact.get(w, ()))
+        if read or w in owners or w in parents:
+            kept.append(w)
+            parents.add(w[:-1])
+    # follows[w]: the worlds that must come after w
+    follows = {w: {v for v in kept if w in before[v]} for w in kept}
+    everyone = frozenset(kept)
 
-    def candidate_vals(i: int):
-        # atoms no duty reads keep their forced value or stay unset
-        free = sorted(reads[i].difference(forced[i]))
-        for bits in itertools.product((False, True), repeat=len(free)):
-            v = dict(forced[i])
-            v.update(zip(free, bits))
-            yield v
-
-    # choose valuations back to front so temporal duties can look ahead
-    chosen: list[dict[str, bool] | None] = [None] * n
-
-    def holds(f: Formula, i: int) -> bool:
-        # frames (formula, position it is read at, part being read): 0 or 1
-        # for the sides of & and |, the later position for F and G; a frame
-        # is dropped as soon as the part read decides it
-        frames: list[tuple[Formula, int, int]] = []
-        while True:
-            t = type(f)
-            if t is Atom:
-                value = chosen[i][f.name]
-            elif t is Not:
-                value = not chosen[i][f.operand.name]
-            elif t is And or t is Or:
-                frames.append((f, i, 0))
-                f = f.left
-                continue
-            elif t is Eventually or t is Always:
-                frames.append((f, i, i))
-                f = f.operand
-                continue
-            else:
-                raise TypeError(f"unexpected formula in nnf: {f!r}")
-            while frames:
-                g, gi, j = frames.pop()
-                tg = type(g)
-                if value != (tg is And or tg is Always):
-                    continue
-                if tg is And or tg is Or:
-                    if j == 0:
-                        frames.append((g, gi, 1))
-                        f, i = g.right, gi
-                        break
-                elif j + 1 < n:
-                    frames.append((g, gi, j + 1))
-                    f, i = g.operand, j + 1
-                    break
-            else:
-                return value
-
-    def assign(i: int) -> bool:
-        if i < 0:
-            return True
-        for v in candidate_vals(i):
-            chosen[i] = v
-            if all(holds(f, i) for f in duties[i]) and assign(i - 1):
+    # depth first and lazily: each stack entry yields the states in front of
+    # one state, so a model is found without enumerating every valuation
+    stack = [zip(itertools.repeat(frozenset()), tail)]
+    seen = set()
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        if state in seen:
+            continue
+        seen.add(state)
+        placed, later = state
+        forced = {a: value for p, a, value in universal if p not in placed}
+        needed = [r for b, r, _ in bases if b not in placed]
+        reach = set().union(*[names for b, _, names in bases if b not in placed])
+        if placed == everyone:
+            root = _forced(forced, exact.get((), ()))
+            if next(_position(compiled, root, reach, needed, later), None) is not None:
                 return True
-        chosen[i] = None
-        return False
+        # a world whose followers are all placed, or a free position
+        ready = [w for w in kept if w not in placed and follows[w] <= placed]
+        moves = [(placed | {w}, _forced(forced, exact.get(w, ()))) for w in ready]
+        moves.append((placed, forced))
+        successors = [zip(itertools.repeat(after), _position(compiled, here, reach, needed, later))
+                      for after, here in moves]
+        stack.append(itertools.chain(*successors))
+    return False
 
-    # the tail is constant: at tail_i there are no later positions, so
-    # F/G duties reduce to evaluation at the tail itself, which `holds`
-    # already does when i == tail_i.
-    return assign(tail_i)
+
+def _forced(base: dict[str, bool], pairs) -> dict[str, bool] | None:
+    """`base` extended by the (atom, value) pairs, or None if two clash."""
+    out = dict(base)
+    for atom, value in pairs:
+        if out.setdefault(atom, value) != value:
+            return None
+    return out
+
+
+def _position(compiled, forced, reads, needed, later):
+    """Yield, for each valuation of one position that extends `forced` to the
+    atoms in `reads` and makes every node in `needed` true, the values there
+    of the F and G nodes; nothing when `forced` is None, a clash.  `later`
+    holds those values at the next position; at the tail it is None, and F
+    and G read the tail alone."""
+    if forced is None:
+        return
+    nodes, _, temporal = compiled
+    free = sorted(reads.difference(forced))
+    vals = [False] * len(nodes)
+    for bits in itertools.product((False, True), repeat=len(free)):
+        v = dict(forced)
+        v.update(zip(free, bits))
+        for i, (t, x, y) in enumerate(nodes):
+            if t is Atom:
+                vals[i] = v.get(x, False)
+            elif t is Not:
+                vals[i] = not v.get(x, False)
+            elif t is And:
+                vals[i] = vals[x] and vals[y]
+            elif t is Or:
+                vals[i] = vals[x] or vals[y]
+            elif later is None:
+                vals[i] = vals[x]
+            elif t is Eventually:
+                vals[i] = vals[x] or later[y]
+            else:
+                vals[i] = vals[x] and later[y]
+        if all(vals[r] for r in needed):
+            yield tuple([vals[i] for i in temporal])
+
+
+def _compile(formulas: list[Formula]) -> tuple[list[tuple], list[int], list[int]]:
+    """The distinct nodes of `formulas` (in negation normal form), by
+    identity and in post-order, with the index of each formula and of each F
+    and G node.  A node is (type, x, y): an atom or a negated atom has its
+    name as x; & and | have the indices of their parts; F and G have the
+    index of their operand and their own place among the F and G nodes."""
+    index: dict[int, int] = {}
+    nodes: list[tuple] = []
+    temporal: list[int] = []
+    # (formula, whether its parts are done)
+    todo = [(f, False) for f in formulas]
+    while todo:
+        g, done = todo.pop()
+        if id(g) in index:
+            continue
+        t = type(g)
+        if t is Atom or t is Not:
+            nodes.append((t, g.name if t is Atom else g.operand.name, None))
+        elif not done:
+            parts = (g.right, g.left) if t is And or t is Or else (g.operand,)
+            todo += [(g, True)] + [(part, False) for part in parts]
+            continue
+        elif t is And or t is Or:
+            nodes.append((t, index[id(g.left)], index[id(g.right)]))
+        else:
+            temporal.append(len(nodes))
+            nodes.append((t, index[id(g.operand)], len(temporal) - 1))
+        index[id(g)] = len(nodes) - 1
+    return nodes, [index[id(f)] for f in formulas], temporal
 
 
 # ---------------------------------------------------------------------------

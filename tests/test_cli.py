@@ -148,6 +148,14 @@ def test_prove_chain_under_always(capsys):
     assert capsys.readouterr().out == "SAT\n"
 
 
+def test_prove_1100_worlds_around_an_open_family(capsys):
+    # the 1,100 worlds of fresh atoms leave the realizability search, so the
+    # clash between G (p | q) and F (!p & !q) is found at once
+    worlds = " & ".join(f"F a{i}" for i in range(1100))
+    assert main(["prove", f"{worlds} & G (p | q) & F (!p & !q)"]) == 1
+    assert capsys.readouterr().out == "UNSAT\n"
+
+
 def test_prove_matches_the_tree_on_a_corpus(capsys):
     for f in formula_corpus(seed=3, count=80):
         text = pretty(f)

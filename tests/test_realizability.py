@@ -1,8 +1,9 @@
-"""The pruned linear-realizability search against the exhaustive one it
-replaced, and on the families that made the exhaustive one factorial; the
-verdicts, which stop at the first open branch, against the whole trees; the
-signed expansion against the expansion of the negation normal form."""
+"""The linear-realizability search against the exhaustive one it replaced,
+and on the families that made that one factorial; the verdicts, which stop
+at the first open branch, against the whole trees; the signed expansion
+against the expansion of the negation normal form."""
 
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from formula_gen import formula_corpus
 from pathcheck import bounded_sat
 from realizability_reference import _realizable as exhaustive_realizable
 from smartlot import tableaux
-from smartlot.formulas import Atom, Not, nnf, parse, pretty
+from smartlot.formulas import Atom, Not, atoms, count_eventually, nnf, parse, pretty
 from smartlot.tableaux import (
     CLOSED,
     NOT_VALID,
@@ -151,32 +152,34 @@ def test_expansion_normalizes_only_commitments(monkeypatch):
 
 
 @pytest.fixture
-def positions_checked(monkeypatch):
-    """The number of positions of every `_check_order` call."""
-    sizes = []
-    check_order = tableaux._check_order
+def evaluations(monkeypatch):
+    """The next-position values given to every one-position evaluation:
+    None at the tail (the tail check and the constant model)."""
+    later = []
+    position = tableaux._position
 
-    def recording(positions, *args):
-        sizes.append(len(positions))
-        return check_order(positions, *args)
+    def recording(*args):
+        later.append(args[-1])
+        return position(*args)
 
-    monkeypatch.setattr(tableaux, "_check_order", recording)
-    return sizes
+    monkeypatch.setattr(tableaux, "_position", recording)
+    return later
 
 
-def test_constant_model_opens_a_committed_branch(positions_checked):
+def test_constant_model_opens_a_committed_branch(evaluations):
     f = parse("!a & G (a | F b) & F c")
     assert is_satisfiable(f) == SATISFIABLE
-    # the tail check, then the constant model: no ordering is tried
-    assert positions_checked == [1, 1]
+    # the tail check, then the constant model: no search
+    assert evaluations == [None, None]
     assert bounded_sat(f) is True
 
 
-def test_ordering_search_runs_without_a_constant_model(positions_checked):
+def test_state_search_runs_without_a_constant_model(evaluations):
     f = parse("a & F !a & G (a | b)")
     assert is_satisfiable(f) == SATISFIABLE
-    assert positions_checked[:2] == [1, 1]
-    assert max(positions_checked) > 1
+    # the tail check; a and !a leave the constant model nothing to evaluate
+    assert evaluations[0] is None
+    assert any(later is not None for later in evaluations[1:])
     assert bounded_sat(f) is True
 
 
@@ -194,35 +197,22 @@ def cyclic_family(k: int) -> str:
     return " & ".join([f"F a{i}" for i in range(1, k + 1)] + ["F (p & G !q)", "F (q & G !p)"])
 
 
-@pytest.fixture
-def orderings_checked(monkeypatch):
-    count = [0]
-    check_order = tableaux._check_order
-
-    def counting(*args):
-        count[0] += 1
-        return check_order(*args)
-
-    monkeypatch.setattr(tableaux, "_check_order", counting)
-    return count
-
-
-def test_worst_case_family_k8_unsat(orderings_checked):
+def test_worst_case_family_k8_unsat(evaluations):
     for k in range(9):
-        orderings_checked[0] = 0
+        evaluations.clear()
         tree = build_tree(parse(worst_case_family(k)))
         assert tree.closed, k
-        # one tail check per branch, no ordering enumerated
-        assert orderings_checked[0] <= len(tree.branches), k
+        # at most one tail evaluation per branch, no search
+        assert len(evaluations) <= len(tree.branches), k
 
 
-def test_cyclic_precedence_family_unsat(orderings_checked):
+def test_cyclic_precedence_family_unsat(evaluations):
     for k in range(9):
-        orderings_checked[0] = 0
+        evaluations.clear()
         tree = build_tree(parse(cyclic_family(k)))
         assert tree.closed, k
-        # closed by the topological sort before any valuation search
-        assert orderings_checked[0] == 0, k
+        # closed by the topological sort before any evaluation
+        assert evaluations == [], k
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -234,3 +224,106 @@ def test_cyclic_precedence_family_matches_oracle(k):
     g = parse(cyclic_family(k).replace(" & F (q & G !p)", ""))
     assert is_satisfiable(g) == SATISFIABLE
     assert bounded_sat(g) is True
+
+
+# -- the state search: open families, leaves and free positions ---------------
+
+
+def open_family(k: int) -> str:
+    # a satisfiable tail, no constant model, and a world no position can hold
+    return " & ".join([f"F a{i}" for i in range(1, k + 1)] + ["G (p | q)", "F (!p & !q)"])
+
+
+def eventual_family(k: int) -> str:
+    # the world of !p needs a later q, which G !q forbids
+    return " & ".join([f"F a{i}" for i in range(1, k + 1)] + ["G (p | F q)", "G !q", "F !p"])
+
+
+def leaf_mix(rng: random.Random) -> str:
+    """A conjunction of 2-4 parts over p, q and fresh atoms a0, a1, ...:
+    leaves with fresh atoms, leaves whose atom a commitment, another literal
+    or the root reads, nested leaves, leaves with a universal literal, and
+    worlds that are commitment bases."""
+    fresh = (f"a{i}" for i in itertools.count())
+
+    def lit():
+        return rng.choice(["", "!"]) + rng.choice("pq")
+
+    shapes = [
+        lambda: f"F {next(fresh)}",
+        lambda: f"F ({next(fresh)} & {lit()})",
+        lambda: f"F ({next(fresh)} & F {next(fresh)})",
+        lambda: f"F ({next(fresh)} & G {lit()})",
+        lambda: f"F ({lit()} & G ({lit()} | F {lit()}))",
+        lambda: f"G ({lit()} | {lit()})",
+        lambda: f"G ({lit()} | F {lit()})",
+        lambda: f"F ({lit()} & {lit()})",
+        lambda: lit(),
+    ]
+    return " & ".join(rng.choice(shapes)() for _ in range(rng.randint(2, 4)))
+
+
+def oracle_bits(f) -> int:
+    """The bits `bounded_sat` enumerates for f."""
+    return len(atoms(f)) * (count_eventually(nnf(f)) + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leaf_rule_matches_exhaustive_on_seeded_branches(seed, decided):
+    rng = random.Random(seed)
+    for _ in range(60):
+        f = parse(leaf_mix(rng))
+        tree = assert_branches_agree(f, decided)
+        # the oracle's cost doubles with each bit; larger draws are checked
+        # against the exhaustive search alone
+        if oracle_bits(f) <= 16:
+            assert tree.open == bounded_sat(f), pretty(f)
+
+
+@pytest.mark.parametrize("family", [open_family, eventual_family, cyclic_family])
+def test_families_match_exhaustive_and_oracle(family, decided):
+    for k in range(4):
+        f = parse(family(k))
+        assert assert_branches_agree(f, decided).closed, (family.__name__, k)
+        if oracle_bits(f) <= 24:
+            assert bounded_sat(f) is False, (family.__name__, k)
+
+
+@pytest.mark.parametrize("family", [open_family, eventual_family])
+def test_open_families_decide_at_k12(family, evaluations):
+    f = parse(family(12))
+    assert is_satisfiable(f) == UNSATISFIABLE
+    # the twelve leaves leave the search: a handful of states
+    assert len(evaluations) < 10
+
+
+def test_search_stops_at_the_first_model(monkeypatch):
+    drawn = [0]
+    position = tableaux._position
+
+    def counting(*args):
+        for values in position(*args):
+            drawn[0] += 1
+            yield values
+
+    monkeypatch.setattr(tableaux, "_position", counting)
+    # b and !b leave no constant model, so the search runs; it draws
+    # valuations one at a time, not all 2^20 of the chain at the tail
+    chain = " | ".join(f"a{i}" for i in range(20))
+    assert is_satisfiable(parse(f"G ({chain}) & b & F !b")) == SATISFIABLE
+    assert drawn[0] < 10
+
+
+def test_free_position_between_worlds(decided):
+    # the world of x & !b needs a later b, and G !b holds from another
+    # world on: only a position between the two worlds, named by no F, can
+    # hold b.  realizability_reference places the named worlds and then
+    # helper positions, so it has no such position and refutes the branch;
+    # a further world, F c, can stand in for it.
+    text = "G (!x | F b) & F (x & !b) & F G !b"
+    for f, reference in [(parse(text), False), (parse(text + " & F c"), True)]:
+        decided.clear()
+        assert is_satisfiable(f) == SATISFIABLE
+        assert bounded_sat(f) is True
+        [call] = decided.values()
+        assert exhaustive_realizable(*call) is reference
