@@ -22,7 +22,6 @@ from datetime import datetime
 
 from .formulas import (
     Always,
-    And,
     Atom,
     Eventually,
     Formula,
@@ -178,9 +177,16 @@ class SpecStore:
             raise KnowledgeError(f"occurrence count must be positive: {r}")
         self._by_user.setdefault(user, {})[self.facts(formula)] = r
 
-    def remove(self, user: str, formula: Formula) -> None:
+    def insert_if_absent(self, user: str, formula: Formula) -> bool:
+        """Add formula at count 1 unless the user holds it; whether it did."""
+        rows = self._by_user.setdefault(user, {})
+        size = len(rows)
+        rows.setdefault(self.facts(formula), 1)
+        return len(rows) > size
+
+    def remove(self, user: str, facts: FormulaFacts) -> None:
         rows = self._by_user[user]
-        del rows[self._facts[formula]]
+        del rows[facts]
         if not rows:
             del self._by_user[user]
 
@@ -199,7 +205,7 @@ class SpecStore:
     def _sorted(self, user: str | None) -> Iterator[tuple[str, FormulaFacts, int]]:
         """(user, facts, r) rows in the order of `triples`."""
         for u in sorted(self._by_user) if user is None else [user]:
-            for facts, r in sorted(self.rows(u), key=lambda row: (-row[1], row[0].text)):
+            for facts, r in sorted(self.rows(u), key=_row_order):
                 yield u, facts, r
 
     def triples(self, user: str | None = None) -> list[SpecTriple]:
@@ -307,13 +313,7 @@ def infer_never_gates(
     every gate the user never entered or left by; returns the formulas added."""
     if trip_count != NEVER_GATE_TRIPS:
         return []
-    added = []
-    for gate in sorted(gates - used_gates):
-        formula = _never(gate)
-        if not store.contains(user, formula):
-            store.insert(user, formula, 1)
-            added.append(formula)
-    return added
+    return [f for f in map(_never, sorted(gates - used_gates)) if store.insert_if_absent(user, f)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +325,11 @@ def spec_conjuncts(store: SpecStore, user: str, observation: Formula) -> list[Fo
     share an atom with it or promise an eventually-reached spot.
     Always-shaped knowledge (never-entered gates) goes before the
     observation, preference formulas after, each inner group by descending
-    r then formula text."""
+    r then formula text (one sort of the analyzed rows)."""
     seen = atoms(observation)
-    # rows hold the store's canonical formulas, so identity picks them out
-    # without hashing one
-    analyzed = {id(f.formula) for f, _ in store.rows(user) if _analyzed(f, seen)}
-    before: list[Formula] = []
-    after: list[Formula] = []
-    for t in store.triples(user):
-        if id(t.formula) in analyzed:
-            (before if isinstance(t.formula, Always) else after).append(t.formula)
+    rows = sorted([row for row in store.rows(user) if _analyzed(row[0], seen)], key=_row_order)
+    before = [f.formula for f, _ in rows if isinstance(f.formula, Always)]
+    after = [f.formula for f, _ in rows if not isinstance(f.formula, Always)]
     return before + [observation] + after
 
 
@@ -342,8 +337,12 @@ def _analyzed(facts: FormulaFacts, seen: set[str]) -> bool:
     return bool(facts.spots) or not seen.isdisjoint(facts.atoms)
 
 
+def _row_order(row: tuple[FormulaFacts, int]) -> tuple[int, str]:
+    return -row[1], row[0].text  # descending r, then formula text
+
+
 def spec_formula(store: SpecStore, user: str, observation: Formula) -> Formula:
-    """The conjunction of `spec_conjuncts`, left-nested in their order."""
+    """The conjunction of `spec_conjuncts`, left-nested, for display only."""
     return conjoin(spec_conjuncts(store, user, observation))
 
 
@@ -351,11 +350,11 @@ def consult(
     store: SpecStore, user: str, observation: Formula
 ) -> tuple[frozenset[str] | None, list[Formula]]:
     """The consequences of the user's specification under the observation
-    (`tableaux.consequences` of `spec_formula`), and the formulas retracted
-    first when every branch closed (`retract_inconsistent`; the search then
-    runs once more).  Each distinct set of conjuncts is searched once per
-    store: its consequences do not depend on their order, so a memo hit
-    neither sorts the rows nor builds the conjunction."""
+    (`tableaux.consequences` of its `spec_conjuncts`), and the formulas
+    retracted first when every branch closed (`retract_inconsistent`; the
+    search then runs once more).  Each distinct set of conjuncts is searched
+    once per store: its consequences do not depend on their order, so a memo
+    hit neither sorts the rows nor lists the conjuncts."""
     found = _search(store, user, observation)
     if found is not None:
         return found, []
@@ -370,7 +369,7 @@ def _search(store: SpecStore, user: str, observation: Formula) -> frozenset[str]
     try:
         return store.proofs[key]
     except KeyError:
-        found = store.proofs[key] = consequences(spec_formula(store, user, observation))
+        found = store.proofs[key] = consequences(*spec_conjuncts(store, user, observation))
         return found
 
 
@@ -378,12 +377,13 @@ def retract_inconsistent(
     store: SpecStore, user: str, observation: Formula
 ) -> list[Formula]:
     """Remove every stored formula that is singly inconsistent with the
-    observation.  Mutates the store; returns the removed formulas."""
+    observation, in the order of `SpecStore.triples`.  Mutates the store;
+    returns the removed formulas."""
     removed = []
-    for triple in store.triples(user):
-        if is_satisfiable(And(observation, triple.formula)) == UNSATISFIABLE:
-            store.remove(user, triple.formula)
-            removed.append(triple.formula)
+    for facts, _ in sorted(store.rows(user), key=_row_order):
+        if is_satisfiable(observation, facts.formula) == UNSATISFIABLE:
+            store.remove(user, facts)
+            removed.append(facts.formula)
     if not removed:
         log.warning(
             "joint-only contradiction for user %s at %s: store left unchanged",

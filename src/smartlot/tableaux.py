@@ -43,12 +43,14 @@ found yet (a goal-directed search; Goré, "Tableau methods for modal and
 temporal logics", Handbook of Tableau Methods, 1999).  What a pending part
 may add is read with `formulas.atoms`: each of its atoms under a named
 label, and at the root only those that an F or a G encloses.
+`consequences` and `is_satisfiable` take a formula's conjuncts as they are.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .formulas import (
     Always,
@@ -74,8 +76,7 @@ OPEN = "Open"
 CLOSED = "Closed"
 
 
-@dataclass(frozen=True)
-class WorldLabel:
+class WorldLabel(NamedTuple):
     """Position annotation for a literal: a chain of named worlds, optionally
     ending in a universal ("this world and all later ones") step."""
 
@@ -83,10 +84,8 @@ class WorldLabel:
     universal: bool = False
 
     def render(self) -> str:
-        parts = [f"{i + 1}.[{name}]" for i, name in enumerate(self.prefix)]
-        if self.universal:
-            parts.append(f"{len(self.prefix) + 1}.[x]")
-        return ".".join(parts)
+        names = self.prefix + ("x",) * self.universal
+        return ".".join(f"{i}.[{name}]" for i, name in enumerate(names, 1))
 
     def unifies(self, other: "WorldLabel") -> bool:
         if self.universal and other.universal:
@@ -99,6 +98,7 @@ class WorldLabel:
         return self.prefix == other.prefix
 
 
+_ROOT = WorldLabel()  # the label of every part at the root
 Literal = tuple[str, str, WorldLabel]  # sign "+"/"-", atom, label
 
 
@@ -151,18 +151,18 @@ def _world_name(n: int) -> str:
 
 
 class _Builder:
-    """One depth-first expansion, left branch before right.  Built as a tree
-    (`tree=True`), it records a display node per step and every branch;
-    otherwise it records nothing and stops at the first open branch, unless
-    `expand` collects consequences."""
+    """One depth-first expansion of `conjoin(parts)`, left branch before
+    right.  Built as a tree (one part), it records a display node per step
+    and every branch; otherwise it records nothing and stops at the first
+    open branch, unless `expand` collects consequences."""
 
-    def __init__(self, f: Formula, tree: bool):
-        self.root_formula = f
+    def __init__(self, parts: tuple[Formula, ...], tree: bool):
+        self.parts = parts
         self.fresh = itertools.count()
         self.branches: list[Branch] = []
-        self.root = TreeNode(f, WorldLabel()) if tree else None
+        self.root = TreeNode(parts[0], _ROOT) if tree else None
         # the root node already displays a bare literal formula
-        self.literal_root = _is_literal(f)
+        self.literal_root = tree and _is_literal(parts[0])
 
     def expand(self, collect: set[str] | None = None) -> bool:
         """Whether some branch is open.  With `collect`, adds to it the
@@ -170,8 +170,8 @@ class _Builder:
         branch is open, a pending branch that cannot add one is skipped."""
         # pending branches: signed formulas left to expand, literals,
         # commitments and the node the branch continues under; each branch
-        # owns its lists
-        pending = [([(self.root_formula, False, WorldLabel())], [], [], self.root)]
+        # owns its lists; the first part goes on top
+        pending = [([(f, False, _ROOT) for f in reversed(self.parts)], [], [], self.root)]
         found_open = False
         while pending:
             stack, literals, commitments, attach = pending.pop()
@@ -261,26 +261,26 @@ class _Builder:
 
 def build_tree(f: Formula) -> TruthTree:
     """The whole truth tree: every branch, with a display node per step."""
-    builder = _Builder(f, tree=True)
+    builder = _Builder((f,), tree=True)
     builder.expand()
     return TruthTree(f, builder.root, builder.branches)
 
 
-def is_satisfiable(f: Formula) -> str:
-    """Decided by the same expansion as `build_tree`, stopped at the first
-    open branch, with no tree recorded."""
-    return SATISFIABLE if _Builder(f, tree=False).expand() else UNSATISFIABLE
+def is_satisfiable(*parts: Formula) -> str:
+    """Of the conjunction of `parts`, decided by the same expansion as
+    `build_tree`, stopped at the first open branch, with no tree recorded."""
+    return SATISFIABLE if _Builder(parts, tree=False).expand() else UNSATISFIABLE
 
 
 def is_valid(f: Formula) -> str:
-    return NOT_VALID if _Builder(Not(f), tree=False).expand() else VALID
+    return NOT_VALID if _Builder((Not(f),), tree=False).expand() else VALID
 
 
-def consequences(f: Formula) -> frozenset[str] | None:
-    """None when every branch of f's tree closes; otherwise the union of
-    `open_consequences(build_tree(f))`, found without building the tree."""
+def consequences(*parts: Formula) -> frozenset[str] | None:
+    """None when every branch of the tree of `conjoin(parts)` closes,
+    otherwise the union of its `open_consequences`; neither is built."""
     found: set[str] = set()
-    return frozenset(found) if _Builder(f, tree=False).expand(found) else None
+    return frozenset(found) if _Builder(parts, tree=False).expand(found) else None
 
 
 def _may_add(

@@ -11,7 +11,7 @@ from smartlot.agents import (
 )
 from smartlot.fixtures import all_spots, parking_fixture
 from smartlot.formulas import Formula, parse
-from smartlot.knowledge import KnowledgeError, SpecStore, Trip, spec_formula
+from smartlot.knowledge import KnowledgeError, SpecStore, Trip, spec_conjuncts, spec_formula
 from smartlot.tableaux import build_tree
 from smartlot.worldgraph import GraphError
 
@@ -117,15 +117,15 @@ def test_a3_prefers_highest_count():
 
 
 def count_searches(monkeypatch) -> list:
-    """Formulas a3_decide runs the consequence search on, from now on."""
+    """The conjuncts a3_decide runs each consequence search on, from now on."""
     import smartlot.knowledge
 
     searched = []
     real = smartlot.knowledge.consequences
 
-    def counting(f):
-        searched.append(f)
-        return real(f)
+    def counting(*parts):
+        searched.append(list(parts))
+        return real(*parts)
 
     monkeypatch.setattr(smartlot.knowledge, "consequences", counting)
     return searched
@@ -143,7 +143,7 @@ def test_a3_searches_once_on_a_consistent_spec(monkeypatch):
     searched = count_searches(monkeypatch)
     decision, removed = a3_decide(kr55_store(), parking_fixture(), "idKR55", "g2")
     assert (decision.suggestion, removed) == ("p018", [])
-    assert searched == [spec_formula(kr55_store(), "idKR55", parse("g2"))]
+    assert searched == [spec_conjuncts(kr55_store(), "idKR55", parse("g2"))]
 
 
 def test_a3_searches_a_repeated_spec_once_per_store(monkeypatch):
@@ -191,27 +191,33 @@ def test_a3_repeated_decision_neither_sorts_nor_assembles(monkeypatch):
     # need no order
     import smartlot.knowledge
 
-    sorted_for, assembled = [], []
-    real_triples, real_conjuncts = SpecStore.triples, smartlot.knowledge.spec_conjuncts
+    sorts, assembled = [], []
+    real_conjuncts = smartlot.knowledge.spec_conjuncts
 
-    def counting_triples(self, user=None):
-        sorted_for.append(user)
-        return real_triples(self, user)
+    def counting_sorted(rows, **kwargs):
+        sorts.append(len(rows))
+        return sorted(rows, **kwargs)
 
     def counting_conjuncts(store, user, observation):
         assembled.append(user)
         return real_conjuncts(store, user, observation)
 
-    monkeypatch.setattr(SpecStore, "triples", counting_triples)
+    def no_triples(self, user=None):
+        raise AssertionError("a decision lists no SpecTriple")
+
+    # a module global `sorted` takes the place of the builtin in every sort
+    # the knowledge module makes
+    monkeypatch.setattr(smartlot.knowledge, "sorted", counting_sorted, raising=False)
     monkeypatch.setattr(smartlot.knowledge, "spec_conjuncts", counting_conjuncts)
+    monkeypatch.setattr(SpecStore, "triples", no_triples)
     store = kr55_store()
     first, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
-    # a miss sorts the rows once, to assemble the specification
+    # a miss sorts the analyzed rows once, to list the conjuncts
     assert first.candidates == (("p018", 7), ("p015", 2))
-    assert sorted_for == assembled == ["idKR55"]
+    assert sorts == [2] and assembled == ["idKR55"]
     again, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
     assert again == first
-    assert sorted_for == assembled == ["idKR55"]
+    assert sorts == [2] and assembled == ["idKR55"]
 
 
 def test_a3_memo_hit_hashes_no_formula(monkeypatch):
@@ -280,13 +286,13 @@ def test_a3_resolves_contradiction_first():
 def test_a3_proves_a_contradicted_spec_once(monkeypatch):
     store = kr55_store()
     store.insert("idKR55", parse("G !g2"), 1)
-    contradicted = spec_formula(store, "idKR55", parse("g2"))
+    contradicted = spec_conjuncts(store, "idKR55", parse("g2"))
     searched = count_searches(monkeypatch)
     _, removed = a3_decide(store, parking_fixture(), "idKR55", "g2")
     assert removed == [parse("G !g2")]
     # once on the contradicted spec, once on the repaired one
     assert searched.count(contradicted) == 1
-    assert searched == [contradicted, spec_formula(store, "idKR55", parse("g2"))]
+    assert searched == [contradicted, spec_conjuncts(store, "idKR55", parse("g2"))]
 
 
 def test_a3_requires_gateway():

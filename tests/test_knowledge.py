@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartlot.fixtures import all_gates, all_spots
-from smartlot.formulas import Atom, FormulaDepthError, FormulaSyntaxError, parse, pretty
+from smartlot.formulas import Atom, Formula, FormulaDepthError, FormulaSyntaxError, parse, pretty
 from smartlot.knowledge import (
     KnowledgeError,
     SpecStore,
@@ -137,7 +137,7 @@ def test_triples_match_a_global_sort():
             counts[(user, f)] = rng.randrange(1, 4)
             store.insert(user, f, counts[(user, f)])
         elif (user, f) in counts:
-            store.remove(user, f)
+            store.remove(user, store.facts(f))
             del counts[(user, f)]
         expected = sorted(
             (SpecTriple(u, f, r) for (u, f), r in counts.items()),
@@ -301,6 +301,43 @@ def test_never_gates_share_one_formula_per_gate():
     assert fa is fb
 
 
+def count_formula_hashes(monkeypatch) -> list:
+    """Python-level Formula.__hash__ calls from now on."""
+    calls = []
+    real = Formula.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Formula, "__hash__", counting)
+    return calls
+
+
+def test_never_gates_hash_each_formula_once(monkeypatch):
+    # a gate's G !gate is interned when the first user asserts it; every
+    # later user's assertion looks it up once, to insert it if absent
+    store = SpecStore()
+    gates = set(all_gates())
+    infer_never_gates(store, "first", 3, {"g1"}, gates)
+    calls = count_formula_hashes(monkeypatch)
+    added = infer_never_gates(store, "u", 3, {"g1"}, gates)
+    assert len(added) == len(gates) - 1
+    assert len(calls) <= len(added)
+    # asserting them again adds nothing, at one lookup per gate
+    calls.clear()
+    assert infer_never_gates(store, "u", 3, {"g1"}, gates) == []
+    assert len(calls) <= len(added)
+
+
+def test_insert_if_absent_keeps_an_existing_row():
+    store = SpecStore()
+    store.insert("u", parse("G !g3"), 2)
+    assert not store.insert_if_absent("u", parse("G !g3"))
+    assert store.insert_if_absent("u", parse("G !g2"))
+    assert dict(store.counts("u")) == {parse("G !g2"): 1, parse("G !g3"): 2}
+
+
 # -- specification assembly --------------------------------------------------
 
 
@@ -358,6 +395,17 @@ def test_resolve_removes_every_offender():
     assert found == set()
 
 
+def test_retraction_follows_the_row_order_and_hashes_no_formula(monkeypatch):
+    store = SpecStore()
+    for text, r in [("G !g3", 1), ("g2 -> F p018", 7), ("G !g3 | G !g3", 4), ("G (!g3 & p1)", 4)]:
+        store.insert("u", parse(text), r)
+    offenders = [t.formula for t in store.triples("u") if pretty(t.formula) != "g2 -> F p018"]
+    calls = count_formula_hashes(monkeypatch)
+    removed = retract_inconsistent(store, "u", parse("g3"))
+    assert removed == offenders and calls == []
+    assert store.counts("u") == [(parse("g2 -> F p018"), 7)]
+
+
 def test_resolve_consistent_spec_removes_nothing():
     store = SpecStore()
     store.insert("u", parse("g2 -> F p018"), 1)
@@ -404,7 +452,7 @@ def test_memo_agrees_with_an_uncached_search(steps):
             store = store.scale(args[0])
         elif op == "remove":
             if store.contains(args[0], parse(args[1])):
-                store.remove(args[0], parse(args[1]))
+                store.remove(args[0], store.facts(parse(args[1])))
         else:
             getattr(store, op)(args[0], parse(args[1]), *args[2:])
         fresh = SpecStore.from_tsv(store.to_tsv())

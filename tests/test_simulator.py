@@ -108,15 +108,16 @@ def test_never_gate_contradiction():
 
 
 def record_lookups(monkeypatch) -> list:
-    """The formulas that `SpecStore.contains` is asked about, in order."""
+    """The formulas that `SpecStore.insert_if_absent` is asked about, in
+    order: the one lookup of each never-gate."""
     looked_up = []
-    real = SpecStore.contains
+    real = SpecStore.insert_if_absent
 
     def counting(self, user, formula):
         looked_up.append(formula)
         return real(self, user, formula)
 
-    monkeypatch.setattr(SpecStore, "contains", counting)
+    monkeypatch.setattr(SpecStore, "insert_if_absent", counting)
     return looked_up
 
 

@@ -157,6 +157,31 @@ def test_consequences_do_not_depend_on_conjunct_order():
             assert consequences(conjoin(conjuncts)) == expected, conjuncts
 
 
+def test_consequences_of_parts_search_as_their_conjunction(monkeypatch):
+    # the decision agent hands over the conjuncts of a specification, not
+    # their conjunction: the search must reach the same branches with the
+    # same literals and commitments, in the same order
+    import smartlot.tableaux
+
+    checked = []
+    real = smartlot.tableaux._realizable
+
+    def recording(literals, commitments):
+        checked.append((list(literals), list(commitments)))
+        return real(literals, commitments)
+
+    monkeypatch.setattr(smartlot.tableaux, "_realizable", recording)
+    rng = random.Random(17)
+    corpus = formula_corpus(seed=23, count=400)
+    for i in range(300):
+        parts = random_mined_spec(rng) if i % 2 else rng.sample(corpus, rng.randint(1, 4))
+        expected = consequences(conjoin(parts))
+        joined, checked[:] = list(checked), []
+        assert consequences(*parts) == expected, parts
+        assert checked == joined, parts
+        checked.clear()
+
+
 def test_open_consequences_no_temporal():
     tree = build_tree(parse("p & q"))
     assert open_consequences(tree) == [(1, set())]
