@@ -2,8 +2,9 @@
 queries.
 
 The fragment covers the classical connectives plus the two unary temporal
-operators F ("eventually") and G ("always").  Formulas are immutable values;
-structural equality is used everywhere for deduplication.
+operators F ("eventually") and G ("always").  Formulas are immutable values
+known by their canonical printed text: two formulas are equal when they
+print alike, which for this printer is when their trees are alike.
 
 One walk, `atoms`, answers every atom query: all the atoms of a formula, or
 only those that an operator of given types encloses: an F for the spots a
@@ -36,59 +37,28 @@ class FormulaDepthError(FormulaSyntaxError):
 
 
 class Formula:
-    """Base of the formula nodes.  Equality and hashing walk explicit stacks,
-    so a long & / | chain compares and hashes like a short one; a node
-    stores its hash the first time it is asked for."""
+    """Base of the formula nodes.  A formula is known by its canonical text
+    (`pretty`, which `parse` reads back to an equal tree): `str` prints a
+    node once and keeps the text on it, and equality and hashing compare
+    and hash that text, so a long & / | chain compares and hashes like a
+    short one."""
 
-    _hash = None
+    _text = None
 
     def __str__(self) -> str:
-        return pretty(self)
+        text = self._text
+        if text is None:
+            text = pretty(self)
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            t = type(a)
-            if t is not type(b):
-                return False
-            if t is Atom:
-                if a.name != b.name:
-                    return False
-            elif t in _UNARY_NODES:
-                todo.append((a.operand, b.operand))
-            else:
-                todo.append((a.right, b.right))
-                todo.append((a.left, b.left))
-        return True
+        return self is other or str(self) == str(other)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # the preorder of node types and atom names, which fixed arities
-            # make unambiguous: equal formulas, and only those, give equal
-            # sequences
-            seq: list = []
-            todo: list[Formula] = [self]
-            while todo:
-                g = todo.pop()
-                t = type(g)
-                if t is Atom:
-                    seq.append(g.name)
-                elif t in _UNARY_NODES:
-                    seq.append(t)
-                    todo.append(g.operand)
-                else:
-                    seq.append(t)
-                    todo.append(g.right)
-                    todo.append(g.left)
-            h = hash(tuple(seq))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(str(self))
 
 
 @dataclass(frozen=True, eq=False)

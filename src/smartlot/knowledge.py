@@ -5,8 +5,9 @@ behaviour bumps an occurrence counter, and gates a user never visits turn
 into `G !gate` at the user's third completed trip.  When a fresh observation
 contradicts the stored specification, the offending formulas are found with
 the prover and removed.  The store interns each distinct formula as one
-`FormulaFacts` (the canonical object, its text, atoms and spot atoms), and
-rows and memo keys are keyed by it, hashed by identity.
+`FormulaFacts` (the canonical object, its text, atoms and spot atoms) under
+its text, and rows and memo keys are keyed by the facts object, hashed by
+identity.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .formulas import (
     conjoin,
     eventually_atoms,
     parse,
-    pretty,
 )
 from .tableaux import UNSATISFIABLE, consequences, is_satisfiable
 from .worldgraph import normalize_node_id
@@ -128,8 +128,8 @@ class Trip:
 class FormulaFacts:
     """What the store reads of a stored formula, computed when it is
     interned: its canonical object, text, atoms and spot atoms (the atoms
-    under an F).  A store makes one per structurally distinct formula, so
-    equality and hashing are by identity."""
+    under an F).  A store makes one per distinct text, so equality and
+    hashing are by identity."""
 
     formula: Formula
     text: str
@@ -139,10 +139,11 @@ class FormulaFacts:
 
 class SpecStore:
     """Per-user set of (formula, occurrence count) pairs; (user, formula)
-    is unique under structural formula equality.  Rows are kept per user,
-    the way the decision path reads them.
+    is unique under formula equality, which is equality of the printed
+    text.  Rows are kept per user, the way the decision path reads them.
 
-    Each distinct formula is interned once (`facts`), and rows are keyed by
+    Each distinct formula is interned once under its text (`facts`), so
+    interning prints a formula and hashes no `Formula`; rows are keyed by
     its facts object, which the store never drops.  `proofs` maps the set of
     facts of the conjuncts of each specification `consult` has searched to
     its consequences (`tableaux.consequences`).  That result depends on the
@@ -151,16 +152,17 @@ class SpecStore:
 
     def __init__(self):
         self._by_user: dict[str, dict[FormulaFacts, int]] = {}
-        self._facts: dict[Formula, FormulaFacts] = {}
+        self._facts: dict[str, FormulaFacts] = {}  # formula text -> facts
         self.proofs: dict[frozenset[FormulaFacts], frozenset[str] | None] = {}
 
     def facts(self, formula: Formula) -> FormulaFacts:
         """The store's one facts object for formula, made on first sight."""
-        facts = self._facts.get(formula)
+        text = str(formula)
+        facts = self._facts.get(text)
         if facts is None:
-            facts = self._facts[formula] = FormulaFacts(
+            facts = self._facts[text] = FormulaFacts(
                 formula,
-                pretty(formula),
+                text,
                 frozenset(atoms(formula)),
                 frozenset(eventually_atoms(formula)),
             )
@@ -191,7 +193,7 @@ class SpecStore:
             del self._by_user[user]
 
     def contains(self, user: str, formula: Formula) -> bool:
-        facts = self._facts.get(formula)
+        facts = self._facts.get(str(formula))
         return facts is not None and facts in self._by_user.get(user, ())
 
     def rows(self, user: str) -> ItemsView[FormulaFacts, int]:
@@ -278,8 +280,9 @@ def mine_trip(trip: Trip) -> list[Formula]:
 @functools.lru_cache(maxsize=4096)
 def _preference(gate: str, spot: str) -> Formula:
     """`gate -> F spot`, one shared object per pair while it stays cached, so
-    that `SpecStore` finds it by identity and hashes it once.  Formulas are
-    immutable; the bound only caps what a long process with many lots keeps."""
+    that it is printed once, for `SpecStore` to find it by its text.
+    Formulas are immutable; the bound only caps what a long process with
+    many lots keeps."""
     return Implies(Atom(gate), Eventually(Atom(spot)))
 
 
@@ -325,9 +328,14 @@ def spec_conjuncts(store: SpecStore, user: str, observation: Formula) -> list[Fo
     share an atom with it or promise an eventually-reached spot.
     Always-shaped knowledge (never-entered gates) goes before the
     observation, preference formulas after, each inner group by descending
-    r then formula text (one sort of the analyzed rows)."""
+    r then formula text."""
     seen = atoms(observation)
-    rows = sorted([row for row in store.rows(user) if _analyzed(row[0], seen)], key=_row_order)
+    return _conjuncts([row for row in store.rows(user) if _analyzed(row[0], seen)], observation)
+
+
+def _conjuncts(rows: list[tuple[FormulaFacts, int]], observation: Formula) -> list[Formula]:
+    """The conjuncts of `spec_conjuncts` from the analyzed rows, in one sort."""
+    rows = sorted(rows, key=_row_order)
     before = [f.formula for f, _ in rows if isinstance(f.formula, Always)]
     after = [f.formula for f, _ in rows if not isinstance(f.formula, Always)]
     return before + [observation] + after
@@ -363,13 +371,17 @@ def consult(
 
 
 def _search(store: SpecStore, user: str, observation: Formula) -> frozenset[str] | None:
-    # the key holds facts objects, hashed and compared by identity
+    # the key holds facts objects, hashed and compared by identity; a miss
+    # sorts the rows the key was built from
     obs = store.facts(observation)
-    key = frozenset([obs, *(f for f, _ in store.rows(user) if _analyzed(f, obs.atoms))])
+    counts = store._by_user.get(user, {})
+    analyzed = [f for f in counts if _analyzed(f, obs.atoms)]
+    key = frozenset([obs, *analyzed])
     try:
         return store.proofs[key]
     except KeyError:
-        found = store.proofs[key] = consequences(*spec_conjuncts(store, user, observation))
+        rows = [(f, counts[f]) for f in analyzed]
+        found = store.proofs[key] = consequences(*_conjuncts(rows, observation))
         return found
 
 
@@ -385,9 +397,5 @@ def retract_inconsistent(
             store.remove(user, facts)
             removed.append(facts.formula)
     if not removed:
-        log.warning(
-            "joint-only contradiction for user %s at %s: store left unchanged",
-            user,
-            pretty(observation),
-        )
+        log.warning("joint-only contradiction for user %s at %s: store left unchanged", user, observation)
     return removed

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from . import fixtures
-from .agents import DecisionConfig, Followers, PreferenceDecision, a3_decide
+from .agents import FALLBACK_CANDIDATE, PREFERRED, DecisionConfig, Followers, PreferenceDecision, a3_decide
 from .knowledge import (
     KnowledgeError,
     SpecStore,
@@ -171,7 +171,7 @@ def serialize_report(report: SimulationReport) -> str:
     for d in report.decisions:
         if d.suggestion is None:
             verdict = f"no suggestion ({d.rationale})"
-        elif d.rationale in ("Preferred", "FallbackCandidate"):
+        elif d.rationale in (PREFERRED, FALLBACK_CANDIDATE):
             r = dict(d.candidates).get(d.suggestion, 0)
             verdict = f"suggest {d.suggestion} ({d.rationale}, r={r})"
         else:

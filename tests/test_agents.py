@@ -192,15 +192,15 @@ def test_a3_repeated_decision_neither_sorts_nor_assembles(monkeypatch):
     import smartlot.knowledge
 
     sorts, assembled = [], []
-    real_conjuncts = smartlot.knowledge.spec_conjuncts
+    real_conjuncts = smartlot.knowledge._conjuncts
 
     def counting_sorted(rows, **kwargs):
         sorts.append(len(rows))
         return sorted(rows, **kwargs)
 
-    def counting_conjuncts(store, user, observation):
-        assembled.append(user)
-        return real_conjuncts(store, user, observation)
+    def counting_conjuncts(rows, observation):
+        assembled.append(str(observation))
+        return real_conjuncts(rows, observation)
 
     def no_triples(self, user=None):
         raise AssertionError("a decision lists no SpecTriple")
@@ -208,16 +208,16 @@ def test_a3_repeated_decision_neither_sorts_nor_assembles(monkeypatch):
     # a module global `sorted` takes the place of the builtin in every sort
     # the knowledge module makes
     monkeypatch.setattr(smartlot.knowledge, "sorted", counting_sorted, raising=False)
-    monkeypatch.setattr(smartlot.knowledge, "spec_conjuncts", counting_conjuncts)
+    monkeypatch.setattr(smartlot.knowledge, "_conjuncts", counting_conjuncts)
     monkeypatch.setattr(SpecStore, "triples", no_triples)
     store = kr55_store()
     first, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
     # a miss sorts the analyzed rows once, to list the conjuncts
     assert first.candidates == (("p018", 7), ("p015", 2))
-    assert sorts == [2] and assembled == ["idKR55"]
+    assert sorts == [2] and assembled == ["g2"]
     again, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
     assert again == first
-    assert sorts == [2] and assembled == ["idKR55"]
+    assert sorts == [2] and assembled == ["g2"]
 
 
 def test_a3_memo_hit_hashes_no_formula(monkeypatch):

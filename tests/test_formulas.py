@@ -206,10 +206,12 @@ def test_a_bad_character_wins_over_an_earlier_error(text, offset):
 
 
 def _outcome(parser, text):
-    """The tree `parser` reads from text, or its error as (type, text,
-    offset, expected)."""
+    """The tree `parser` reads from text with its structural `repr` (formula
+    equality compares printed texts), or its error as (type, text, offset,
+    expected)."""
     try:
-        return parser(text)
+        f = parser(text)
+        return f, repr(f)
     except FormulaSyntaxError as e:
         return type(e), str(e), e.offset, e.expected
 
@@ -258,6 +260,30 @@ def formulas():
 def test_print_parse_roundtrip(f):
     g = parse(pretty(f))
     assert g == f and hash(g) == hash(f)
+    # equality compares printed texts; the dataclass repr compares the trees
+    assert repr(g) == repr(f)
+
+
+A, B, C = Atom("a"), Atom("b"), Atom("c")
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (And(A, And(B, C)), And(And(A, B), C)),
+        (Or(A, Or(B, C)), Or(Or(A, B), C)),
+        (Implies(A, Implies(B, C)), Implies(Implies(A, B), C)),
+        (Iff(A, Iff(B, C)), Iff(Iff(A, B), C)),
+        (Not(Not(A)), A),
+        (Eventually(Always(A)), Always(Eventually(A))),
+    ],
+    ids=["and", "or", "implies", "iff", "double-negation", "F-G"],
+)
+def test_formulas_that_differ_in_shape_print_and_compare_unequal(f, g):
+    # formula identity is the printed text: a printer that dropped a needed
+    # parenthesis or an operator would merge these
+    assert str(f) != str(g)
+    assert f != g and not f == g and len({f, g}) == 2
 
 
 def _nnf_reference(f, negate=False):

@@ -167,20 +167,23 @@ def test_rows_share_one_canonical_formula_and_its_facts():
 
 
 def test_to_tsv_prints_each_formula_text_once(monkeypatch):
-    import smartlot.knowledge
+    # a formula keeps its text once printed (`Formula.__str__`), and the
+    # store keys its facts by that text
+    import smartlot.formulas
 
     printed = []
-    real = smartlot.knowledge.pretty
+    real = smartlot.formulas.pretty
 
     def counting(f):
         printed.append(f)
         return real(f)
 
-    monkeypatch.setattr(smartlot.knowledge, "pretty", counting)
+    monkeypatch.setattr(smartlot.formulas, "pretty", counting)
+    formulas = {text: parse(text) for text in ("g2 -> F p018", "G !g3")}
     store = SpecStore()
     for user in ("a", "b", "c"):
         for text in ("g2 -> F p018", "g2 -> F p018", "G !g3"):
-            store.upsert(user, parse(text))
+            store.upsert(user, formulas[text])
     assert len(printed) <= 2  # one per distinct formula, when it is stored
     printed.clear()
     tsv = store.to_tsv()
@@ -312,6 +315,16 @@ def count_formula_hashes(monkeypatch) -> list:
 
     monkeypatch.setattr(Formula, "__hash__", counting)
     return calls
+
+
+def test_interning_hashes_no_formula(monkeypatch):
+    # the store keys its facts by formula text: interning a formula it has
+    # not seen hashes a string, not the formula
+    store = SpecStore()
+    calls = count_formula_hashes(monkeypatch)
+    added = infer_never_gates(store, "u", 3, {"g1"}, {"g1", "g2", "g3"})
+    assert added == [parse("G !g2"), parse("G !g3")] and calls == []
+    assert sorted(facts.text for facts, _ in store.rows("u")) == ["G !g2", "G !g3"]
 
 
 def test_never_gates_hash_each_formula_once(monkeypatch):
