@@ -111,7 +111,9 @@ def cmd_mine(args) -> int:
     graph = load_graph(Path(args.graph).read_text())
     store = SpecStore()
     followers = Followers()
-    for lineno, user, node in read_events(Path(args.events).read_text(), graph.nodes):
+    # a detection is at one of the lot's places, never at a parked car
+    places = {node for node, label in graph.labels.items() if label != "C"}
+    for lineno, user, node in read_events(Path(args.events).read_text(), places):
         try:
             trip = followers.observe(user, node, graph.label(node))
         except KnowledgeError as err:

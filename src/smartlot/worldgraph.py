@@ -7,8 +7,8 @@ A car's only edge is its position, one `at` edge out of its C node, and a
 position has no attributes.  `add_edge` rejects a second `at` edge, one with
 attributes, one onto a spot another car holds, any edge into a car, any
 other edge out of one and any `at` edge out of a node that is not a car.
-`load_graph` names the line of each rejected record, and the constructor
-adds what it is given through the same two methods.
+`WorldGraph()` is empty; these two methods build every graph, in `load_graph`
+(which names the line of each rejected record), `split` and `glue`.
 
 The position map (car -> node) owns where each car is; beside it are only
 the occupancy index (the set of spots a car is at) that `is_free` reads and
@@ -40,10 +40,8 @@ class GraphError(ValueError):
 
 
 class WorldGraph:
-    def __init__(self, labels=None, edges=None, node_attrs=None, edge_attrs=None) -> None:
-        """A graph of the given nodes (node -> label) and edges ((src, dst)
-        -> label), each added with its attributes by `add_node` and
-        `add_edge`; an attribute of a node or edge not given is an error."""
+    def __init__(self) -> None:
+        """An empty graph; `add_node` and `add_edge` build it."""
         self.labels: dict[str, str] = {}  # node -> label
         self.node_attrs: dict[str, MappingProxyType] = {}
         self.edge_attrs: dict[tuple[str, str], MappingProxyType] = {}
@@ -52,16 +50,6 @@ class WorldGraph:
         self._occupancy: set[str] = set()  # spots a car is at
         # node -> successors over road edges in id order; None until first needed
         self._roads: dict[str, list[str]] | None = None
-        labels, edges = labels or {}, edges or {}
-        node_attrs, edge_attrs = node_attrs or {}, edge_attrs or {}
-        for attrs, owners in ((node_attrs, labels), (edge_attrs, edges)):
-            stray = sorted(attrs.keys() - owners.keys())
-            if stray:
-                raise GraphError(f"attributes of an unknown node or edge: {stray[0]}")
-        for node, label in labels.items():
-            self.add_node(node, label, node_attrs.get(node))
-        for (src, dst), label in edges.items():
-            self.add_edge(src, dst, label, edge_attrs.get((src, dst)))
 
     @property
     def edges(self) -> MappingProxyType:
@@ -77,15 +65,8 @@ class WorldGraph:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def nodes(self) -> set[str]:
-        return set(self.labels)
-
     def nodes_with_label(self, label: str) -> list[str]:
         return sorted(n for n, l in self.labels.items() if l == label)
-
-    def has_node(self, node: str) -> bool:
-        return node in self.labels
 
     def label(self, node: str) -> str:
         try:
@@ -289,13 +270,18 @@ def save_graph(g: WorldGraph) -> str:
 def export_dot(g: WorldGraph) -> str:
     shape = {"G": "doubleoctagon", "R": "ellipse", "P": "box", "C": "oval"}
     lines = ["digraph world {"]
-    for node in sorted(g.labels):
-        lab = g.labels[node]
-        lines.append(f'  "{node}" [label="{node} ({lab})", shape={shape[lab]}];')
+    for node, lab in sorted(g.labels.items()):
+        text = _dot_quote(f"{node} ({lab})")
+        lines.append(f"  {_dot_quote(node)} [label={text}, shape={shape[lab]}];")
     for (src, dst), label in sorted(g.edges.items()):
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+        lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string; any id or label may hold a `"` or a `\\`."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +295,8 @@ class GraphPartition:
 
 
 def split(g: WorldGraph, k: int) -> GraphPartition:
-    """Greedy BFS growth from k seeds; every edge lands in exactly one part,
-    endpoints are replicated where needed and recorded as border nodes."""
+    """Greedy BFS growth from k seeds gives each node its own part.  An edge
+    lands in its source's part; a target owned by another is copied in: a border node."""
     if k < 1 or k > len(g.labels):
         raise GraphError(f"invalid part count: {k}")
     nodes = sorted(g.labels)
@@ -342,22 +328,14 @@ def split(g: WorldGraph, k: int) -> GraphPartition:
                 queues[i % k].append(node)
 
     parts = [WorldGraph() for _ in range(k)]
-    membership: dict[str, set[int]] = {n: set() for n in nodes}
-
-    def ensure(part: int, node: str) -> None:
-        if node not in parts[part].labels:
-            parts[part].add_node(node, g.labels[node], g.node_attrs.get(node))
-            membership[node].add(part)
-
     for node, part in provenance.items():
-        ensure(part, node)
+        parts[part].add_node(node, g.labels[node], g.node_attrs.get(node))
     for (src, dst), label in g.edges.items():
-        part = provenance[src]
-        ensure(part, src)
-        ensure(part, dst)
-        parts[part].add_edge(src, dst, label, g.edge_attrs.get((src, dst)))
-
-    border = {n for n, ms in membership.items() if len(ms) > 1}
+        part = parts[provenance[src]]
+        if dst not in part.labels:
+            part.add_node(dst, g.labels[dst], g.node_attrs.get(dst))
+        part.add_edge(src, dst, label, g.edge_attrs.get((src, dst)))
+    border = {node for i, part in enumerate(parts) for node in part.labels if provenance[node] != i}
     return GraphPartition(parts, border)
 
 

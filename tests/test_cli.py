@@ -444,6 +444,20 @@ def test_mine_rejects_a_feed_that_starts_mid_trip(tmp_path, capsys):
     assert captured.err.startswith("error: line 1: ") and "r4" in captured.err
 
 
+def test_mine_rejects_a_detection_at_a_parked_car(tmp_path, capsys):
+    # simulate rejects the same row ("cannot move onto a C node")
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(one_road_lot("g1", "p1") + "c9 C\nc9 -> p1 at\n")
+    events_file = tmp_path / "events.csv"
+    events_file.write_text(
+        "u,g1,2014-01-28T08:00:00\nu,c9,2014-01-28T08:01:00\nu,g1,2014-01-28T08:30:00\n"
+    )
+    assert main(["mine", str(events_file), str(graph_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: unknown node id 'c9'\n"
+
+
 def test_mine_reports_the_first_bad_row(tmp_path, capsys):
     graph_file = tmp_path / "world.graph"
     graph_file.write_text(parking_fixture_text())
@@ -537,6 +551,21 @@ def test_graph_dot(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph")
     assert '"g1" -> "r1"' in out
+
+
+def test_graph_dot_and_simulate_dot_graph_escape_quotes_and_backslashes(tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text('g1 G\nr"1 R\nr\\2 R\ng1 -> r"1 road\nr"1 -> r\\2 road\n')
+    assert main(["graph", "dot", str(graph_file)]) == 0
+    out = capsys.readouterr().out
+    assert '  "r\\"1" [label="r\\"1 (R)", shape=ellipse];\n' in out
+    assert '  "r\\"1" -> "r\\\\2" [label="road"];\n' in out
+    scenario = tmp_path / "quote.scenario"
+    scenario.write_text(one_road_lot("g1", "p1") + 'timeline:\n2014-01-28T08:00:00,u"x,g1\n')
+    dot_file = tmp_path / "world.dot"
+    report = tmp_path / "report"
+    assert main(["simulate", str(scenario), "-o", str(report), "--dot-graph", str(dot_file)]) == 0
+    assert '  "u\\"x" -> "g1" [label="at"];\n' in dot_file.read_text()
 
 
 def test_graph_split_bad_k(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import parse_reference
 from formula_gen import formula_corpus
@@ -256,7 +256,14 @@ def formulas():
     )
 
 
+# One example of each nesting that needs parentheses: the drawn formulas
+# miss some of them on some seeds.
 @given(formulas())
+@example(And(Atom("p"), And(Atom("q"), Atom("r"))))
+@example(Or(Atom("p"), Or(Atom("q"), Atom("r"))))
+@example(Implies(Implies(Atom("p"), Atom("q")), Atom("r")))
+@example(Iff(Iff(Atom("p"), Atom("q")), Atom("r")))
+@example(Iff(Atom("p"), Iff(Atom("q"), Atom("r"))))
 def test_print_parse_roundtrip(f):
     g = parse(pretty(f))
     assert g == f and hash(g) == hash(f)

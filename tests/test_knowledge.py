@@ -22,7 +22,7 @@ from smartlot.knowledge import (
     spec_formula,
 )
 from smartlot.tableaux import consequences
-from smartlot.worldgraph import GraphError, load_graph
+from smartlot.worldgraph import GraphError, load_graph, save_graph
 
 
 # -- timestamps --------------------------------------------------------------
@@ -502,16 +502,41 @@ def assert_names_a_line(err: Exception, text: str) -> None:
     assert 1 <= int(found[1]) <= text.count("\n")
 
 
+# well-formed `k=v` attributes: an empty key or value, a value holding `=`
+FUZZ_ATTRS = st.lists(st.sampled_from(["zone=north", "len=", "=4", "k=a=b", "z=\u00b2"]), max_size=2)
+
+
 @st.composite
 def fuzz_lot(draw):
-    """A graph file of nodes with ids such as `p0\u00b2` or `r\u0661`, any
-    label, and road edges between them."""
-    nodes = draw(st.lists(st.tuples(FUZZ_NODE_IDS, st.sampled_from("GRPCX")), max_size=6))
-    ids = [node for node, _ in nodes] or ["g1"]
-    records = [f"{node} {label}" for node, label in nodes]
+    """A graph file, in any record order, of nodes with ids such as `p0\u00b2`
+    or `r\u0661` and attributes, road edges between places, `at` edges out
+    of cars (maybe two out of one) to any node, and comments.  At most one
+    record is broken: a node gets the unknown label X, or a record gets an
+    attribute with no `=` or an arrow that makes it an edge record."""
+    ids = st.one_of(st.sampled_from(["g1", "r1", "p1", "p2", "c1", "c2"]), FUZZ_NODE_IDS)
+    labeled = st.tuples(ids, st.sampled_from("GRPC"))
+    nodes = draw(st.lists(labeled, min_size=2, max_size=6, unique_by=lambda node: node[0]))
+    ids = [node for node, _ in nodes]
+    cars = [node for node, label in nodes if label == "C"]
+    places = [node for node, label in nodes if label != "C"] or ids
+    records = [[node, label, *draw(FUZZ_ATTRS)] for node, label in nodes]
     for _ in range(draw(st.integers(0, 3))):
-        records.append(f"{draw(st.sampled_from(ids))} -> {draw(st.sampled_from(ids))} road")
-    return ids, "".join(f"{record}\n" for record in records)
+        ends = draw(st.sampled_from(places)), draw(st.sampled_from(places))
+        records.append([ends[0], "->", ends[1], "road", *draw(FUZZ_ATTRS)])
+    # with no car in the lot, at most one at edge, out of a node that is none
+    for _ in range(draw(st.integers(0, 2 if cars else 1))):
+        dst = draw(st.sampled_from(places) | st.sampled_from(ids))
+        records.append([draw(st.sampled_from(cars or ids)), "->", dst, "at", *draw(st.just([]) | FUZZ_ATTRS)])
+    fault = draw(st.one_of(st.none(), st.sampled_from(["X", "north", "->"])))
+    if fault:
+        broken = draw(st.sampled_from(records))
+        if fault == "X" and "->" not in broken:
+            broken[1] = fault
+        else:
+            broken.append(fault)
+    lines = [" ".join(record) for record in records] + ["# a comment -> at"] * draw(st.integers(0, 1))
+    comments = st.sampled_from(["", " # x -> y at", "# k=v"])
+    return ids, "".join(f"{line}{draw(comments)}\n" for line in draw(st.permutations(lines)))
 
 
 @st.composite
@@ -541,11 +566,23 @@ def test_fuzzed_feed_fails_only_with_a_declared_error_naming_its_line(data):
         assert_names_a_line(err, graph_text)
         return
     try:
-        rows = list(read_events(feed, graph.nodes))
+        rows = list(read_events(feed, graph.labels))
     except KnowledgeError as err:
         assert_names_a_line(err, feed)
         return
-    assert all(node in graph.nodes for _, _, node in rows)
+    assert all(node in graph.labels for _, _, node in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_lot())
+def test_fuzzed_lot_fails_only_with_a_declared_error_naming_its_line_or_round_trips(lot):
+    _, text = lot
+    try:
+        graph = load_graph(text)
+    except GraphError as err:
+        assert_names_a_line(err, text)
+        return
+    assert load_graph(save_graph(graph)) == graph
 
 
 @settings(max_examples=150, deadline=None)

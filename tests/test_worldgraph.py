@@ -44,8 +44,8 @@ def test_fixture_round_trip():
 
 def test_fixture_text_loads():
     g = load_graph(parking_fixture_text())
-    assert set(all_gates()) <= g.nodes
-    assert set(all_spots()) <= g.nodes
+    assert set(all_gates()) <= g.labels.keys()
+    assert set(all_spots()) <= g.labels.keys()
     assert g.label("g2") == "G"
     assert g.label("p018") == "P"
 
@@ -105,7 +105,7 @@ def test_enter_move_exit():
     assert g3.label("idKR55") == "C"
     g4 = g3.car_exits("idKR55")
     assert g4.is_free("p018")
-    assert not g4.has_node("idKR55")
+    assert "idKR55" not in g4.labels
 
 
 def test_enter_errors():
@@ -177,28 +177,24 @@ def test_indexes_follow_random_transformations():
         assert_indexes_match_edges(load_graph(save_graph(g)), cars)
 
 
-def test_graph_built_from_dicts_is_indexed():
-    g = WorldGraph(
-        {"c1": "C", "g1": "G", "p1": "P"},
-        {("c1", "p1"): "at", ("g1", "p1"): "road"},
-        {"g1": {"zone": "north"}},
-    )
+def test_loaded_graph_is_indexed():
+    g = load_graph("c1 C\ng1 G zone=north\np1 P\nc1 -> p1 at\ng1 -> p1 road\n")
     assert g.car_position("c1") == "p1"
     assert not g.is_free("p1")
     with pytest.raises(TypeError):
         g.node_attrs["g1"]["zone"] = "south"
 
 
-def test_graph_built_from_dicts_checks_nodes_like_add_node():
+def test_add_node_checks_the_label_and_the_atom_name():
+    g = WorldGraph()
     with pytest.raises(GraphError, match="G node id is not an atom name: 'Gate 1'"):
-        WorldGraph({"Gate 1": "G"}, {})
+        g.add_node("Gate 1", "G")
     with pytest.raises(GraphError, match="unknown node label 'Q' for node n"):
-        WorldGraph({"g1": "G", "n": "Q"}, {})
-    with pytest.raises(GraphError, match="attributes of an unknown node or edge: ghost"):
-        WorldGraph({"g1": "G"}, {}, {"ghost": {"a": "1"}})
-    with pytest.raises(GraphError, match="attributes of an unknown node or edge"):
-        WorldGraph({"g1": "G", "r1": "R"}, {}, {}, {("g1", "r1"): {"len": "40"}})
-    g = WorldGraph({"g1": "G", "r1": "R"}, {("g1", "r1"): "road"}, {"g1": {"zone": "north"}})
+        g.add_node("n", "Q")
+    assert g == WorldGraph()  # a rejected node adds nothing
+    g.add_node("g1", "G", {"zone": "north"})
+    g.add_node("r1", "R")
+    g.add_edge("g1", "r1", "road")
     assert load_graph(save_graph(g)) == g
 
 
@@ -211,10 +207,14 @@ def test_edges_are_a_read_only_view():
     assert g.car_position("c1") == "g1" and ("c1", "r1") not in g.edges
 
 
-def test_steps_on_a_graph_built_from_dicts_keep_edges_and_indexes_agreeing():
+def test_steps_on_a_built_graph_keep_edges_and_indexes_agreeing():
     labels = {"c1": "C", "c2": "C", "g1": "G", "r1": "R", "p1": "P", "p2": "P"}
     roads = {("g1", "r1"): "road", ("r1", "p1"): "road", ("r1", "p2"): "road", ("p1", "r1"): "road"}
-    g = WorldGraph(labels, {**roads, ("c1", "p1"): "at", ("c2", "r1"): "at"})
+    g = WorldGraph()
+    for node, label in labels.items():
+        g.add_node(node, label)
+    for (src, dst), label in {**roads, ("c1", "p1"): "at", ("c2", "r1"): "at"}.items():
+        g.add_edge(src, dst, label)
     cars = ["c1", "c2", "c3"]
     assert_indexes_match_edges(g, cars)
     for step in (
@@ -235,12 +235,15 @@ def test_equality_ignores_stored_empty_attributes():
     g = parking_fixture().car_enters("c1", "g1").car_moves("c1", "r1").car_moves("c1", "p018")
     g = g.car_enters("c2", "g2")
     assert load_graph(save_graph(g)) == g
-    labels = {"c1": "C", "g1": "G"}
-    edges = {("c1", "g1"): "at"}
-    bare = WorldGraph(labels, edges)
-    assert WorldGraph(labels, edges, {"c1": {}, "g1": {}}, {("c1", "g1"): {}}) == bare
+    bare = load_graph("c1 C\ng1 G\nr1 R\nc1 -> g1 at\ng1 -> r1 road\n")
+    empty = WorldGraph()
+    for node, label in (("c1", "C"), ("g1", "G"), ("r1", "R")):
+        empty.add_node(node, label, {})
+    empty.add_edge("c1", "g1", AT, {})
+    empty.add_edge("g1", "r1", "road", {})
+    assert empty == bare
     assert load_graph(save_graph(bare)) == bare
-    assert WorldGraph(labels, edges, {"c1": {"color": "red"}}) != bare
+    assert load_graph("c1 C color=red\ng1 G\nr1 R\nc1 -> g1 at\ng1 -> r1 road\n") != bare
 
 
 def test_at_edge_with_attributes_rejected():
@@ -251,8 +254,6 @@ def test_at_edge_with_attributes_rejected():
     assert g.car_position("c1") is None and g.is_free("p018")
     with pytest.raises(GraphError, match="at edge with attributes: c1 -> p1"):
         load_graph("c1 C\np1 P\nc1 -> p1 at len=3\n")
-    with pytest.raises(GraphError, match="at edge with attributes: c1 -> p1"):
-        WorldGraph({"c1": "C", "p1": "P"}, {("c1", "p1"): AT}, {}, {("c1", "p1"): {"len": "3"}})
 
 
 def test_attributes_are_read_only_and_shared():
@@ -267,12 +268,12 @@ def test_attributes_are_read_only_and_shared():
 
 
 def test_two_cars_on_one_spot_rejected():
-    labels = {"c1": "C", "c2": "C", "p1": "P"}
+    g = load_graph("c1 C\nc2 C\np1 P\nc1 -> p1 at\n")
     with pytest.raises(GraphError, match="parking place occupied: p1"):
-        WorldGraph(labels, {("c1", "p1"): AT, ("c2", "p1"): AT})
+        g.add_edge("c2", "p1", AT)
+    assert g.car_position("c2") is None
     with pytest.raises(GraphError, match="^line 5: parking place occupied: p1$"):
         load_graph("c1 C\nc2 C\np1 P\nc1 -> p1 at\nc2 -> p1 at\n")
-    g = WorldGraph(labels, {("c1", "p1"): AT})
     g.add_edge("c1", "p1", AT)  # placing a car where it is changes nothing
     copied = g.copy()
     assert not copied.is_free("p1") and copied._occupancy == {"p1"}
@@ -353,9 +354,6 @@ def test_only_a_cars_at_edge_touches_it(src, dst, label, message):
     text = parking_fixture_text() + f"c1 C\nc2 C\nc1 -> g1 at\n{src} -> {dst} {label}\n"
     with pytest.raises(GraphError, match=message):
         load_graph(text)
-    edges = {("c1", "g1"): "at", (src, dst): label}
-    with pytest.raises(GraphError, match=message):
-        WorldGraph({"c1": "C", "c2": "C", "g1": "G", "r1": "R"}, edges)
 
 
 # -- nearest free spot -------------------------------------------------------
@@ -469,7 +467,10 @@ def test_split_glue_random():
         g = random_graph(rng, rng.randrange(2, 200))
         for k in (1, 2, 3, 5):
             if k <= len(g.labels):
-                assert glue(split(g, k)) == g
+                p = split(g, k)
+                assert glue(p) == g
+                held = {node: sum(node in part.labels for part in p.parts) for node in g.labels}
+                assert p.border_nodes == {node for node, parts in held.items() if parts > 1}
 
 
 def test_split_invalid_k():
