@@ -24,7 +24,7 @@ from .simulator import (
     serialize_scenario,
 )
 from .tableaux import SATISFIABLE, build_tree, export_tree, is_satisfiable
-from .worldgraph import GraphError, GraphPartition, export_dot, glue, load_graph, save_graph
+from .worldgraph import GraphError, GraphPartition, at_line, export_dot, glue, load_graph, save_graph
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,6 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    """A file's text with no newline translated: the readers split it."""
+    return Path(path).read_bytes().decode()
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
@@ -99,7 +104,7 @@ def cmd_simulate(args) -> int:
     if args.scenario == "-":
         scenario = demo_scenario(config=config)
     else:
-        scenario = parse_scenario(Path(args.scenario).read_text(), config)
+        scenario = parse_scenario(_read(args.scenario), config)
     report = run(scenario)
     _emit(serialize_report(report), args.output)
     if args.dot_graph:
@@ -108,16 +113,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    graph = load_graph(Path(args.graph).read_text())
+    graph = load_graph(_read(args.graph))
     store = SpecStore()
     followers = Followers()
     # a detection is at one of the lot's places, never at a parked car
     places = {node for node, label in graph.labels.items() if label != "C"}
-    for lineno, user, node in read_events(Path(args.events).read_text(), places):
+    for lineno, user, node in read_events(_read(args.events), places):
         try:
             trip = followers.observe(user, node, graph.label(node))
         except KnowledgeError as err:
-            raise KnowledgeError(f"line {lineno}: {err}") from None
+            raise at_line(err, lineno) from None
         if trip is not None:
             for formula in mine_trip(trip):
                 store.upsert(trip.user, formula)
@@ -129,7 +134,7 @@ def cmd_graph(args) -> int:
     from .worldgraph import split as split_graph
 
     if args.graph_command == "split":
-        g = load_graph(Path(args.path).read_text())
+        g = load_graph(_read(args.path))
         partition = split_graph(g, args.k)
         for i, part in enumerate(partition.parts):
             Path(f"{args.output_prefix}-{i}.graph").write_text(save_graph(part))
@@ -137,11 +142,11 @@ def cmd_graph(args) -> int:
         print(f"wrote {args.k} parts; border nodes: {border or '(none)'}")
         return 0
     if args.graph_command == "glue":
-        parts = [load_graph(Path(p).read_text()) for p in args.paths]
+        parts = [load_graph(_read(p)) for p in args.paths]
         merged = glue(GraphPartition(parts, set()))
         _emit(save_graph(merged), args.output)
         return 0
-    g = load_graph(Path(args.path).read_text())
+    g = load_graph(_read(args.path))
     _emit(export_dot(g), args.output)
     return 0
 

@@ -35,7 +35,7 @@ from .formulas import (
     parse,
 )
 from .tableaux import UNSATISFIABLE, consequences, is_satisfiable
-from .worldgraph import normalize_node_id
+from .worldgraph import at_line, normalize_node_id, numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -61,8 +61,9 @@ def parse_timestamp(text: str) -> datetime:
 
 def check_user_id(user: str) -> None:
     """Reject a user id that does not fit one knowledge TSV cell: an empty
-    one, or one with a tab or a line break (those of str.splitlines, which
-    SpecStore.from_tsv splits a knowledge file on)."""
+    one, or one with a tab or a line break.  A user id is printed as part of
+    one report line and one TSV row, so no character that any reader or
+    editor treats as a line break (those of str.splitlines) may appear in it."""
     if user.splitlines() != [user] or "\t" in user:
         raise KnowledgeError(f"bad user id {user!r}: empty, or with a tab or line break")
 
@@ -104,9 +105,9 @@ def read_events(text: str, known_nodes: set[str]) -> Iterator[tuple[int, str, st
             last[user] = timestamp
             yield lineno, user, node
     except KnowledgeError as err:
-        raise KnowledgeError(f"line {lineno}: {err}") from None
+        raise at_line(err, lineno) from None
     except csv.Error as err:  # such as a cell over csv.field_size_limit()
-        raise KnowledgeError(f"line {end + 1}: {err}") from None
+        raise at_line(KnowledgeError(err), end + 1) from None
 
 
 @dataclass(frozen=True)
@@ -235,31 +236,29 @@ class SpecStore:
     def from_tsv(cls, text: str) -> "SpecStore":
         store = cls()
         first: dict[tuple[str, FormulaFacts], int] = {}  # row -> its line
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise KnowledgeError(f"line {lineno}: expected user<TAB>formula<TAB>r")
-            user, formula_text, r = parts
-            try:
+        try:
+            for lineno, line in numbered_lines(text):
+                if not line.strip():
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise KnowledgeError("expected user<TAB>formula<TAB>r")
+                user, formula_text, r = parts
                 check_user_id(user)
                 formula = parse(formula_text)
-            except (KnowledgeError, FormulaSyntaxError) as err:  # each keeps its type
-                err.args = (f"line {lineno}: {err}",)
-                raise
-            try:
-                # int() would also read " 3", "+3" and non-ASCII digits
-                store.insert(user, formula, int(r) if r.isascii() and r.isdigit() else 0)
-            except ValueError:  # not ASCII digits, or below 1
-                raise KnowledgeError(f"line {lineno}: count must be a positive integer: {r!r}") from None
-            # two texts of one formula, such as "a" and "(a)", are one row
-            facts = store.facts(formula)
-            if first.setdefault((user, facts), lineno) != lineno:
-                raise KnowledgeError(
-                    f"line {lineno}: duplicate row for {user}: {facts.text} "
-                    f"(first on line {first[user, facts]})"
-                )
+                try:
+                    # int() would also read " 3", "+3" and non-ASCII digits
+                    store.insert(user, formula, int(r) if r.isascii() and r.isdigit() else 0)
+                except ValueError:  # not ASCII digits, or below 1
+                    raise KnowledgeError(f"count must be a positive integer: {r!r}") from None
+                # two texts of one formula, such as "a" and "(a)", are one row
+                facts = store.facts(formula)
+                if first.setdefault((user, facts), lineno) != lineno:
+                    raise KnowledgeError(
+                        f"duplicate row for {user}: {facts.text} (first on line {first[user, facts]})"
+                    )
+        except (KnowledgeError, FormulaSyntaxError) as err:  # each keeps its type
+            raise at_line(err, lineno) from None
         return store
 
 

@@ -5,7 +5,9 @@ gateway entry triggers a preference decision before the car proceeds.  The
 report is a pure function of the scenario, so two runs with the same inputs
 serialize byte-identically.  `run` walks the timeline once and checks each
 detection as it applies it; an error for one read from a scenario file names
-its line, as `mine`'s errors do.
+its line, as `mine`'s errors do.  `parse_scenario` reads a scenario file
+through `worldgraph.numbered_lines` and hands the graph section's lines
+straight to `read_graph`, so every line number is the one an editor shows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .knowledge import (
     mine_trip,
     parse_timestamp,
 )
-from .worldgraph import GraphError, WorldGraph, load_graph, save_graph
+from .worldgraph import GraphError, WorldGraph, at_line, numbered_lines, read_graph, save_graph
 
 
 class ScenarioError(ValueError):
@@ -80,9 +82,9 @@ def run(scenario: Scenario) -> SimulationReport:
     stats = SimulationStats()
 
     last = None
-    for det in scenario.timeline:
-        user, node = det.user, det.node
-        try:
+    try:
+        for det in scenario.timeline:
+            user, node = det.user, det.node
             if last is not None and det.timestamp < last:
                 raise ScenarioError(f"timeline not sorted at {det.timestamp.isoformat()}")
             last = det.timestamp
@@ -115,10 +117,10 @@ def run(scenario: Scenario) -> SimulationReport:
                 graph.enter(user, node)
             else:
                 graph.move(user, node)
-        except (ScenarioError, KnowledgeError, GraphError) as err:
-            if det.line is None:
-                raise
-            raise type(err)(f"line {det.line}: {err}") from None
+    except (ScenarioError, KnowledgeError, GraphError) as err:
+        if det.line is None:
+            raise
+        raise at_line(err, det.line) from None
 
     return SimulationReport(
         decisions=decisions,
@@ -135,27 +137,28 @@ def run(scenario: Scenario) -> SimulationReport:
 
 
 def parse_scenario(text: str, config: DecisionConfig = DecisionConfig()) -> Scenario:
-    lines = text.splitlines()
-    try:
-        split_at = next(
-            i for i, line in enumerate(lines) if line.strip() == "timeline:"
-        )
-    except StopIteration:
-        raise ScenarioError("scenario has no `timeline:` section") from None
-    graph = load_graph("\n".join(lines[:split_at]))
+    lines = numbered_lines(text)
+    graph_lines = []
+    for lineno, raw in lines:
+        if raw.strip() == "timeline:":
+            break
+        graph_lines.append((lineno, raw))
+    else:
+        raise ScenarioError("scenario has no `timeline:` section")
+    graph = read_graph(graph_lines)
     timeline = []
-    for lineno, raw in enumerate(lines[split_at + 1 :], start=split_at + 2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ScenarioError(f"line {lineno}: expected timestamp,user,node")
-        try:
+    try:
+        for lineno, raw in lines:  # the rest, after `timeline:`
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ScenarioError("expected timestamp,user,node")
             ts = parse_timestamp(parts[0])
-        except KnowledgeError as err:
-            raise ScenarioError(f"line {lineno}: {err}") from None
-        timeline.append(Detection(ts, parts[1].strip(), parts[2].strip(), lineno))
+            timeline.append(Detection(ts, parts[1].strip(), parts[2].strip(), lineno))
+    except (ScenarioError, KnowledgeError) as err:  # a bad timestamp too is a scenario error
+        raise at_line(ScenarioError(err), lineno) from None
     return Scenario(graph, timeline, config)
 
 

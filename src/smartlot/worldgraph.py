@@ -8,7 +8,11 @@ position has no attributes.  `add_edge` rejects a second `at` edge, one with
 attributes, one onto a spot another car holds, any edge into a car, any
 other edge out of one and any `at` edge out of a node that is not a car.
 `WorldGraph()` is empty; these two methods build every graph, in `load_graph`
-(which names the line of each rejected record), `split` and `glue`.
+(which names the line of each rejected record), `split` and `glue`.  They
+also reject what `save_graph` could not write back (`_check_words`), so
+`load_graph(save_graph(g)) == g` for every graph built.  The text-format
+section owns what a line of any input file is (`numbered_lines`) and how an
+error names it (`at_line`).
 
 The position map (car -> node) owns where each car is; beside it are only
 the occupancy index (the set of spots a car is at) that `is_free` reads and
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -100,6 +105,7 @@ class WorldGraph:
         if label in ("G", "P") and not ATOM_RE.fullmatch(node):
             # gates and spots become atoms of the mined formulas
             raise GraphError(f"{label} node id is not an atom name: {node!r}")
+        _check_words(node, attrs)
         self.labels[node] = label
         if attrs:
             self.node_attrs[node] = MappingProxyType(dict(attrs))
@@ -115,6 +121,7 @@ class WorldGraph:
         if (label == AT) != (self.labels[src] == "C"):
             kind = "non-car" if label == AT else "car"
             raise GraphError(f"{label} edge out of a {kind}: {src} -> {dst}")
+        _check_words(label, attrs)
         edge = (src, dst)
         if label != AT:
             self._road_edges[edge] = label
@@ -215,20 +222,51 @@ class WorldGraph:
         return None
 
 
+def _check_words(word: str, attrs: dict[str, str] | None) -> None:
+    """Reject what `save_graph` could not write back as the same record: a
+    node id or edge label that is empty or `->`, an attribute key that holds
+    `=`, and any of these or an attribute value that holds whitespace (as
+    `str.split` reads it) or `#`."""
+    pairs = (attrs or {}).items()
+    for text in (word, *(f"{key}={value}" for key, value in pairs)):
+        if text.split() != [text] or "#" in text or text == "->":
+            raise GraphError(f"not one word of a graph record: {text!r}")
+    for key, _ in pairs:
+        if "=" in key:
+            raise GraphError(f"attribute key holds '=': {key!r}")
+
+
 # ---------------------------------------------------------------------------
-# Text format: one record per line.
+# Text formats: `numbered_lines` splits every input file into lines, and
+# `at_line` names one in an error.  A graph has one record per line:
 #   node: <id> <label> [key=value ...]
 #   edge: <src> -> <dst> <label> [key=value ...]
 # '#' starts a comment.
 
 
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of an input file, as an editor shows
+    them: a line ends at "\n" only, and one "\r" before it is dropped."""
+    return enumerate(text.replace("\r\n", "\n").split("\n"), 1)
+
+
+def at_line(err: Exception, lineno: int) -> Exception:
+    """err, its type kept, with `line N: ` before its message."""
+    err.args = (f"line {lineno}: {err}",)
+    return err
+
+
 def load_graph(text: str) -> WorldGraph:
+    return read_graph(numbered_lines(text))
+
+
+def read_graph(lines: Iterable[tuple[int, str]]) -> WorldGraph:
     g = WorldGraph()
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    records = [(lineno, line, line.split()) for lineno, line in enumerate(lines, start=1)]
+    stripped = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in lines)
+    records = [(lineno, line, line.split()) for lineno, line in stripped]
     # nodes before edges, so that an edge may name a node declared below it
-    for lineno, line, parts in sorted(records, key=lambda record: "->" in record[2]):
-        try:
+    try:
+        for lineno, line, parts in sorted(records, key=lambda record: "->" in record[2]):
             if "->" in parts:
                 if parts.index("->") != 1 or len(parts) < 4:
                     raise GraphError(f"malformed edge record: {line!r}")
@@ -237,8 +275,8 @@ def load_graph(text: str) -> WorldGraph:
                 if len(parts) < 2:
                     raise GraphError(f"malformed node record: {line!r}")
                 g.add_node(parts[0], parts[1], _parse_attrs(parts[2:]))
-        except GraphError as err:
-            raise GraphError(f"line {lineno}: {err}") from None
+    except GraphError as err:
+        raise at_line(err, lineno) from None
     return g
 
 

@@ -598,3 +598,22 @@ def test_an_internal_error_exits_2_without_a_traceback(monkeypatch, capsys):
     assert captured.err == (
         "error: internal error: AttributeError: 'NoneType' object has no attribute 'suggestion'\n"
     )
+
+
+@pytest.mark.parametrize("brk", ["\r", "\u2028"], ids=["cr", "ls"])
+def test_a_graph_file_is_split_at_newline_only(tmp_path, capsys, brk):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_bytes(f"g1 G\nr1 R zone=a{brk}b\ng1 -> r1 road\n".encode())
+    assert main(["graph", "dot", str(graph_file)]) == 2
+    assert capsys.readouterr().err == "error: line 2: malformed attribute: 'b'\n"
+
+
+def test_crlf_files_read_like_lf(tmp_path, capsys):
+    scenario = serialize_scenario(demo_scenario(occupied=("p018",)))
+    outputs = []
+    for name, text in (("lf", scenario), ("crlf", scenario.replace("\n", "\r\n"))):
+        path = tmp_path / f"{name}.scenario"
+        path.write_bytes(text.encode())
+        assert main(["simulate", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -22,7 +22,7 @@ from smartlot.knowledge import (
     spec_formula,
 )
 from smartlot.tableaux import consequences
-from smartlot.worldgraph import GraphError, load_graph, save_graph
+from smartlot.worldgraph import GraphError, WorldGraph, load_graph, save_graph
 
 
 # -- timestamps --------------------------------------------------------------
@@ -583,6 +583,35 @@ def test_fuzzed_lot_fails_only_with_a_declared_error_naming_its_line_or_round_tr
         assert_names_a_line(err, text)
         return
     assert load_graph(save_graph(graph)) == graph
+
+
+# ids, labels, keys and values: maybe empty or `->`, or holding a space, a
+# tab, U+0085, `#` or `=`
+FUZZ_WORDS = st.just("->") | st.text(st.sampled_from(["p", "1", " ", "\t", "\x85", "#", "="]), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_built_lot_round_trips_whatever_the_builder_accepts(data):
+    """Each node or edge the builder is asked for is either refused with a
+    GraphError, leaving the graph as it was, or written back by save_graph."""
+    g = WorldGraph()
+    attrs = st.dictionaries(FUZZ_WORDS, FUZZ_WORDS, max_size=2)
+    for _ in range(data.draw(st.integers(1, 5))):
+        before = g.copy()
+        try:
+            g.add_node(data.draw(FUZZ_WORDS), data.draw(st.sampled_from("GRPC")), data.draw(attrs))
+        except GraphError:
+            assert g == before
+    nodes = sorted(g.labels)
+    for _ in range(data.draw(st.integers(0, 4)) if nodes else 0):
+        src, dst = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+        before = g.copy()
+        try:
+            g.add_edge(src, dst, data.draw(FUZZ_WORDS | st.sampled_from(["road", "at"])), data.draw(attrs))
+        except GraphError:
+            assert g == before
+    assert load_graph(save_graph(g)) == g
 
 
 @settings(max_examples=150, deadline=None)

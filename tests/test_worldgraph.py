@@ -198,6 +198,47 @@ def test_add_node_checks_the_label_and_the_atom_name():
     assert load_graph(save_graph(g)) == g
 
 
+@pytest.mark.parametrize(
+    "node, attrs",
+    [
+        ("a b", None),
+        ("r#1", None),
+        ("", None),
+        ("->", None),
+        ("r\u2028", None),
+        ("r1", {"k=x": "v"}),
+        ("r1", {"k": "a b"}),
+        ("r1", {"k#": "v"}),
+        ("r1", {"k": "v\x1c"}),
+    ],
+)
+def test_add_node_rejects_what_save_graph_cannot_write_back(node, attrs):
+    g = WorldGraph()
+    with pytest.raises(GraphError, match="not one word of a graph record|attribute key holds '='"):
+        g.add_node(node, "R", attrs)
+    assert g == WorldGraph()
+
+
+@pytest.mark.parametrize(
+    "label, attrs",
+    [("", None), ("a b", None), ("->", None), ("x#", None), ("road", {"k=x": "v"}), ("road", {"k": "\x85"})],
+)
+def test_add_edge_rejects_what_save_graph_cannot_write_back(label, attrs):
+    g = load_graph("a R\nb R\n")
+    with pytest.raises(GraphError, match="not one word of a graph record|attribute key holds '='"):
+        g.add_edge("a", "b", label, attrs)
+    assert g == load_graph("a R\nb R\n")
+
+
+def test_words_save_graph_writes_back_are_accepted():
+    g = WorldGraph()
+    g.add_node("Car-1", "C", {"": "", "k": "a=b", "->": "->"})
+    g.add_node("r1", "R")
+    g.add_edge("r1", "r1", "a=b", {"len": "="})
+    g.add_edge("Car-1", "r1", AT)
+    assert load_graph(save_graph(g)) == g
+
+
 def test_edges_are_a_read_only_view():
     g = parking_fixture().car_enters("c1", "g1")
     with pytest.raises(TypeError):
