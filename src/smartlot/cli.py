@@ -67,9 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class InputError(ValueError):
+    """An input file that is not UTF-8 text."""
+
+
 def _read(path: str) -> str:
     """A file's text with no newline translated: the readers split it."""
-    return Path(path).read_bytes().decode()
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise InputError(f"{path}: line {line}: not UTF-8 text (byte 0x{data[err.start]:02x})") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -174,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         # recurses, so RecursionError is only a last resort
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
-    except (FormulaSyntaxError, KnowledgeError, GraphError, ScenarioError, OSError) as err:
+    except (FormulaSyntaxError, KnowledgeError, GraphError, ScenarioError, InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

@@ -35,7 +35,7 @@ from .formulas import (
     parse,
 )
 from .tableaux import UNSATISFIABLE, consequences, is_satisfiable
-from .worldgraph import at_line, normalize_node_id, numbered_lines
+from .worldgraph import at_line, is_word, normalize_node_id, numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -59,21 +59,12 @@ def parse_timestamp(text: str) -> datetime:
     return timestamp
 
 
-def check_user_id(user: str) -> None:
-    """Reject a user id that does not fit one knowledge TSV cell: an empty
-    one, or one with a tab or a line break.  A user id is printed as part of
-    one report line and one TSV row, so no character that any reader or
-    editor treats as a line break (those of str.splitlines) may appear in it."""
-    if user.splitlines() != [user] or "\t" in user:
-        raise KnowledgeError(f"bad user id {user!r}: empty, or with a tab or line break")
-
-
 def read_events(text: str, known_nodes: set[str]) -> Iterator[tuple[int, str, str]]:
     """Yield (line number, user, node) for each row of a user,node,timestamp
-    CSV, checking each row as it is read: three cells, a user id that fits
-    one knowledge TSV cell (`check_user_id`, on the user's first row), a
-    node id that normalizes to a known node, and a timestamp no earlier than
-    the user's previous one.  Each error names its line."""
+    CSV, checking each row as it is read: three cells, a user id that is
+    one word (`worldgraph.is_word`, on the user's first row), a node id
+    that normalizes to a known node, and a timestamp no earlier than the
+    user's previous one.  Each error names its line."""
     nodes: dict[str, str] = {}  # raw node id -> normalized id
     last: dict[str, datetime] = {}
     reader = csv.reader(io.StringIO(text))
@@ -89,8 +80,8 @@ def read_events(text: str, known_nodes: set[str]) -> Iterator[tuple[int, str, st
                 raise KnowledgeError("expected user,node,timestamp")
             user, raw, ts = row[0].strip(), row[1].strip(), row[2]
             previous = last.get(user)
-            if previous is None:  # the user's first row
-                check_user_id(user)
+            if previous is None and not is_word(user):  # the user's first row
+                raise KnowledgeError(f"bad user id {user!r}: not one word of a graph record")
             node = nodes.get(raw)
             if node is None:
                 node = nodes[raw] = normalize_node_id(raw, known_nodes)
@@ -106,8 +97,9 @@ def read_events(text: str, known_nodes: set[str]) -> Iterator[tuple[int, str, st
             yield lineno, user, node
     except KnowledgeError as err:
         raise at_line(err, lineno) from None
-    except csv.Error as err:  # such as a cell over csv.field_size_limit()
-        raise at_line(KnowledgeError(err), end + 1) from None
+    except csv.Error as err:  # a cell over csv.field_size_limit(), or a lone "\r" (a "new-line")
+        message = "carriage return outside a quoted cell" if "new-line" in str(err) else err
+        raise at_line(KnowledgeError(message), end + 1) from None
 
 
 @dataclass(frozen=True)
@@ -244,7 +236,8 @@ class SpecStore:
                 if len(parts) != 3:
                     raise KnowledgeError("expected user<TAB>formula<TAB>r")
                 user, formula_text, r = parts
-                check_user_id(user)
+                if not is_word(user):
+                    raise KnowledgeError(f"bad user id {user!r}: not one word of a graph record")
                 formula = parse(formula_text)
                 try:
                     # int() would also read " 3", "+3" and non-ASCII digits

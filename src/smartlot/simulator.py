@@ -19,14 +19,7 @@ from datetime import datetime, timedelta
 
 from . import fixtures
 from .agents import FALLBACK_CANDIDATE, PREFERRED, DecisionConfig, Followers, PreferenceDecision, a3_decide
-from .knowledge import (
-    KnowledgeError,
-    SpecStore,
-    check_user_id,
-    infer_never_gates,
-    mine_trip,
-    parse_timestamp,
-)
+from .knowledge import KnowledgeError, SpecStore, infer_never_gates, mine_trip, parse_timestamp
 from .worldgraph import GraphError, WorldGraph, at_line, numbered_lines, read_graph, save_graph
 
 
@@ -104,11 +97,6 @@ def run(scenario: Scenario) -> SimulationReport:
                 if trip.parked_spot is not None and trip.parked_spot == last_suggestion.get(user):
                     stats.suggestions_followed += 1
             elif label == "G":
-                # a user's first detection is an entry: no user goes unchecked
-                try:
-                    check_user_id(user)
-                except KnowledgeError as err:
-                    raise ScenarioError(f"timeline has a {err}") from None
                 decision, removed = a3_decide(store, graph, user, node, scenario.config)
                 if removed:
                     stats.contradictions_resolved += 1

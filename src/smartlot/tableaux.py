@@ -120,12 +120,10 @@ class Branch:
     index: int  # 1-based, depth-first order
     literals: list[Literal]
     status: str  # OPEN / CLOSED
-    leaf: TreeNode
 
 
 @dataclass
 class TruthTree:
-    root_formula: Formula
     root: TreeNode
     branches: list[Branch]
 
@@ -255,7 +253,7 @@ class _Builder:
     def _finish(self, literals: list[Literal], leaf: TreeNode | None, status: str) -> str:
         if leaf is not None:
             leaf.marker = "x" if status == CLOSED else "o"
-            self.branches.append(Branch(len(self.branches) + 1, literals, status, leaf))
+            self.branches.append(Branch(len(self.branches) + 1, literals, status))
         return status
 
 
@@ -263,7 +261,7 @@ def build_tree(f: Formula) -> TruthTree:
     """The whole truth tree: every branch, with a display node per step."""
     builder = _Builder((f,), tree=True)
     builder.expand()
-    return TruthTree(f, builder.root, builder.branches)
+    return TruthTree(builder.root, builder.branches)
 
 
 def is_satisfiable(*parts: Formula) -> str:

@@ -9,10 +9,11 @@ attributes, one onto a spot another car holds, any edge into a car, any
 other edge out of one and any `at` edge out of a node that is not a car.
 `WorldGraph()` is empty; these two methods build every graph, in `load_graph`
 (which names the line of each rejected record), `split` and `glue`.  They
-also reject what `save_graph` could not write back (`_check_words`), so
-`load_graph(save_graph(g)) == g` for every graph built.  The text-format
-section owns what a line of any input file is (`numbered_lines`) and how an
-error names it (`at_line`).
+also reject what `save_graph` could not write back (`_check_words`), as
+`enter` does a car id that is not one word (`is_word`, the one id rule),
+so `load_graph(save_graph(g)) == g` for every graph built.  The
+text-format section owns what a line of any input file is
+(`numbered_lines`) and how an error names it (`at_line`).
 
 The position map (car -> node) owns where each car is; beside it are only
 the occupancy index (the set of spots a car is at) that `is_free` reads and
@@ -150,6 +151,8 @@ class WorldGraph:
             raise GraphError(f"not a gateway: {gate}")
         if car in self.labels:
             raise GraphError(f"car already present: {car}")
+        if not is_word(car):
+            raise GraphError(f"not one word of a graph record: {car!r}")
         self.labels[car] = "C"
         self._position[car] = gate
 
@@ -222,14 +225,19 @@ class WorldGraph:
         return None
 
 
+def is_word(text: str) -> bool:
+    """Whether text is one word of a graph record, as every id must be: one
+    `str.split` word (so not empty and no whitespace), no `#`, not `->`."""
+    return text.split() == [text] and "#" not in text and text != "->"
+
+
 def _check_words(word: str, attrs: dict[str, str] | None) -> None:
     """Reject what `save_graph` could not write back as the same record: a
-    node id or edge label that is empty or `->`, an attribute key that holds
-    `=`, and any of these or an attribute value that holds whitespace (as
-    `str.split` reads it) or `#`."""
+    node id or edge label, or an attribute written `key=value`, that is not
+    a word (`is_word`), and an attribute key that holds `=`."""
     pairs = (attrs or {}).items()
     for text in (word, *(f"{key}={value}" for key, value in pairs)):
-        if text.split() != [text] or "#" in text or text == "->":
+        if not is_word(text):
             raise GraphError(f"not one word of a graph record: {text!r}")
     for key, _ in pairs:
         if "=" in key:

@@ -254,8 +254,8 @@ def test_simulate_rejects_a_node_id_that_is_not_an_atom(kind, tmp_path, capsys):
 CAR_AT_P010 = "c1 C\nc1 -> p010 at\n"
 BAD_TIMELINES = {
     "car-in-graph": (CAR_AT_P010, ["00,c1,g1"], "error: line 104: car already present: c1"),
-    "empty-user": ("", ["00,,g1"], "error: line 102: timeline has a bad user id ''"),
-    "tab-user": ("", ["00,u\tx,g1"], "error: line 102: timeline has a bad user id 'u\\tx'"),
+    "empty-user": ("", ["00,,g1"], "error: line 102: not one word of a graph record: ''"),
+    "tab-user": ("", ["00,u\tx,g1"], "error: line 102: not one word of a graph record: 'u\\tx'"),
     "mid-trip": ("", ["00,u,r4"], "error: line 102: user u detected at r4 before entering"),
     "unknown-node": ("", ["00,u,g1", "01,u,zz"], "error: line 103: timeline references unknown node: zz"),
     "unsorted": ("", ["01,u,g1", "00,u,r1"], "error: line 103: timeline not sorted at 2014-01-28T08:00:00"),
@@ -284,6 +284,23 @@ def test_simulate_rejects_a_bad_detection(case, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(error)
     assert "Traceback" not in captured.err
+
+
+# a one-road lot of seven lines, so `timeline:` is line 8
+SMALL_LOT = "g1 G\nr1 R\np1 P\ng1 -> r1 road\nr1 -> g1 road\nr1 -> p1 road\np1 -> r1 road\n"
+
+
+@pytest.mark.parametrize("user", ["a b", "a\u00a0b", "->"], ids=["space", "nbsp", "arrow"])
+def test_simulate_rejects_a_user_id_that_is_no_word_of_a_graph_record(user, tmp_path, capsys):
+    # the user would stay parked, and the report's graph section would not load back
+    rows = [("08:00", "g1"), ("08:01", "r1"), ("08:02", "p1")]
+    scenario = tmp_path / "bad.scenario"
+    timeline = "".join(f"2014-01-28T{t}:00,{user},{node}\n" for t, node in rows)
+    scenario.write_bytes((SMALL_LOT + "timeline:\n" + timeline).encode())
+    assert main(["simulate", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 9: not one word of a graph record: {user!r}\n"
 
 
 def test_simulate_and_mine_reject_a_utc_offset(tmp_path, capsys):
@@ -529,6 +546,15 @@ def test_mine_bad_events(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_mine_names_a_lone_carriage_return(tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    events_file = tmp_path / "events.csv"
+    events_file.write_bytes(b"u,g1,2014-01-28T08:00:00\rv,g1,2014-01-28T08:01:00")
+    assert main(["mine", str(events_file), str(graph_file)]) == 2
+    assert capsys.readouterr().err == "error: line 1: carriage return outside a quoted cell\n"
+
+
 # -- graph -------------------------------------------------------------------
 
 
@@ -598,6 +624,36 @@ def test_an_internal_error_exits_2_without_a_traceback(monkeypatch, capsys):
     assert captured.err == (
         "error: internal error: AttributeError: 'NoneType' object has no attribute 'suggestion'\n"
     )
+
+
+# the file each command reads, with a byte that is not UTF-8 on line 2
+NOT_UTF8 = {
+    "simulate": (b"g1 G\nr1 R zone=\xff\ng1 -> r1 road\ntimeline:\n", "0xff"),
+    "mine-feed": (b"u,g1,2014-01-28T08:00:00\nu,r1,2014-01-28T08:01:00\xc3(\n", "0xc3"),
+    "mine-graph": (b"g1 G\nr1 R zone=\xe2\x82\ng1 -> r1 road\n", "0xe2"),
+    "graph-dot": (b"g1 G\nr1 R\xff\n", "0xff"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_its_line(case, tmp_path, capsys):
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    events_file = tmp_path / "events.csv"
+    events_file.write_text("u,g1,2014-01-28T08:00:00\n")
+    bad = tmp_path / "bad.txt"
+    data, byte = NOT_UTF8[case]
+    bad.write_bytes(data)
+    argv = {
+        "simulate": ["simulate", str(bad)],
+        "mine-feed": ["mine", str(bad), str(graph_file)],
+        "mine-graph": ["mine", str(events_file), str(bad)],
+        "graph-dot": ["graph", "dot", str(bad)],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 2: not UTF-8 text (byte {byte})\n"
 
 
 @pytest.mark.parametrize("brk", ["\r", "\u2028"], ids=["cr", "ls"])

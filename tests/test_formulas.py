@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import parse_reference
 from formula_gen import formula_corpus
@@ -373,3 +373,16 @@ def test_parse_matches_the_reference_on_spaced_formulas(f, data):
 @given(st.text(alphabet="pqFGA1!&|()<->? \t\n", max_size=30))
 def test_parse_matches_the_reference_on_token_soup(text):
     assert _outcome(parse, text) == _outcome(parse_reference.parse, text)
+
+
+@settings(max_examples=500)
+@given(st.text())
+@example("a\u3000&\u2028b")  # whitespace the tokenizer skips
+@example("F\x85G (a -> !b) <-> c")
+def test_any_text_parses_to_a_formula_that_prints_back_or_is_a_syntax_error(text):
+    try:
+        f = parse(text)
+    except FormulaSyntaxError:  # a FormulaDepthError too
+        return
+    again = parse(pretty(f))
+    assert again == f and repr(again) == repr(f)

@@ -12,7 +12,6 @@ from smartlot.knowledge import (
     SpecStore,
     SpecTriple,
     Trip,
-    check_user_id,
     consult,
     infer_never_gates,
     mine_trip,
@@ -22,7 +21,7 @@ from smartlot.knowledge import (
     spec_formula,
 )
 from smartlot.tableaux import consequences
-from smartlot.worldgraph import GraphError, WorldGraph, load_graph, save_graph
+from smartlot.worldgraph import GraphError, WorldGraph, is_word, load_graph, save_graph
 
 
 # -- timestamps --------------------------------------------------------------
@@ -100,6 +99,68 @@ def test_from_csv_errors_carry_line_numbers():
 
 
 # -- spec store --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "feed, line",
+    [
+        ("u,g1,2014-01-28T09:30:00\rv,g1,2014-01-28T09:31:00\n", 1),
+        ("u,g1,2014-01-28T09:30:00\nu\rx,g1,2014-01-28T09:31:00\n", 2),
+        # a row names the line it starts on
+        ('u,g1,2014-01-28T09:30:00\n"v\nw",g1,2014-01-28T09:31:00\rx\n', 2),
+    ],
+    ids=["end-of-row", "in-a-cell", "after-a-quoted-cell"],
+)
+def test_read_events_names_a_lone_carriage_return(feed, line):
+    with pytest.raises(KnowledgeError, match=rf"^line {line}: carriage return outside a quoted cell$"):
+        list(read_events(feed, {"g1"}))
+
+
+# user ids, and whether they are one word of a graph record (`is_word`);
+# none starts or ends with a blank, which an event CSV strips
+USER_IDS = {
+    "u": True,
+    "car0001": True,
+    "-": True,
+    "->x": True,
+    "a=b": True,
+    "a,b": True,
+    'a"b': True,
+    "\u00fc": True,
+    "": False,
+    "a b": False,
+    "a\u00a0b": False,
+    "a\u3000b": False,
+    "a#b": False,
+    "#": False,
+    "->": False,
+    "u\rx": False,
+    "u\vx": False,
+    "u\x1cx": False,
+    "u\x85x": False,
+    "u\u2028x": False,
+}
+
+
+@pytest.mark.parametrize("user", list(USER_IDS), ids=[ascii(user) for user in USER_IDS])
+def test_a_car_a_feed_user_and_a_tsv_user_follow_one_id_rule(user):
+    assert is_word(user) == USER_IDS[user]
+    graph = WorldGraph()
+    graph.add_node("g1", "G")
+    cell = '"' + user.replace('"', '""') + '"'
+    bad = f"line 1: bad user id {user!r}: not one word of a graph record"
+    readers = [
+        (GraphError, f"not one word of a graph record: {user!r}", lambda: graph.enter(user, "g1")),
+        (KnowledgeError, bad, lambda: list(read_events(f"{cell},g1,2014-01-28T09:30:00\n", {"g1"}))),
+        (KnowledgeError, bad, lambda: SpecStore.from_tsv(f"{user}\tg1 -> F p1\t1\n")),
+    ]
+    for error, message, read in readers:
+        if USER_IDS[user]:
+            read()
+        else:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                read()
+    assert (graph.car_position(user) == "g1") == USER_IDS[user]
 
 
 def test_upsert_counts():
@@ -636,4 +697,4 @@ def test_fuzzed_knowledge_tsv_fails_only_with_a_declared_error_naming_its_line(r
         assert_names_a_line(err, text)
         return
     for triple in store.triples():
-        check_user_id(triple.user)
+        assert is_word(triple.user)

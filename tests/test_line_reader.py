@@ -59,7 +59,7 @@ def test_parse_scenario_names_the_line_of_a_timeline_row(brk):
 def test_simulate_names_the_line_of_a_detection(brk):
     text = "g1 G\nr1 R\ng1 -> r1 road\ntimeline:\n\n2014-01-28T08:00:00,u,g1\n"
     text += f"2014-01-28T08:01:00,u{brk}v,g1\n"
-    with pytest.raises(ScenarioError, match=r"^line 7: timeline has a bad user id"):
+    with pytest.raises(GraphError, match=r"^line 7: not one word of a graph record: 'u"):
         run(parse_scenario(text))
 
 

@@ -24,7 +24,7 @@ from smartlot.simulator import (
     serialize_report,
     serialize_scenario,
 )
-from smartlot.worldgraph import GraphError, WorldGraph, save_graph
+from smartlot.worldgraph import GraphError, WorldGraph, load_graph, save_graph
 
 T0 = datetime(2014, 1, 28, 8, 0, 0)
 
@@ -203,10 +203,12 @@ def test_unknown_node_rejected():
 
 
 @pytest.mark.parametrize(
-    "user", ["", "u\tx", "u\nx", "u\x1cx"], ids=["empty", "tab", "newline", "separator"]
+    "user",
+    ["", "u\tx", "u\nx", "u\x1cx", "a b", "a#b"],
+    ids=["empty", "tab", "newline", "separator", "space", "hash"],
 )
 def test_user_id_that_does_not_fit_a_tsv_cell_rejected(user):
-    with pytest.raises(ScenarioError, match="bad user id"):
+    with pytest.raises(GraphError, match=f"^not one word of a graph record: {re.escape(repr(user))}$"):
         run(Scenario(parking_fixture(), [Detection(T0, user, "g1")]))
 
 
@@ -263,8 +265,9 @@ FUZZ_CARS = ["", "c0 C\nc0 -> p1 at\n", "c0 C\nc9 C\nc0 -> p1 at\nc9 -> p1 at\n"
 def fuzz_rows(draw):
     """Timeline rows in which users u, v and w enter at g1, move about the
     lot competing for its spots and leave, with at most one cell replaced:
-    an earlier or offset timestamp, a user id that is empty, holds a tab or
-    names a node or the parked car, or an unknown node or a car as node."""
+    an earlier or offset timestamp, a user id that is empty, holds a tab, a
+    space, a no-break space or `#` or names a node or the parked car, or an
+    unknown node or a car as node."""
     rows, inside = [], set()
     for minute in range(draw(st.integers(0, 16))):
         user = draw(st.sampled_from(["u", "v", "w"]))
@@ -280,6 +283,9 @@ def fuzz_rows(draw):
                 (0, "2014-01-28T08:59:00+01:00"),
                 (1, ""),
                 (1, "u\tx"),
+                (1, "a b"),
+                (1, "a\u00a0b"),
+                (1, "a#b"),
                 (1, "g1"),
                 (1, "c0"),
                 (2, "zz"),
@@ -298,7 +304,7 @@ def test_fuzzed_scenario_fails_only_with_a_declared_error_naming_its_line(cars, 
     graph = FUZZ_LOT + cars
     first = graph.count("\n") + 2  # the line of the first timeline row
     try:
-        run(parse_scenario(graph + "timeline:\n" + "".join(rows)))
+        report = run(parse_scenario(graph + "timeline:\n" + "".join(rows)))
     except (ScenarioError, KnowledgeError, GraphError) as err:
         found = re.match(r"line (\d+): ", str(err))
         assert found, err
@@ -306,6 +312,10 @@ def test_fuzzed_scenario_fails_only_with_a_declared_error_naming_its_line(cars, 
             assert str(err) == "line 14: parking place occupied: p1"
         else:
             assert first <= int(found[1]) < first + len(rows)
+        return
+    # the report's last section is the final graph, each record indented
+    section = serialize_report(report).split("\ngraph:\n", 1)[1]
+    assert load_graph(section.replace("\n  ", "\n").removeprefix("  ")) == report.final_graph
 
 
 def edge_scan_route(graph, start, goal):
