@@ -68,17 +68,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class InputError(ValueError):
-    """An input file that is not UTF-8 text."""
+    """An input file, or stdin, that is not UTF-8 text."""
 
 
-def _read(path: str) -> str:
-    """A file's text with no newline translated: the readers split it."""
-    data = Path(path).read_bytes()
+def _decode(data: bytes, name: str) -> str:
+    """The UTF-8 text of input `name`, with no newline translated: the
+    readers split it."""
     try:
         return data.decode()
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
-        raise InputError(f"{path}: line {line}: not UTF-8 text (byte 0x{data[err.start]:02x})") from None
+        raise InputError(f"{name}: line {line}: not UTF-8 text (byte 0x{data[err.start]:02x})") from None
+
+
+def _read(path: str) -> str:
+    return _decode(Path(path).read_bytes(), path)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -91,7 +95,7 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_prove(args) -> int:
     # '-' is never a formula; a formula longer than one command-line
     # argument may be comes in on stdin
-    formula = parse(sys.stdin.read() if args.formula == "-" else args.formula)
+    formula = parse(_decode(sys.stdin.buffer.read(), "<stdin>") if args.formula == "-" else args.formula)
     # φ is valid when !(φ) has no open branch; that tree is the one shown
     subject = Not(formula) if args.valid else formula
     if args.tree:

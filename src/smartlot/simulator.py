@@ -128,7 +128,7 @@ def parse_scenario(text: str, config: DecisionConfig = DecisionConfig()) -> Scen
     lines = numbered_lines(text)
     graph_lines = []
     for lineno, raw in lines:
-        if raw.strip() == "timeline:":
+        if raw.split("#", 1)[0].strip() == "timeline:":
             break
         graph_lines.append((lineno, raw))
     else:

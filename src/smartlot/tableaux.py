@@ -32,24 +32,26 @@ shares, may close the branch, and one of a constant model may open it.  Only
 then does an iterative search run, back to front over the sets of worlds
 already placed, without the leaf worlds that nothing else reads.
 
-`build_tree` builds every branch, with a display node per step.  The
-verdicts `is_satisfiable` and `is_valid` run the same expansion but record
-no tree and stop at the first open branch.  `consequences`, the third mode,
-records no tree either: it answers what the decision agent reads from one,
+One expansion yields the finished branches, depth first and left before
+right, and builds no display: `build_tree` builds the display tree from them,
+and `is_satisfiable` and `is_valid` stop at the first open branch.
+`consequences` drains it for what the decision agent reads from a tree:
 whether every branch closes and otherwise the union of the positive atoms
 under named labels over the open branches (`open_consequences`).  After the
-first open branch it skips every pending branch that cannot add an atom not
-found yet (a goal-directed search; Goré, "Tableau methods for modal and
-temporal logics", Handbook of Tableau Methods, 1999).  What a pending part
-may add is read with `formulas.atoms`: each of its atoms under a named
-label, and at the root only those that an F or a G encloses.
+first open branch the expansion then skips every pending branch that cannot
+add an atom not found yet (a goal-directed search; Goré, "Tableau methods for
+modal and temporal logics", Handbook of Tableau Methods, 1999).  What a
+pending part may add is read with `formulas.atoms`: each of its atoms under a
+named label, and at the root only those that an F or a G encloses.
 `consequences` and `is_satisfiable` take a formula's conjuncts as they are.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .formulas import (
@@ -136,10 +138,6 @@ class TruthTree:
         return not self.closed
 
 
-def _is_literal(f: Formula) -> bool:
-    return isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.operand, Atom))
-
-
 def _world_name(n: int) -> str:
     """The n-th fresh world name: a, b, c, ..., then a1, b1, ...; x is
     reserved for universals."""
@@ -148,137 +146,124 @@ def _world_name(n: int) -> str:
     return name + str(n // len(letters)) if n >= len(letters) else name
 
 
-class _Builder:
-    """One depth-first expansion of `conjoin(parts)`, left branch before
-    right.  Built as a tree (one part), it records a display node per step
-    and every branch; otherwise it records nothing and stops at the first
-    open branch, unless `expand` collects consequences."""
+def _expand(
+    parts: tuple[Formula, ...], found: set[str] | None = None
+) -> Iterator[tuple[int, list[Literal], str]]:
+    """Yield each finished branch of `conjoin(parts)`, depth first and left
+    before right, as (shared, literals, status): `shared` counts the leading
+    literals the branch took from the one it split from.  With `found`, adds
+    to it the positive atoms under named labels of every open branch; once
+    one branch is open, a pending branch that cannot add one is skipped."""
+    # pending branches: signed formulas left to expand, literals and
+    # commitments; each branch owns its lists; the first part goes on top
+    pending = [([(f, False, _ROOT) for f in reversed(parts)], [], [])]
+    fresh = itertools.count()
+    found_open = False
+    while pending:
+        stack, literals, commitments = pending.pop()
+        if found_open and found is not None and not _may_add(stack, literals, found):
+            continue
+        shared = len(literals)
+        status = _branch(stack, literals, commitments, pending, fresh)
+        if status == OPEN:
+            found_open = True
+            if found is not None:
+                found.update(a for s, a, label in literals if s == "+" and label.prefix)
+        yield shared, literals, status
 
-    def __init__(self, parts: tuple[Formula, ...], tree: bool):
-        self.parts = parts
-        self.fresh = itertools.count()
-        self.branches: list[Branch] = []
-        self.root = TreeNode(parts[0], _ROOT) if tree else None
-        # the root node already displays a bare literal formula
-        self.literal_root = tree and _is_literal(parts[0])
 
-    def expand(self, collect: set[str] | None = None) -> bool:
-        """Whether some branch is open.  With `collect`, adds to it the
-        positive atoms under named labels of every open branch; once one
-        branch is open, a pending branch that cannot add one is skipped."""
-        # pending branches: signed formulas left to expand, literals,
-        # commitments and the node the branch continues under; each branch
-        # owns its lists; the first part goes on top
-        pending = [([(f, False, _ROOT) for f in reversed(self.parts)], [], [], self.root)]
-        found_open = False
-        while pending:
-            stack, literals, commitments, attach = pending.pop()
-            if found_open and collect is not None and not _may_add(stack, literals, collect):
-                continue
-            if self._branch(stack, literals, commitments, attach, pending) == OPEN:
-                found_open = True
-                if collect is not None:
-                    collect.update(a for s, a, label in literals if s == "+" and label.prefix)
-                elif self.root is None:
-                    break
-        return found_open
-
-    def _branch(
-        self,
-        stack: list[tuple[Formula, bool, WorldLabel]],
-        literals: list[Literal],
-        commitments: list[tuple[Formula, tuple[str, ...]]],
-        attach: TreeNode | None,
-        pending: list,
-    ) -> str:
-        """Expand one branch to its status; the right side of each split
-        goes on `pending` with copies of the branch's lists.  A stack entry
-        `(f, neg, label)` stands for f, or for !f when `neg`, at `label`."""
-        while stack:
-            f, neg, label = stack.pop()
-            t = type(f)
-            if t is Not:
-                stack.append((f.operand, not neg, label))
-                continue
-            if t is Atom:
-                lit = ("-" if neg else "+", f.name, label)
-                if attach is not None and not self.literal_root:
-                    node = TreeNode(Not(f) if neg else f, label)
-                    attach.children.append(node)
-                    attach = node
-                closes = self._closes(lit, literals)
-                literals.append(lit)
-                if closes:
-                    return self._finish(literals, attach, CLOSED)
-                continue
-            if t is And or t is Or or t is Implies:
-                # And+, Or- and Implies- keep both parts on the branch
-                if (t is And) != neg:
-                    stack.append((f.right, neg, label))
-                    stack.append((f.left, neg != (t is Implies), label))
-                    continue
-            elif t is Always or t is Eventually:
-                # G+ and F- hold at this world and every later one
-                if (t is Always) != neg:
-                    stack.append((f.operand, neg, WorldLabel(label.prefix, True)))
-                    continue
-            elif t is not Iff:
-                raise TypeError(f"not a formula: {f!r}")
-            # the rest split the branch or name a world; under a universal
-            # label they wait, in normal form, as commitments
-            if label.universal:
-                commitments.append((nnf(Not(f)) if neg else nnf(f), label.prefix))
-            elif t is Always or t is Eventually:
-                world = label.prefix + (_world_name(next(self.fresh)),)
-                stack.append((f.operand, neg, WorldLabel(world, False)))
-            elif t is Iff:
-                # Iff+ splits into l & r | !l & !r, Iff- into l & !r | !l & r
-                right = stack + [(f.right, not neg, label), (f.left, True, label)]
-                pending.append((right, list(literals), list(commitments), attach))
+def _branch(
+    stack: list[tuple[Formula, bool, WorldLabel]],
+    literals: list[Literal],
+    commitments: list[tuple[Formula, tuple[str, ...]]],
+    pending: list,
+    fresh: Iterator[int],
+) -> str:
+    """Expand one branch to its status; the right side of each split goes on
+    `pending` with copies of the branch's lists.  A stack entry `(f, neg,
+    label)` stands for f, or for !f when `neg`, at `label`."""
+    while stack:
+        f, neg, label = stack.pop()
+        t = type(f)
+        if t is Not:
+            stack.append((f.operand, not neg, label))
+            continue
+        if t is Atom:
+            sign = "-" if neg else "+"
+            closes = any(s != sign and a == f.name and l.unifies(label) for s, a, l in literals)
+            literals.append((sign, f.name, label))
+            if closes:
+                return CLOSED
+            continue
+        if t is And or t is Or or t is Implies:
+            # And+, Or- and Implies- keep both parts on the branch
+            if (t is And) != neg:
                 stack.append((f.right, neg, label))
-                stack.append((f.left, False, label))
-            else:
-                # Or+, And- and Implies+ split, left first
-                pending.append((stack + [(f.right, neg, label)], list(literals), list(commitments), attach))
                 stack.append((f.left, neg != (t is Implies), label))
-        status = OPEN if _realizable(literals, commitments) else CLOSED
-        return self._finish(literals, attach, status)
-
-    def _closes(self, lit: Literal, previous: list[Literal]) -> bool:
-        sign, atom, label = lit
-        return any(
-            s != sign and a == atom and l.unifies(label) for s, a, l in previous
-        )
-
-    def _finish(self, literals: list[Literal], leaf: TreeNode | None, status: str) -> str:
-        if leaf is not None:
-            leaf.marker = "x" if status == CLOSED else "o"
-            self.branches.append(Branch(len(self.branches) + 1, literals, status))
-        return status
+                continue
+        elif t is Always or t is Eventually:
+            # G+ and F- hold at this world and every later one
+            if (t is Always) != neg:
+                stack.append((f.operand, neg, WorldLabel(label.prefix, True)))
+                continue
+        elif t is not Iff:
+            raise TypeError(f"not a formula: {f!r}")
+        # the rest split the branch or name a world; under a universal
+        # label they wait, in normal form, as commitments
+        if label.universal:
+            commitments.append((nnf(Not(f)) if neg else nnf(f), label.prefix))
+        elif t is Always or t is Eventually:
+            world = label.prefix + (_world_name(next(fresh)),)
+            stack.append((f.operand, neg, WorldLabel(world, False)))
+        elif t is Iff:
+            # Iff+ splits into l & r | !l & !r, Iff- into l & !r | !l & r
+            right = stack + [(f.right, not neg, label), (f.left, True, label)]
+            pending.append((right, list(literals), list(commitments)))
+            stack.append((f.right, neg, label))
+            stack.append((f.left, False, label))
+        else:
+            # Or+, And- and Implies+ split, left first
+            pending.append((stack + [(f.right, neg, label)], list(literals), list(commitments)))
+            stack.append((f.left, neg != (t is Implies), label))
+    return OPEN if _realizable(literals, commitments) else CLOSED
 
 
 def build_tree(f: Formula) -> TruthTree:
-    """The whole truth tree: every branch, with a display node per step."""
-    builder = _Builder((f,), tree=True)
-    builder.expand()
-    return TruthTree(builder.root, builder.branches)
+    """The whole truth tree: every branch, with a display node per literal.
+    A branch's nodes continue the last branch's path after the literals the
+    two share."""
+    root = TreeNode(f, _ROOT)
+    branches: list[Branch] = []
+    path = [root]  # the last branch's nodes: its k-th literal's at k
+    # the root already displays a bare literal
+    hidden = int(isinstance(f, Atom) or isinstance(f, Not) and isinstance(f.operand, Atom))
+    for shared, literals, status in _expand((f,)):
+        del path[shared + 1 :]
+        for sign, atom, label in literals[max(shared, hidden) :]:
+            node = TreeNode(Not(Atom(atom)) if sign == "-" else Atom(atom), label)
+            path[-1].children.append(node)
+            path.append(node)
+        path[-1].marker = "x" if status == CLOSED else "o"
+        branches.append(Branch(len(branches) + 1, literals, status))
+    return TruthTree(root, branches)
 
 
 def is_satisfiable(*parts: Formula) -> str:
-    """Of the conjunction of `parts`, decided by the same expansion as
-    `build_tree`, stopped at the first open branch, with no tree recorded."""
-    return SATISFIABLE if _Builder(parts, tree=False).expand() else UNSATISFIABLE
+    """Of the conjunction of `parts`, decided by the expansion of
+    `build_tree`, stopped at the first open branch."""
+    return SATISFIABLE if OPEN in map(itemgetter(2), _expand(parts)) else UNSATISFIABLE
 
 
 def is_valid(f: Formula) -> str:
-    return NOT_VALID if _Builder((Not(f),), tree=False).expand() else VALID
+    return NOT_VALID if OPEN in map(itemgetter(2), _expand((Not(f),))) else VALID
 
 
 def consequences(*parts: Formula) -> frozenset[str] | None:
     """None when every branch of the tree of `conjoin(parts)` closes,
-    otherwise the union of its `open_consequences`; neither is built."""
+    otherwise the union of its `open_consequences`; no tree is built."""
     found: set[str] = set()
-    return frozenset(found) if _Builder(parts, tree=False).expand(found) else None
+    statuses = set(map(itemgetter(2), _expand(parts, found)))
+    return frozenset(found) if OPEN in statuses else None
 
 
 def _may_add(

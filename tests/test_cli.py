@@ -109,18 +109,31 @@ def test_prove_reports_a_bad_character_after_a_long_chain(capsys):
     assert captured.err == "error: unexpected character '?' at offset 168890 (expected token)\n"
 
 
+def stdin(data: bytes, errors: str = "strict") -> io.TextIOWrapper:
+    """A UTF-8 text stdin over `data`, with the byte stream `.buffer`."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+
+
 def test_prove_dash_reads_the_formula_from_stdin(monkeypatch, capsys):
     # a formula too long for one command-line argument comes in on stdin
     chain = " & ".join(f"a{i}" for i in range(20000)) + " & ?"
-    monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+    monkeypatch.setattr("sys.stdin", stdin(chain.encode()))
     assert main(["prove", "-"]) == 2
     assert capsys.readouterr().err == "error: unexpected character '?' at offset 168890 (expected token)\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO("G p -> F p\n"))
+    monkeypatch.setattr("sys.stdin", stdin(b"G p -> F p\n"))
     assert main(["prove", "--valid", "-"]) == 0
     assert capsys.readouterr().out == "VALID\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", stdin(b""))
     assert main(["prove", "-"]) == 2
     assert capsys.readouterr().err == "error: empty input at offset 0 (expected formula)\n"
+
+
+# a strict stdin (PYTHONIOENCODING=utf-8) and a C.UTF-8 one alike
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_prove_dash_names_a_byte_of_stdin_that_is_not_utf8(errors, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", stdin(b"a &\n \xff", errors))
+    assert main(["prove", "-"]) == 2
+    assert capsys.readouterr().err == "error: <stdin>: line 2: not UTF-8 text (byte 0xff)\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--tree", "dot"], ["--valid"]], ids=["verdict", "tree", "valid"])

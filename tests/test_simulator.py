@@ -367,6 +367,14 @@ def test_parse_scenario_requires_timeline():
         parse_scenario("a R\n")
 
 
+def test_timeline_line_takes_a_comment():
+    s = parse_scenario("g1 G  # the gate\ntimeline:  # detections\n2014-01-28T09:30:15,u1,g1  # in\n")
+    assert s.timeline == [Detection(datetime(2014, 1, 28, 9, 30, 15), "u1", "g1")]
+    # a commented-out section line is no section
+    with pytest.raises(ScenarioError, match="no `timeline:` section"):
+        parse_scenario("g1 G\n# timeline:\n")
+
+
 def test_parse_scenario_line_errors():
     base = "g1 G\ntimeline:\n"
     with pytest.raises(ScenarioError, match="line 3"):

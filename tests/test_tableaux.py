@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -218,6 +219,33 @@ def test_export_dot_never_gate():
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         export_tree(build_tree(parse("p")), "svg")
+
+
+@pytest.mark.parametrize(
+    "text, ascii",
+    [
+        # two splits that hold the same literal stay two sibling nodes
+        ("a | a", "a | a\n  a\n    o\n  a\n    o\n"),
+        # the literal after a split is shown once under each side
+        ("(a | b) & !a", "(a | b) & !a\n  a\n    !a\n      x\n  b\n    !a\n      o\n"),
+        # a bare literal root displays its one literal itself
+        ("!a", "!a\n  o\n"),
+    ],
+)
+def test_export_ascii_pinned(text, ascii):
+    assert export_tree(build_tree(parse(text)), "ascii") == ascii
+
+
+def test_tree_display_and_branches_pinned_on_a_corpus():
+    # ASCII and DOT exports and branch lists of 600 seeded formulas, as
+    # one digest; a change to the display or to branch order changes it
+    digest = hashlib.sha256()
+    for f in formula_corpus(23, 600):
+        tree = build_tree(f)
+        digest.update(export_tree(tree, "ascii").encode())
+        digest.update(export_tree(tree, "dot").encode())
+        digest.update(repr([(b.index, b.literals, b.status) for b in tree.branches]).encode())
+    assert digest.hexdigest() == "234487b31ca3b7ab98eb6abf610b971cf0f9930363f5f82ba380ec734e9f636f"
 
 
 # -- label unification ------------------------------------------------------
