@@ -9,6 +9,7 @@ stderr, results to stdout or the chosen output file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -86,16 +87,24 @@ def _read(path: str) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write `text` as UTF-8, whatever the locale, to `output` or stdout."""
+    data = text.encode()
     if output:
-        Path(output).write_text(text)
+        Path(output).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
 
 
 def cmd_prove(args) -> int:
     # '-' is never a formula; a formula longer than one command-line
-    # argument may be comes in on stdin
-    formula = parse(_decode(sys.stdin.buffer.read(), "<stdin>") if args.formula == "-" else args.formula)
+    # argument may be comes in on stdin.  An argument's bytes are read as
+    # UTF-8 too, so a byte that is not is reported as the byte it is
+    if args.formula == "-":
+        text = _decode(sys.stdin.buffer.read(), "<stdin>")
+    else:
+        text = _decode(os.fsencode(args.formula), "<argument>")
+    formula = parse(text)
     # φ is valid when !(φ) has no open branch; that tree is the one shown
     subject = Not(formula) if args.valid else formula
     if args.tree:
@@ -108,7 +117,7 @@ def cmd_prove(args) -> int:
     else:
         print("SAT" if is_open else "UNSAT")
     if args.tree:
-        sys.stdout.write(export_tree(tree, args.tree))
+        _emit(export_tree(tree, args.tree), None)
     return 0 if is_open != args.valid else 1
 
 
@@ -121,7 +130,7 @@ def cmd_simulate(args) -> int:
     report = run(scenario)
     _emit(serialize_report(report), args.output)
     if args.dot_graph:
-        Path(args.dot_graph).write_text(export_dot(report.final_graph))
+        _emit(export_dot(report.final_graph), args.dot_graph)
     return 0
 
 
@@ -150,9 +159,9 @@ def cmd_graph(args) -> int:
         g = load_graph(_read(args.path))
         partition = split_graph(g, args.k)
         for i, part in enumerate(partition.parts):
-            Path(f"{args.output_prefix}-{i}.graph").write_text(save_graph(part))
+            _emit(save_graph(part), f"{args.output_prefix}-{i}.graph")
         border = " ".join(sorted(partition.border_nodes))
-        print(f"wrote {args.k} parts; border nodes: {border or '(none)'}")
+        _emit(f"wrote {args.k} parts; border nodes: {border or '(none)'}\n", None)
         return 0
     if args.graph_command == "glue":
         parts = [load_graph(_read(p)) for p in args.paths]
@@ -180,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "graph":
             return cmd_graph(args)
         if args.command == "demo":
-            sys.stdout.write(serialize_scenario(demo_scenario()))
+            _emit(serialize_scenario(demo_scenario()), None)
             return 0
     except (FormulaDepthError, RecursionError):
         # the parser stops at MAX_DEPTH nested levels; nothing after it

@@ -33,8 +33,10 @@ then does an iterative search run, back to front over the sets of worlds
 already placed, without the leaf worlds that nothing else reads.
 
 One expansion yields the finished branches, depth first and left before
-right, and builds no display: `build_tree` builds the display tree from them,
-and `is_satisfiable` and `is_valid` stop at the first open branch.
+right, and builds no display: `build_tree` keeps them as a list, from which
+both exports draw the tree row by row, in branch order (the literals a
+branch does not share with the one before, then its own x or o marker), and
+`is_satisfiable` and `is_valid` stop at the first open branch.
 `consequences` drains it for what the decision agent reads from a tree:
 whether every branch closes and otherwise the union of the positive atoms
 under named labels over the open branches (`open_consequences`).  After the
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -105,28 +107,16 @@ Literal = tuple[str, str, WorldLabel]  # sign "+"/"-", atom, label
 
 
 @dataclass
-class TreeNode:
-    formula: Formula
-    label: WorldLabel
-    children: list["TreeNode"] = field(default_factory=list)
-    marker: str | None = None  # "x" / "o" on branch leaves
-
-    def text(self) -> str:
-        rendered = self.label.render()
-        body = pretty(self.formula)
-        return f"{rendered}: {body}" if rendered else body
-
-
-@dataclass
 class Branch:
     index: int  # 1-based, depth-first order
     literals: list[Literal]
     status: str  # OPEN / CLOSED
+    shared: int  # leading literals taken from the branch it split from
 
 
 @dataclass
 class TruthTree:
-    root: TreeNode
+    formula: Formula
     branches: list[Branch]
 
     @property
@@ -229,28 +219,15 @@ def _branch(
 
 
 def build_tree(f: Formula) -> TruthTree:
-    """The whole truth tree: every branch, with a display node per literal.
-    A branch's nodes continue the last branch's path after the literals the
-    two share."""
-    root = TreeNode(f, _ROOT)
-    branches: list[Branch] = []
-    path = [root]  # the last branch's nodes: its k-th literal's at k
-    # the root already displays a bare literal
-    hidden = int(isinstance(f, Atom) or isinstance(f, Not) and isinstance(f.operand, Atom))
-    for shared, literals, status in _expand((f,)):
-        del path[shared + 1 :]
-        for sign, atom, label in literals[max(shared, hidden) :]:
-            node = TreeNode(Not(Atom(atom)) if sign == "-" else Atom(atom), label)
-            path[-1].children.append(node)
-            path.append(node)
-        path[-1].marker = "x" if status == CLOSED else "o"
-        branches.append(Branch(len(branches) + 1, literals, status))
-    return TruthTree(root, branches)
+    """The whole truth tree: every branch of `f`, depth first."""
+    branches = [Branch(i, literals, status, shared)
+                for i, (shared, literals, status) in enumerate(_expand((f,)), 1)]
+    return TruthTree(f, branches)
 
 
 def is_satisfiable(*parts: Formula) -> str:
-    """Of the conjunction of `parts`, decided by the expansion of
-    `build_tree`, stopped at the first open branch."""
+    """Of the conjunction of `parts`: whether its expansion has an open
+    branch, stopped at the first."""
     return SATISFIABLE if OPEN in map(itemgetter(2), _expand(parts)) else UNSATISFIABLE
 
 
@@ -259,8 +236,8 @@ def is_valid(f: Formula) -> str:
 
 
 def consequences(*parts: Formula) -> frozenset[str] | None:
-    """None when every branch of the tree of `conjoin(parts)` closes,
-    otherwise the union of its `open_consequences`; no tree is built."""
+    """None when every branch of the expansion of `parts` closes, otherwise
+    the union of the atoms `open_consequences` lists; no tree is built."""
     found: set[str] = set()
     statuses = set(map(itemgetter(2), _expand(parts, found)))
     return frozenset(found) if OPEN in statuses else None
@@ -540,43 +517,40 @@ def export_tree(tree: TruthTree, format: str = "ascii") -> str:
     raise ValueError(f"unknown export format: {format!r}")
 
 
+def _rows(tree: TruthTree) -> Iterator[tuple[int, str, str | None]]:
+    """The display rows of `tree` in branch order, as (depth, text, status):
+    the root, then per branch each literal it does not share, one level below
+    the one before, and a marker row, x or o, that holds the branch's status
+    (None on the other rows).  A bare literal root displays its one literal
+    itself."""
+    f = tree.formula
+    yield 0, pretty(f), None
+    hidden = int(isinstance(f, Atom) or isinstance(f, Not) and isinstance(f.operand, Atom))
+    for b in tree.branches:
+        start = max(b.shared, hidden)
+        for depth, (sign, atom, label) in enumerate(b.literals[start:], start + 1):
+            rendered = label.render()
+            text = "!" * (sign == "-") + atom
+            yield depth, f"{rendered}: {text}" if rendered else text, None
+        yield len(b.literals) + 1 - hidden, "x" if b.status == CLOSED else "o", b.status
+
+
 def _export_ascii(tree: TruthTree) -> str:
-    # depth first with an explicit stack: a long & chain is a path as deep
-    # as the chain
-    lines: list[str] = []
-    todo = [(tree.root, 0)]
-    while todo:
-        node, depth = todo.pop()
-        lines.append("  " * depth + node.text())
-        if node.marker is not None:
-            lines.append("  " * (depth + 1) + node.marker)
-        todo += [(child, depth + 1) for child in reversed(node.children)]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{'  ' * depth}{text}\n" for depth, text, _ in _rows(tree))
+
+
+_DOT_STYLE = {None: "", CLOSED: ", shape=box, peripheries=2", OPEN: ", shape=ellipse"}
 
 
 def _export_dot(tree: TruthTree) -> str:
     lines = ["digraph truthtree {", "  node [shape=plaintext];"]
-    counter = itertools.count()
-    edges: list[str] = []
-    # nodes are numbered in preorder; the edge into a node is listed once
-    # its whole subtree is done, so (parent id, node) entries are visits and
-    # (parent id, node id) entries close the subtree
-    todo: list[tuple] = [(None, tree.root)]
-    while todo:
-        parent, node = todo.pop()
-        if isinstance(node, int):
-            edges.append(f"  n{parent} -> n{node};")
-            continue
-        nid = next(counter)
-        attrs = [f'label="{node.text()}"']
-        if node.marker == "x":
-            attrs = [f'label="{node.text()}"', "shape=box", "peripheries=2"]
-        elif node.marker == "o":
-            attrs = [f'label="{node.text()}"', "shape=ellipse"]
-        lines.append(f"  n{nid} [{', '.join(attrs)}];")
-        if parent is not None:
-            todo.append((parent, nid))
-        todo += [(nid, child) for child in reversed(node.children)]
-    lines.extend(edges)
+    last: list[int] = []  # the id of the latest row at each depth
+    for nid, (depth, text, status) in enumerate(_rows(tree)):
+        lines.append(f'  n{nid} [label="{text}"{_DOT_STYLE[status]}];')
+        if depth:
+            # rows come in preorder: the parent is the latest row one level up
+            lines.append(f"  n{last[depth - 1]} -> n{nid};")
+        del last[depth:]
+        last.append(nid)
     lines.append("}")
     return "\n".join(lines) + "\n"

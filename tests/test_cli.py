@@ -1,6 +1,10 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,14 @@ def test_prove_dash_names_a_byte_of_stdin_that_is_not_utf8(errors, monkeypatch, 
     monkeypatch.setattr("sys.stdin", stdin(b"a &\n \xff", errors))
     assert main(["prove", "-"]) == 2
     assert capsys.readouterr().err == "error: <stdin>: line 2: not UTF-8 text (byte 0xff)\n"
+
+
+def test_prove_names_a_byte_of_the_argument_that_is_not_utf8(capsys):
+    # the argument `a & \xff` arrives with its byte as the surrogate U+DCFF
+    assert main(["prove", "a & \udcff"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: <argument>: line 1: not UTF-8 text (byte 0xff)\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--tree", "dot"], ["--valid"]], ids=["verdict", "tree", "valid"])
@@ -605,6 +617,31 @@ def test_graph_dot_and_simulate_dot_graph_escape_quotes_and_backslashes(tmp_path
     report = tmp_path / "report"
     assert main(["simulate", str(scenario), "-o", str(report), "--dot-graph", str(dot_file)]) == 0
     assert '  "u\\"x" -> "g1" [label="at"];\n' in dot_file.read_text()
+
+
+def test_graph_outputs_are_utf8_in_an_ascii_locale(tmp_path):
+    # every file smartlot writes is UTF-8, as every file it reads, whatever
+    # the locale says; split writes its parts and a summary line on stdout
+    text = "g1 G\np1 P\nr\u00e9 R\ng1 -> r\u00e9 road\nr\u00e9 -> p1 road\n"
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_bytes(text.encode())
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def smartlot(*argv):
+        argv = [sys.executable, "-m", "smartlot.cli", *argv]
+        return subprocess.run(argv, env=env, capture_output=True, timeout=60)
+
+    split = smartlot("graph", "split", str(graph_file), "-k", "2", "-o", str(tmp_path / "part"))
+    assert (split.returncode, split.stderr) == (0, b"")
+    assert split.stdout == b"wrote 2 parts; border nodes: p1\n"
+    parts = [str(tmp_path / f"part-{i}.graph") for i in range(2)]
+    glued = smartlot("graph", "glue", *parts, "-o", str(tmp_path / "glued.graph"))
+    assert (glued.returncode, glued.stderr) == (0, b"")
+    assert (tmp_path / "glued.graph").read_bytes() == text.encode()
+    dot = smartlot("graph", "dot", str(graph_file), "-o", str(tmp_path / "world.dot"))
+    assert (dot.returncode, dot.stderr) == (0, b"")
+    assert '"g1" -> "r\u00e9" [label="road"];'.encode() in (tmp_path / "world.dot").read_bytes()
+    assert smartlot("graph", "dot", str(graph_file)).stdout == (tmp_path / "world.dot").read_bytes()
 
 
 def test_graph_split_bad_k(tmp_path, capsys):

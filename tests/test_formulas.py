@@ -119,9 +119,10 @@ def test_flat_chain_is_no_nesting(op, dual, n):
     tree = build_tree(f)
     assert tree.open
     assert len(tree.branches) == (1 if op == "&" else n)
-    # the root, one node per literal, and a marker per branch
+    # the root, one row per literal, and a marker row per branch, each row
+    # but the root with an edge from its parent
     assert export_tree(tree).count("\n") == 1 + n + len(tree.branches)
-    assert export_tree(tree, "dot").count(" -> ") == n
+    assert export_tree(tree, "dot").count(" -> ") == n + len(tree.branches)
 
 
 def test_pretty_examples():

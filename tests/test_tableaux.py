@@ -6,7 +6,7 @@ import pytest
 from formula_gen import formula_corpus
 from pathcheck import bounded_sat
 from smartlot.fixtures import all_gates, all_spots
-from smartlot.formulas import Always, And, Atom, Not, Or, conjoin, nnf, parse
+from smartlot.formulas import Always, And, Atom, Not, Or, conjoin, nnf, parse, pretty
 from smartlot.knowledge import SpecStore, Trip, mine_trip, spec_conjuncts
 from smartlot.tableaux import (
     CLOSED,
@@ -212,8 +212,10 @@ def test_export_dot_never_gate():
     tree = build_tree(parse("G !g3 & g3"))
     dot = export_tree(tree, "dot")
     assert dot.startswith("digraph")
-    assert dot.count("label=") == 3  # root, universal literal, g3
-    assert "peripheries=2" in dot  # closed leaf styled distinctly
+    # root, universal literal, g3 and the branch's marker; the marker is a
+    # row of its own, so that two branches that end at one literal keep two
+    assert dot.count("label=") == 4
+    assert 'label="x", shape=box, peripheries=2' in dot  # closed marker styled distinctly
 
 
 def test_export_unknown_format():
@@ -230,10 +232,33 @@ def test_export_unknown_format():
         ("(a | b) & !a", "(a | b) & !a\n  a\n    !a\n      x\n  b\n    !a\n      o\n"),
         # a bare literal root displays its one literal itself
         ("!a", "!a\n  o\n"),
+        # a later branch that draws no literal of its own keeps its marker,
+        # in branch order under the last literal it shares
+        ("q | G F r", "q | G F r\n  q\n    o\n  o\n"),
+        (
+            "(G F c) | (G (a | b) & G (!a | !b) & G (a | !b) & G (!a | b))",
+            "G F c | G (a | b) & G (!a | !b) & G (a | !b) & G (!a | b)\n  o\n  x\n",
+        ),
     ],
 )
 def test_export_ascii_pinned(text, ascii):
     assert export_tree(build_tree(parse(text)), "ascii") == ascii
+
+
+def test_each_branch_ends_in_its_own_marker_on_a_corpus():
+    # the k-th x / o marker of either export is the k-th branch's status,
+    # also where a later branch draws no literal of its own
+    for f in formula_corpus(23, 600):
+        tree = build_tree(f)
+        statuses = ["x" if b.status == CLOSED else "o" for b in tree.branches]
+        rows = [line.strip() for line in export_tree(tree, "ascii").splitlines()]
+        assert [row for row in rows if row in ("x", "o")] == statuses, pretty(f)
+        styled = [
+            "x" if "peripheries=2" in line else "o"
+            for line in export_tree(tree, "dot").splitlines()
+            if "peripheries=2" in line or "shape=ellipse" in line
+        ]
+        assert styled == statuses, pretty(f)
 
 
 def test_tree_display_and_branches_pinned_on_a_corpus():
@@ -245,7 +270,7 @@ def test_tree_display_and_branches_pinned_on_a_corpus():
         digest.update(export_tree(tree, "ascii").encode())
         digest.update(export_tree(tree, "dot").encode())
         digest.update(repr([(b.index, b.literals, b.status) for b in tree.branches]).encode())
-    assert digest.hexdigest() == "234487b31ca3b7ab98eb6abf610b971cf0f9930363f5f82ba380ec734e9f636f"
+    assert digest.hexdigest() == "a3fe88acc44d05494ac05caad3822731ccc13e7fcde6890d4453e9802149a0d7"
 
 
 # -- label unification ------------------------------------------------------
