@@ -9,6 +9,7 @@ stderr, results to stdout or the chosen output file.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from pathlib import Path
@@ -74,7 +75,9 @@ class InputError(ValueError):
 
 def _decode(data: bytes, name: str) -> str:
     """The UTF-8 text of input `name`, with no newline translated: the
-    readers split it."""
+    readers split it.  A leading byte-order mark, which spreadsheet tools
+    write, is dropped first, so an error still names its own byte."""
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode()
     except UnicodeDecodeError as err:
@@ -142,6 +145,8 @@ def cmd_mine(args) -> int:
     places = {node for node, label in graph.labels.items() if label != "C"}
     for lineno, user, node in read_events(_read(args.events), places):
         try:
+            if user in graph.labels:  # it could not enter the lot as a car
+                raise KnowledgeError(f"user id names a node of the lot: {user}")
             trip = followers.observe(user, node, graph.label(node))
         except KnowledgeError as err:
             raise at_line(err, lineno) from None

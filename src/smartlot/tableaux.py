@@ -18,19 +18,9 @@ Because the intended models are linear (a single time line with an
 eventually constant tail), label unification alone is not a complete
 satisfiability test: two universally labeled literals in sibling scopes both
 reach the tail, and disjunctions under G may pick different disjuncts at
-different worlds.  Branches that survive unification therefore go through a
-realizability check: is there a sequence of positions, ending in a constant
-tail state, that holds the introduced worlds and meets every recorded
-constraint?  A branch with no such sequence is closed as well.
-
-The check is exact (see "Linear realizability" below).  Precedence edges
-forced by universal vs. exact literals order the worlds, and a cycle closes
-the branch; without deferred commitments nothing more is needed, and without
-a universal literal under a named world either, the worlds form a forest and
-cost nothing.  Then a one-position check of the tail, which every model
-shares, may close the branch, and one of a constant model may open it.  Only
-then does an iterative search run, back to front over the sets of worlds
-already placed, without the leaf worlds that nothing else reads.
+different worlds.  Branches that survive unification therefore go through an
+exact realizability check, which closes a branch that no sequence of
+positions can hold (see "Linear realizability" below).
 
 One expansion yields the finished branches, depth first and left before
 right, and builds no display: `build_tree` keeps them as a list, from which
@@ -293,19 +283,27 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 # parent, and a constant tail state last.  Any other position is free: only
 # the universal literals and commitments that reach it constrain it.
 #
+# Without commitments or a universal literal under a named world, the worlds
+# form a forest and the branch is realizable.  Otherwise one pass over the
+# literals indexes them for every step below: the exact ones by world, the
+# universal ones, and the labels that hold each atom with each value, which
+# name the worlds of the precedence edges and the atoms other literals read.
+#
 # 1. Precedence.  A universal literal from named world P and an opposite
 #    exact literal at named world Q clash wherever Q sits at or after P, so Q
 #    must come before P.  (Pairs with P at the root, or with Q extending P,
 #    already closed by unification.)  These edges join the parent-before-child
 #    edges; one topological sort closes a branch whose edges form a cycle,
 #    and without commitments an acyclic branch is realizable.
-# 2. Tail.  Every universal literal and every commitment holds at the tail,
-#    and there F and G read only the tail itself.  Without a tail valuation
-#    the branch closes; only the first one is computed here.
-# 3. Constant model.  A valuation meeting every literal, exact ones too, and
+# 2. Constant model.  A valuation meeting every literal, exact ones too, and
 #    every commitment at the tail can be taken at every position, so the
 #    branch is open.  (It is the degenerate ultimately periodic model of
 #    Sistla & Clarke, JACM 1985.)
+# 3. Tail.  Every universal literal and every commitment holds at the tail,
+#    and there F and G read only the tail itself.  Without a tail valuation
+#    the branch closes.  A constant valuation is a tail valuation too, so
+#    step 2 may come first.  The check runs before the search sets up, so a
+#    branch it closes pays for none of that.
 # 4. Search.  Positions are added back to front from the tail.  A state is
 #    the set of named worlds placed behind a position and the values there
 #    of the F and G subformulas of the commitments, all that an earlier
@@ -320,8 +318,6 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 #    without it has room for it after its parent, with the next position's
 #    valuation plus its own literals.
 
-_OPPOSITE = {"+": "-", "-": "+"}
-
 
 def _realizable(
     literals: list[Literal], commitments: list[tuple[Formula, tuple[str, ...]]]
@@ -329,36 +325,39 @@ def _realizable(
     if not commitments and not any(label.universal and label.prefix for _, _, label in literals):
         # only parent-before-child edges: a forest, so some ordering exists
         return True
-    prefixes = [label.prefix for _, _, label in literals] + [b for _, b in commitments]
+    exact: dict[tuple[str, ...], dict[str, bool]] = {}
+    universal: list[tuple[tuple[str, ...], str, bool]] = []
+    held: dict[tuple[str, bool], set[WorldLabel]] = {}
+    for sign, atom, label in literals:
+        if label.universal:
+            universal.append((label.prefix, atom, sign == "+"))
+        else:
+            exact.setdefault(label.prefix, {})[atom] = sign == "+"
+        held.setdefault((atom, sign == "+"), set()).add(label)
+    prefixes = [*exact, *(p for p, _, _ in universal), *(b for _, b in commitments)]
     named_set = {prefix[:i] for prefix in prefixes for i in range(1, len(prefix) + 1)}
 
     # before[w]: the worlds that must come ahead of w, by name order
     before = {w: {w[:-1]} if len(w) > 1 else set() for w in sorted(named_set)}
-    exact: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-    for sign, atom, label in literals:
-        if label.prefix and not label.universal:
-            exact.setdefault((sign, atom), []).append(label.prefix)
-    for sign, atom, label in literals:
-        if label.prefix and label.universal:
-            before[label.prefix].update(exact.get((_OPPOSITE[sign], atom), ()))
+    for p, atom, value in universal:
+        if p:
+            # two universal labels unify, so the opposite ones are exact
+            before[p].update(label.prefix for label in held.get((atom, not value), ()) if label.prefix)
     if not _acyclic(list(before), before):
         return False
     if not commitments:
         return True
 
     compiled = _compile([f for f, _ in commitments])
-    nodes, roots, _ = compiled
-    reads = {x for t, x, _ in nodes if t is Atom or t is Not}
+    reads = {x for t, x, _ in compiled[0] if t is Atom or t is Not}
     # two universal literals that clash close the branch by unification
-    universal = {a: s == "+" for s, a, label in literals if label.universal}
-    tail = _position(compiled, universal, reads, roots, None)
-    first = next(tail, None)
-    if first is None:
-        return False
-    constant = _forced({}, ((a, s == "+") for s, a, _ in literals))
-    if next(_position(compiled, constant, reads, roots, None), None) is not None:
+    tail = {a: v for _, a, v in universal}
+    constant = _forced(tail, (pair for world in exact.values() for pair in world.items()))
+    if next(_position(compiled, constant, reads, compiled[1], None), None) is not None:
         return True
-    return _search(literals, commitments, before, compiled, itertools.chain([first], tail))
+    if next(_position(compiled, tail, reads, compiled[1], None), None) is None:
+        return False
+    return _search(exact, universal, held, commitments, before, compiled)
 
 
 def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
@@ -374,17 +373,10 @@ def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
     return True
 
 
-def _search(literals: list, commitments: list, before: dict, compiled: tuple, tail) -> bool:
-    """Steps 4 and 5, from the F and G values at the tail that `tail` yields."""
-    exact: dict[tuple[str, ...], list[tuple[str, bool]]] = {}
-    universal: list[tuple[tuple[str, ...], str, bool]] = []
-    mentions: dict[str, set[WorldLabel]] = {}
-    for sign, atom, label in literals:
-        if label.universal:
-            universal.append((label.prefix, atom, sign == "+"))
-        else:
-            exact.setdefault(label.prefix, []).append((atom, sign == "+"))
-        mentions.setdefault(atom, set()).add(label)
+def _search(
+    exact: dict, universal: list, held: dict, commitments: list, before: dict, compiled: tuple
+) -> bool:
+    """Steps 4 and 5, from the tail's states."""
     reads = [atoms(f) for f, _ in commitments]
     bases = list(zip([b for _, b in commitments], compiled[1], reads))
     owners = {p for p, _, _ in universal} | {b for _, b in commitments}
@@ -392,10 +384,10 @@ def _search(literals: list, commitments: list, before: dict, compiled: tuple, ta
 
     kept: list[tuple[str, ...]] = []
     parents: set[tuple[str, ...]] = set()
+    # an atom held under another label, or with the other value, is read
+    read = committed.union(a for (a, v), labels in held.items() if len(labels) > 1 or (a, not v) in held)
     for w in reversed(before):  # children before their parent
-        alone = {WorldLabel(w, False)}
-        read = any(a in committed or mentions[a] != alone for a, _ in exact.get(w, ()))
-        if read or w in owners or w in parents:
+        if not read.isdisjoint(exact.get(w, ())) or w in owners or w in parents:
             kept.append(w)
             parents.add(w[:-1])
     # follows[w]: the worlds that must come after w
@@ -403,7 +395,9 @@ def _search(literals: list, commitments: list, before: dict, compiled: tuple, ta
     everyone = frozenset(kept)
 
     # depth first and lazily: each stack entry yields the states in front of
-    # one state, so a model is found without enumerating every valuation
+    # one state, so a model is found without enumerating every valuation;
+    # the first yields the tail's
+    tail = _position(compiled, {a: value for _, a, value in universal}, committed, compiled[1], None)
     stack = [zip(itertools.repeat(frozenset()), tail)]
     seen = set()
     while stack:
@@ -419,12 +413,12 @@ def _search(literals: list, commitments: list, before: dict, compiled: tuple, ta
         needed = [r for b, r, _ in bases if b not in placed]
         reach = set().union(*[names for b, _, names in bases if b not in placed])
         if placed == everyone:
-            root = _forced(forced, exact.get((), ()))
+            root = _forced(forced, exact.get((), {}).items())
             if next(_position(compiled, root, reach, needed, later), None) is not None:
                 return True
         # a world whose followers are all placed, or a free position
         ready = [w for w in kept if w not in placed and follows[w] <= placed]
-        moves = [(placed | {w}, _forced(forced, exact.get(w, ()))) for w in ready]
+        moves = [(placed | {w}, _forced(forced, exact.get(w, {}).items())) for w in ready]
         moves.append((placed, forced))
         successors = [zip(itertools.repeat(after), _position(compiled, here, reach, needed, later))
                       for after, here in moves]

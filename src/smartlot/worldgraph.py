@@ -150,7 +150,8 @@ class WorldGraph:
         if self.labels.get(gate) != "G":
             raise GraphError(f"not a gateway: {gate}")
         if car in self.labels:
-            raise GraphError(f"car already present: {car}")
+            clash = "car already present" if self.labels[car] == "C" else "car id names a node of the lot"
+            raise GraphError(f"{clash}: {car}")
         if not is_word(car):
             raise GraphError(f"not one word of a graph record: {car!r}")
         self.labels[car] = "C"
@@ -226,9 +227,9 @@ class WorldGraph:
 
 
 def is_word(text: str) -> bool:
-    """Whether text is one word of a graph record, as every id must be: one
-    `str.split` word (so not empty and no whitespace), no `#`, not `->`."""
-    return text.split() == [text] and "#" not in text and text != "->"
+    """Whether text is an id: one `str.split` word (so not empty and no
+    whitespace), no `#` or `,` (graph records, timeline rows), not `->`."""
+    return text.split() == [text] and "#" not in text and "," not in text and text != "->"
 
 
 def _check_words(word: str, attrs: dict[str, str] | None) -> None:

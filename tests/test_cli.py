@@ -510,7 +510,9 @@ def test_mine_reports_the_first_bad_row(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 1: user u detected at r4")
 
 
-@pytest.mark.parametrize("user", ['"u\tx"', '""', '"u\nx"'], ids=["tab", "empty", "newline"])
+@pytest.mark.parametrize(
+    "user", ['"u\tx"', '""', '"u\nx"', '"a,b"'], ids=["tab", "empty", "newline", "comma"]
+)
 def test_mine_rejects_a_user_id_that_does_not_fit_a_tsv_cell(user, tmp_path, capsys):
     graph_file = tmp_path / "world.graph"
     graph_file.write_text(parking_fixture_text())
@@ -522,6 +524,29 @@ def test_mine_rejects_a_user_id_that_does_not_fit_a_tsv_cell(user, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.startswith("error: line 1: bad user id")
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("user", ["r4", "g2"], ids=["road", "gate"])
+def test_mine_rejects_a_user_id_that_names_a_node_of_the_lot(user, tmp_path, capsys):
+    # simulate could not enter such a user as a car
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    events_file = tmp_path / "events.csv"
+    rows = [("g2", "08:00"), ("p018", "08:01"), ("g2", "08:30")]
+    events_file.write_text("u,g1,2014-01-28T07:00:00\n" + "".join(
+        f"{user},{node},2014-01-28T{t}:00\n" for node, t in rows))
+    assert main(["mine", str(events_file), str(graph_file)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line 2: user id names a node of the lot: {user}\n")
+
+
+def test_simulate_rejects_a_user_that_names_a_node_of_the_lot(tmp_path, capsys):
+    # the demo's user renamed r4, a road: no car, so not "already present"
+    scenario = tmp_path / "r4.scenario"
+    scenario.write_text(serialize_scenario(demo_scenario()).replace("idKR55", "r4"))
+    assert main(["simulate", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 101: car id names a node of the lot: r4\n")
 
 
 def test_mine_writes_nothing_when_a_late_row_is_bad(tmp_path, capsys):
@@ -642,6 +667,43 @@ def test_graph_outputs_are_utf8_in_an_ascii_locale(tmp_path):
     assert (dot.returncode, dot.stderr) == (0, b"")
     assert '"g1" -> "r\u00e9" [label="road"];'.encode() in (tmp_path / "world.dot").read_bytes()
     assert smartlot("graph", "dot", str(graph_file)).stdout == (tmp_path / "world.dot").read_bytes()
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark spreadsheet tools write
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch):
+    graph = parking_fixture_text().encode()
+    feed = b"car001,g2,2014-01-28T08:00:00\ncar001,p018,2014-01-28T08:01:00\ncar001,g2,2014-01-28T08:30:00\n"
+    scenario = serialize_scenario(demo_scenario()).encode()
+    runs = [
+        lambda path: main(["mine", path, str(tmp_path / "world.graph")]),
+        lambda path: main(["graph", "dot", path]),
+        lambda path: main(["simulate", path]),
+    ]
+    (tmp_path / "world.graph").write_bytes(graph)
+    for data, command in zip([feed, graph, scenario], runs):
+        outputs = []
+        for prefix in (b"", BOM):
+            path = tmp_path / "input"
+            path.write_bytes(prefix + data)
+            assert command(str(path)) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out and outputs[0].err == ""
+    monkeypatch.setattr("sys.stdin", stdin(BOM + b"G p -> F p\n"))
+    assert main(["prove", "--valid", "-"]) == 0
+    assert capsys.readouterr() == ("VALID\n", "")
+
+
+def test_a_byte_after_a_byte_order_mark_is_named_as_it_is(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin(BOM + b"a\xff"))
+    assert main(["prove", "-"]) == 2
+    assert capsys.readouterr().err == "error: <stdin>: line 1: not UTF-8 text (byte 0xff)\n"
+    path = tmp_path / "world.graph"
+    path.write_bytes(BOM + b"g1 G\nr\xff R\n")
+    assert main(["graph", "dot", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8 text (byte 0xff)\n"
 
 
 def test_graph_split_bad_k(tmp_path, capsys):

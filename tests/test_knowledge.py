@@ -124,7 +124,6 @@ USER_IDS = {
     "-": True,
     "->x": True,
     "a=b": True,
-    "a,b": True,
     'a"b': True,
     "\u00fc": True,
     "": False,
@@ -132,6 +131,7 @@ USER_IDS = {
     "a\u00a0b": False,
     "a\u3000b": False,
     "a#b": False,
+    "a,b": False,
     "#": False,
     "->": False,
     "u\rx": False,

@@ -3,6 +3,7 @@ and on the families that made that one factorial; the verdicts, which stop
 at the first open branch, against the whole trees; the signed expansion
 against the expansion of the negation normal form."""
 
+import hashlib
 import itertools
 import random
 
@@ -21,6 +22,7 @@ from smartlot.tableaux import (
     UNSATISFIABLE,
     VALID,
     build_tree,
+    consequences,
     export_tree,
     is_satisfiable,
     is_valid,
@@ -154,7 +156,8 @@ def test_expansion_normalizes_only_commitments(monkeypatch):
 @pytest.fixture
 def evaluations(monkeypatch):
     """The next-position values given to every one-position evaluation:
-    None at the tail (the tail check and the constant model)."""
+    None at the tail (the constant model, the tail check and the search's
+    first states)."""
     later = []
     position = tableaux._position
 
@@ -169,17 +172,18 @@ def evaluations(monkeypatch):
 def test_constant_model_opens_a_committed_branch(evaluations):
     f = parse("!a & G (a | F b) & F c")
     assert is_satisfiable(f) == SATISFIABLE
-    # the tail check, then the constant model: no search
-    assert evaluations == [None, None]
+    # the constant model alone decides: no tail check, no search
+    assert evaluations == [None]
     assert bounded_sat(f) is True
 
 
 def test_state_search_runs_without_a_constant_model(evaluations):
     f = parse("a & F !a & G (a | b)")
     assert is_satisfiable(f) == SATISFIABLE
-    # the tail check; a and !a leave the constant model nothing to evaluate
-    assert evaluations[0] is None
-    assert any(later is not None for later in evaluations[1:])
+    # the constant model, which a and !a leave nothing to evaluate, then
+    # the tail check
+    assert evaluations[:2] == [None, None]
+    assert any(later is not None for later in evaluations[2:])
     assert bounded_sat(f) is True
 
 
@@ -202,8 +206,9 @@ def test_worst_case_family_k8_unsat(evaluations):
         evaluations.clear()
         tree = build_tree(parse(worst_case_family(k)))
         assert tree.closed, k
-        # at most one tail evaluation per branch, no search
-        assert len(evaluations) <= len(tree.branches), k
+        # at most the constant model and the tail check per branch: no search
+        assert all(later is None for later in evaluations), k
+        assert len(evaluations) <= 2 * len(tree.branches), k
 
 
 def test_cyclic_precedence_family_unsat(evaluations):
@@ -213,6 +218,25 @@ def test_cyclic_precedence_family_unsat(evaluations):
         assert tree.closed, k
         # closed by the topological sort before any evaluation
         assert evaluations == [], k
+
+
+def test_branches_and_verdicts_pinned_on_a_corpus():
+    # the branch lists of f and !f, both verdicts and the consequences of
+    # 1,500 seeded formulas and both families up to k=8, as one digest; a
+    # change to the order of the realizability steps must not change it
+    formulas = [f for seed in range(3) for f in formula_corpus(seed=seed, count=500)]
+    formulas += [parse(family(k)) for family in (worst_case_family, cyclic_family) for k in range(9)]
+    digest = hashlib.sha256()
+    for f in formulas:
+        found = consequences(f)
+        digest.update(repr([
+            branch_data(build_tree(f)),
+            branch_data(build_tree(Not(f))),
+            is_satisfiable(f),
+            is_valid(f),
+            None if found is None else sorted(found),
+        ]).encode())
+    assert digest.hexdigest() == "f4d3355a67d5f77559735cdc4fc7c92bba7988eef1c6c97e57991c78576410a1"
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

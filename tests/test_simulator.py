@@ -212,6 +212,18 @@ def test_user_id_that_does_not_fit_a_tsv_cell_rejected(user):
         run(Scenario(parking_fixture(), [Detection(T0, user, "g1")]))
 
 
+@pytest.mark.parametrize(
+    "user, message",
+    [("a,b", "not one word of a graph record: 'a,b'"), ("r4", "car id names a node of the lot: r4")],
+)
+def test_a_user_that_could_not_be_written_back_stops_the_run_at_its_line(user, message):
+    # a comma would split the user's timeline cell; r4 is a road of the lot
+    scenario = parse_scenario(serialize_scenario(demo_scenario()))
+    renamed = [Detection(d.timestamp, user, d.node, d.line) for d in scenario.timeline]
+    with pytest.raises(GraphError, match=f"^line 101: {re.escape(message)}$"):
+        run(Scenario(scenario.graph, renamed))
+
+
 def test_gate_detection_of_a_car_the_graph_holds_is_an_entry():
     # the followers see no open trip, so this is an entry, which the graph
     # refuses for a car it already holds

@@ -70,6 +70,9 @@ def test_load_errors_carry_line_numbers():
         load_graph("a R\na P\n")
     with pytest.raises(GraphError, match="line 2: dangling edge endpoint: zz"):
         load_graph("a R\na -> zz road\n")
+    # a scenario timeline is comma-separated, so no id holds a comma
+    with pytest.raises(GraphError, match="^line 2: not one word of a graph record: 'r,1'$"):
+        load_graph("g1 G\nr,1 R\n")
 
 
 @pytest.mark.parametrize("record", ["Gate1 G", "g-1 G", "P18 P", "1p P"])
@@ -115,8 +118,13 @@ def test_enter_errors():
     with pytest.raises(GraphError):
         g.car_enters("c1", "nowhere")
     g1 = g.car_enters("c1", "g1")
-    with pytest.raises(GraphError):
-        g1.car_enters("c1", "g2")  # already present
+    with pytest.raises(GraphError, match="^car already present: c1$"):
+        g1.car_enters("c1", "g2")
+    # a car id that names a road, a gate or a spot is no car of the lot
+    for node in ("r4", "g2", "p018"):
+        with pytest.raises(GraphError, match=f"^car id names a node of the lot: {node}$"):
+            g.car_enters(node, "g1")
+
 
 
 def test_move_errors():
