@@ -1,7 +1,10 @@
+import functools
 import hashlib
+import importlib.util
 import re
 from collections import deque
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,8 +237,10 @@ def test_gate_detection_of_a_car_the_graph_holds_is_an_entry():
 
 @pytest.mark.parametrize("users", [1, 4, 12])
 def test_run_copies_the_graph_once_and_leaves_the_scenario_alone(users, monkeypatch):
-    scenario = generate(seed=3, users=users, trips_per_user=3, spot_affinity=0.5)
+    # read back from its text, so that each detection carries its line
+    scenario = parse_scenario(serialize_scenario(generate(seed=3, users=users, trips_per_user=3, spot_affinity=0.5)))
     before = save_graph(scenario.graph)
+    rows = [(d.timestamp, d.user, d.node, d.line) for d in scenario.timeline]
     copies = []
     original = WorldGraph.copy
 
@@ -247,6 +252,7 @@ def test_run_copies_the_graph_once_and_leaves_the_scenario_alone(users, monkeypa
     report = run(scenario)
     assert len(copies) == 1 and copies[0] is scenario.graph
     assert save_graph(scenario.graph) == before
+    assert [(d.timestamp, d.user, d.node, d.line) for d in scenario.timeline] == rows
     assert report.final_graph is not scenario.graph
     assert report.stats.trips == users * 3
 
@@ -388,11 +394,71 @@ def test_timeline_line_takes_a_comment():
 
 
 def test_parse_scenario_line_errors():
-    base = "g1 G\ntimeline:\n"
-    with pytest.raises(ScenarioError, match="line 3"):
-        parse_scenario(base + "not-enough-fields\n")
-    with pytest.raises(ScenarioError, match="line 3"):
-        parse_scenario(base + "whenever,u,g1\n")
+    for rows, message in [
+        ("not-enough-fields\n", "line 3: expected timestamp,user,node"),
+        ("whenever,u,g1\n", "line 3: unparseable timestamp: 'whenever'"),
+        ("2014-01-28T08:00:00,u\n", "line 3: expected timestamp,user,node"),
+        ("2014-01-28T08:00:00,u,g1,x\n", "line 3: expected timestamp,user,node"),
+        ("2014-01-28T08:00:00,u,g1,\n", "line 3: expected timestamp,user,node"),
+        ("2014-01-28T08:00:00,u,g1\n# note\nwhenever,u,g1\n", "line 5: unparseable timestamp: 'whenever'"),
+        ("2014-01-28T08:00:00+01:00,u,g1\n", "line 3: timestamp with a UTC offset: '2014-01-28T08:00:00+01:00'"),
+        ("2014-01-28T08:00:00,u,g1\n\n  # c\n 2014-01-28T08:00:01 ,u\t# x\n", "line 6: expected timestamp,user,node"),
+    ]:
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario("g1 G\ntimeline:\n" + rows)
+        assert str(err.value) == message
+
+
+def _padded(text: str) -> str:
+    """The scenario with blanks or a tab around every timeline cell, a
+    comment after every row, and a blank line and a comment-only line every
+    100 rows."""
+    graph, timeline = text.split("timeline:\n", 1)
+    out = [graph, "timeline:\n"]
+    for n, row in enumerate(timeline.splitlines(), 1):
+        ts, user, node = row.split(",")
+        out.append(f" {ts}\t,\t{user}  , {node}\t # row {n}\n")
+        if n % 100 == 0:
+            out.append("\n  # a comment-only line\n")
+    return "".join(out)
+
+
+def _rush_text() -> str:
+    spec = importlib.util.spec_from_file_location("inputs", Path(__file__).parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.rush_scenario_text(1, drivers=240, trips_per_driver=5)
+
+
+# sha256 over (timestamp, user, node, line) of each parsed detection, as first
+# recorded: the benchmark's seed-1 fleet and rush texts, a CRLF copy and a
+# padded copy of the fleet text
+@functools.cache
+def _fleet_text() -> str:
+    return serialize_scenario(generate(1, 800, 4, 0.5))
+
+
+PINNED_TIMELINES = {
+    "fleet": (_fleet_text, "e8088e3aef3c3582c6cb66c51be3f7e017421de0aeb20a0ba0c15ee03ba63eb4"),
+    "fleet-crlf": (
+        lambda: _fleet_text().replace("\n", "\r\n"),
+        "e8088e3aef3c3582c6cb66c51be3f7e017421de0aeb20a0ba0c15ee03ba63eb4",
+    ),
+    "fleet-padded": (
+        lambda: _padded(_fleet_text()),
+        "e10f3b94808741c15aff80cc1c1c1105bccb9f75bd84f8452aaefc4cd9a8aeba",
+    ),
+    "rush": (_rush_text, "f0ac7b7f5895817f5b54d3ce99aeb634bcc2ac6c9412dea9675a1000296c5b71"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TIMELINES))
+def test_parsed_timeline_is_pinned(name):
+    make, digest = PINNED_TIMELINES[name]
+    h = hashlib.sha256()
+    for d in parse_scenario(make()).timeline:
+        h.update(f"{d.timestamp.isoformat()}\t{d.user}\t{d.node}\t{d.line}\n".encode())
+    assert h.hexdigest() == digest
 
 
 def test_parse_scenario_accepts_legacy_timestamps():
