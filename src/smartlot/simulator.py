@@ -8,6 +8,8 @@ detection as it applies it; an error for one read from a scenario file names
 its line, as `mine`'s errors do.  `parse_scenario` reads a scenario file
 through `worldgraph.numbered_lines` and hands the graph section's lines
 straight to `read_graph`, so every line number is the one an editor shows.
+A `Detection`, one per timeline row, is a plain slotted record, and `run`
+only reads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Detection:
     timestamp: datetime
     user: str
@@ -137,14 +139,14 @@ def parse_scenario(text: str, config: DecisionConfig = DecisionConfig()) -> Scen
     timeline = []
     try:
         for lineno, raw in lines:  # the rest, after `timeline:`
-            line = raw.split("#", 1)[0].strip()
+            line = raw.partition("#")[0].strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ScenarioError("expected timestamp,user,node")
-            ts = parse_timestamp(parts[0])
-            timeline.append(Detection(ts, parts[1].strip(), parts[2].strip(), lineno))
+            try:
+                stamp, user, node = line.split(",")
+            except ValueError:  # not three cells
+                raise ScenarioError("expected timestamp,user,node") from None
+            timeline.append(Detection(parse_timestamp(stamp), user.strip(), node.strip(), lineno))
     except (ScenarioError, KnowledgeError) as err:  # a bad timestamp too is a scenario error
         raise at_line(ScenarioError(err), lineno) from None
     return Scenario(graph, timeline, config)

@@ -238,7 +238,7 @@ def test_gate_detection_of_a_car_the_graph_holds_is_an_entry():
 @pytest.mark.parametrize("users", [1, 4, 12])
 def test_run_copies_the_graph_once_and_leaves_the_scenario_alone(users, monkeypatch):
     # read back from its text, so that each detection carries its line
-    scenario = parse_scenario(serialize_scenario(generate(seed=3, users=users, trips_per_user=3, spot_affinity=0.5)))
+    scenario = parse_scenario(serialize_scenario(generate(3, users, 3, 0.5)))
     before = save_graph(scenario.graph)
     rows = [(d.timestamp, d.user, d.node, d.line) for d in scenario.timeline]
     copies = []
@@ -402,7 +402,10 @@ def test_parse_scenario_line_errors():
         ("2014-01-28T08:00:00,u,g1,\n", "line 3: expected timestamp,user,node"),
         ("2014-01-28T08:00:00,u,g1\n# note\nwhenever,u,g1\n", "line 5: unparseable timestamp: 'whenever'"),
         ("2014-01-28T08:00:00+01:00,u,g1\n", "line 3: timestamp with a UTC offset: '2014-01-28T08:00:00+01:00'"),
-        ("2014-01-28T08:00:00,u,g1\n\n  # c\n 2014-01-28T08:00:01 ,u\t# x\n", "line 6: expected timestamp,user,node"),
+        (
+            "2014-01-28T08:00:00,u,g1\n\n  # c\n 2014-01-28T08:00:01 ,u\t# x\n",
+            "line 6: expected timestamp,user,node",
+        ),
     ]:
         with pytest.raises(ScenarioError) as err:
             parse_scenario("g1 G\ntimeline:\n" + rows)
@@ -424,20 +427,22 @@ def _padded(text: str) -> str:
 
 
 def _rush_text() -> str:
-    spec = importlib.util.spec_from_file_location("inputs", Path(__file__).parent.parent / "perfbench" / "inputs.py")
+    # perfbench is no package, so its input generator is loaded from its file
+    path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     return inputs.rush_scenario_text(1, drivers=240, trips_per_driver=5)
 
 
-# sha256 over (timestamp, user, node, line) of each parsed detection, as first
-# recorded: the benchmark's seed-1 fleet and rush texts, a CRLF copy and a
-# padded copy of the fleet text
 @functools.cache
 def _fleet_text() -> str:
     return serialize_scenario(generate(1, 800, 4, 0.5))
 
 
+# sha256 over (timestamp, user, node, line) of each parsed detection, as first
+# recorded: the benchmark's seed-1 fleet and rush texts, a CRLF copy and a
+# padded copy of the fleet text
 PINNED_TIMELINES = {
     "fleet": (_fleet_text, "e8088e3aef3c3582c6cb66c51be3f7e017421de0aeb20a0ba0c15ee03ba63eb4"),
     "fleet-crlf": (
