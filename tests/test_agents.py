@@ -116,6 +116,27 @@ def test_a3_prefers_highest_count():
     assert build_tree(spec_formula(kr55_store(), "idKR55", parse("g2"))).open
 
 
+def decide(rows, gate="g2"):
+    """The candidates of an arrival at gate over one user's (formula, r) rows."""
+    store = SpecStore()
+    for text, r in rows:
+        store.insert("u", parse(text), r)
+    decision, _ = a3_decide(store, parking_fixture(), "u", gate)
+    return decision.candidates
+
+
+def test_a3_ranking_ties_roads_and_unpromised_spots():
+    # equal r breaks by spot id, the road r1 is never a candidate, and a spot
+    # no row holds under an F weighs 0
+    rows = [
+        ("g2 -> F p018", 3),
+        ("g2 -> F p015", 3),
+        ("g2 -> F (p010 & r1)", 1),
+        ("g2 -> !G !p011", 5),
+    ]
+    assert decide(rows) == (("p015", 3), ("p018", 3), ("p010", 1), ("p011", 0))
+
+
 def count_searches(monkeypatch) -> list:
     """The conjuncts a3_decide runs each consequence search on, from now on."""
     import smartlot.knowledge

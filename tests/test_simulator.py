@@ -466,6 +466,32 @@ def test_parsed_timeline_is_pinned(name):
     assert h.hexdigest() == digest
 
 
+# sha256 over (user, gate, suggestion, candidates, rationale) of each decision
+# of the benchmark's seed-1 fleet and rush runs, as first recorded: the report
+# prints only the suggestion's r, this pins the whole ranking
+PINNED_DECISIONS = {
+    "fleet": (
+        _fleet_text,
+        DecisionConfig(),
+        "0e9a7c619a4a7377f7cdde9905cdfa5959abb25b6c6d6692a301d557063d2532",
+    ),
+    "rush": (
+        _rush_text,
+        DecisionConfig(fallback_nearest=True),
+        "bfab331833a9d9ad1a0652b5e1d0a7143e727a6403097da9d6e20c60fb576e6f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DECISIONS))
+def test_decision_records_are_pinned(name):
+    make, config, digest = PINNED_DECISIONS[name]
+    h = hashlib.sha256()
+    for d in run(parse_scenario(make(), config)).decisions:
+        h.update(f"{d.user}\t{d.gate}\t{d.suggestion}\t{d.candidates}\t{d.rationale}\n".encode())
+    assert h.hexdigest() == digest
+
+
 def test_parse_scenario_accepts_legacy_timestamps():
     s = parse_scenario("g1 G\ntimeline:\nt2014.01.28.09.30.15,idKR55,g1\n")
     assert s.timeline == [Detection(datetime(2014, 1, 28, 9, 30, 15), "idKR55", "g1")]
