@@ -33,7 +33,7 @@ class DecisionConfig:
 # -- messages ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PreferenceDecision:  # A3 -> user
     user: str
     gate: str
@@ -88,17 +88,17 @@ def a3_decide(
     if graph.label(gate) != "G":
         raise GraphError(f"not a gateway: {gate}")
     found, removed = consult(store, user, arrival(gate))
-    spots = {a for a in found or () if graph.labels.get(a) == "P"}
 
     # a spot's weight is the largest r among the formulas promising it
     weight: dict[str, int] = {}
     for facts, r in store.rows(user):
         for spot in facts.spots:
-            weight[spot] = max(weight.get(spot, 0), r)
-    ranked = sorted(
-        ((spot, weight.get(spot, 0)) for spot in spots),
-        key=lambda item: (-item[1], item[0]),
-    )
+            if r > weight.get(spot, 0):
+                weight[spot] = r
+    # the P nodes found, by descending weight, then spot id
+    labels = graph.labels
+    keyed = [(-weight.get(a, 0), a) for a in found or () if labels.get(a) == "P"]
+    ranked = tuple([(spot, -w) for w, spot in sorted(keyed)])
 
     suggestion = None
     rationale = NO_SUGGESTION
@@ -113,11 +113,4 @@ def a3_decide(
             suggestion = nearest
             rationale = NEAREST_FREE
 
-    decision = PreferenceDecision(
-        user=user,
-        gate=gate,
-        suggestion=suggestion,
-        candidates=tuple(ranked),
-        rationale=rationale,
-    )
-    return decision, removed
+    return PreferenceDecision(user, gate, suggestion, ranked, rationale), removed

@@ -32,6 +32,7 @@ from .formulas import (
     atoms,
     conjoin,
     eventually_atoms,
+    nnf,
     parse,
 )
 from .tableaux import UNSATISFIABLE, consequences, is_satisfiable
@@ -109,7 +110,7 @@ class SpecTriple:
     r: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Trip:
     user: str
     entry_gate: str
@@ -121,8 +122,9 @@ class Trip:
 class FormulaFacts:
     """What the store reads of a stored formula, computed when it is
     interned: its canonical object, text, atoms and spot atoms (the atoms
-    under an F).  A store makes one per distinct text, so equality and
-    hashing are by identity."""
+    under an F of its negation normal form, so `!G !p` promises p and
+    `!F p` promises nothing).  A store makes one per distinct text, so
+    equality and hashing are by identity."""
 
     formula: Formula
     text: str
@@ -157,7 +159,7 @@ class SpecStore:
                 formula,
                 text,
                 frozenset(atoms(formula)),
-                frozenset(eventually_atoms(formula)),
+                frozenset(eventually_atoms(nnf(formula))),
             )
         return facts
 
@@ -321,8 +323,8 @@ def spec_conjuncts(store: SpecStore, user: str, observation: Formula) -> list[Fo
     Always-shaped knowledge (never-entered gates) goes before the
     observation, preference formulas after, each inner group by descending
     r then formula text."""
-    seen = atoms(observation)
-    return _conjuncts([row for row in store.rows(user) if _analyzed(row[0], seen)], observation)
+    counts = store._by_user.get(user, {})
+    return _conjuncts([(f, counts[f]) for f in _analyzed_rows(counts, atoms(observation))], observation)
 
 
 def _conjuncts(rows: list[tuple[FormulaFacts, int]], observation: Formula) -> list[Formula]:
@@ -333,8 +335,9 @@ def _conjuncts(rows: list[tuple[FormulaFacts, int]], observation: Formula) -> li
     return before + [observation] + after
 
 
-def _analyzed(facts: FormulaFacts, seen: set[str]) -> bool:
-    return bool(facts.spots) or not seen.isdisjoint(facts.atoms)
+def _analyzed_rows(counts: dict[FormulaFacts, int], seen: set[str] | frozenset[str]) -> list[FormulaFacts]:
+    """The rows of counts analyzed on an observation with atoms seen."""
+    return [f for f in counts if f.spots or not seen.isdisjoint(f.atoms)]
 
 
 def _row_order(row: tuple[FormulaFacts, int]) -> tuple[int, str]:
@@ -367,7 +370,7 @@ def _search(store: SpecStore, user: str, observation: Formula) -> frozenset[str]
     # sorts the rows the key was built from
     obs = store.facts(observation)
     counts = store._by_user.get(user, {})
-    analyzed = [f for f in counts if _analyzed(f, obs.atoms)]
+    analyzed = _analyzed_rows(counts, obs.atoms)
     key = frozenset([obs, *analyzed])
     try:
         return store.proofs[key]

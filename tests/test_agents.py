@@ -93,6 +93,15 @@ def test_a2_open_trip_is_kept_and_counted():
     assert len(followers) == 2
 
 
+def test_a2_returns_a_fresh_trip_each_time():
+    followers = Followers()
+    steps = [("u", "g2", "G"), ("u", "p018", "P"), ("u", "g2", "G")]
+    first, second = follow(followers, steps) + follow(followers, steps)
+    assert first == second and first is not second
+    first.parked_spot = None
+    assert second == Trip("u", "g2", "p018", "g2")
+
+
 def test_a2_rejects_detection_outside_a_trip():
     followers = Followers()
     with pytest.raises(KnowledgeError):
@@ -125,16 +134,37 @@ def decide(rows, gate="g2"):
     return decision.candidates
 
 
-def test_a3_ranking_ties_roads_and_unpromised_spots():
-    # equal r breaks by spot id, the road r1 is never a candidate, and a spot
-    # no row holds under an F weighs 0
+def test_a3_ranking_ties_roads_and_negation_normal_form():
+    # equal r breaks by spot id, the road r1 is never a candidate, and
+    # `!G !p011` promises p011 as `F p011` does
     rows = [
         ("g2 -> F p018", 3),
         ("g2 -> F p015", 3),
         ("g2 -> F (p010 & r1)", 1),
         ("g2 -> !G !p011", 5),
     ]
-    assert decide(rows) == (("p015", 3), ("p018", 3), ("p010", 1), ("p011", 0))
+    assert decide(rows) == (("p011", 5), ("p015", 3), ("p018", 3), ("p010", 1))
+
+
+def test_a3_negated_eventually_promises_no_spot():
+    # the row at r=9 says never p011, so p011 weighs what `g2 -> F p011` does
+    rows = [("g2 -> F p011", 1), ("g2 -> F p015", 2), ("g3 -> !F p011", 9)]
+    assert decide(rows) == (("p015", 2), ("p011", 1))
+    assert decide([("g2 -> !G !p011", 4)]) == decide([("g2 -> F p011", 4)]) == (("p011", 4),)
+
+
+def test_a3_repeated_decision_is_a_fresh_record():
+    # a decision is a plain record: changing one changes no later answer
+    store, graph = kr55_store(), parking_fixture()
+    first, _ = a3_decide(store, graph, "idKR55", "g2")
+    proofs = dict(store.proofs)
+    again, _ = a3_decide(store, graph, "idKR55", "g2")
+    assert again == first and again is not first
+    first.suggestion, first.candidates = None, ()
+    assert (again.suggestion, again.candidates) == ("p018", (("p018", 7), ("p015", 2)))
+    assert store.proofs == proofs
+    third, _ = a3_decide(store, graph, "idKR55", "g2")
+    assert third == again
 
 
 def count_searches(monkeypatch) -> list:

@@ -227,6 +227,22 @@ def test_rows_share_one_canonical_formula_and_its_facts():
     assert SpecStore().proofs == {} and store.scale(2).proofs == {}
 
 
+@pytest.mark.parametrize(
+    "text, spots",
+    [
+        ("g2 -> F p018", {"p018"}),
+        ("G !g2", set()),
+        ("!G !p011", {"p011"}),
+        ("g3 -> !F p011", set()),
+        ("!(F p010 | G F p012)", {"p012"}),
+        # an F over a negated spot still counts it
+        ("F !p011", {"p011"}),
+    ],
+)
+def test_spots_are_read_from_negation_normal_form(text, spots):
+    assert SpecStore().facts(parse(text)).spots == spots
+
+
 def test_to_tsv_prints_each_formula_text_once(monkeypatch):
     # a formula keeps its text once printed (`Formula.__str__`), and the
     # store keys its facts by that text
