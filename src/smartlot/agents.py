@@ -2,7 +2,8 @@
 the node and the node's label.  Follower agents decide whether it opens a
 trip, continues it or closes it.  The decision agent answers "which spot
 should this user take" by ranking what `knowledge.consult` finds in the
-user's specification.
+user's specification.  Their messages (`Trip`, `PreferenceDecision`) are
+plain slotted records, built fresh for each trip and decision.
 """
 
 from __future__ import annotations

@@ -336,7 +336,7 @@ def _conjuncts(rows: list[tuple[FormulaFacts, int]], observation: Formula) -> li
 
 
 def _analyzed_rows(counts: dict[FormulaFacts, int], seen: set[str] | frozenset[str]) -> list[FormulaFacts]:
-    """The rows of counts analyzed on an observation with atoms seen."""
+    """The facts of counts that promise a spot or share an atom in seen."""
     return [f for f in counts if f.spots or not seen.isdisjoint(f.atoms)]
 
 
