@@ -142,13 +142,17 @@ def cmd_mine(args) -> int:
     store = SpecStore()
     followers = Followers()
     # a detection is at one of the lot's places, never at a parked car
-    places = {node for node, label in graph.labels.items() if label != "C"}
+    labels = graph.labels
+    places = {node for node, label in labels.items() if label != "C"}
     for lineno, user, node in read_events(_read(args.events), places):
+        label = labels[node]  # read_events has checked the node
         try:
-            if user in graph.labels:  # it could not enter the lot as a car
-                raise KnowledgeError(f"user id names a node of the lot: {user}")
-            trip = followers.observe(user, node, graph.label(node))
-        except KnowledgeError as err:
+            trip = followers.observe(user, node, label)
+            if trip is None and label == "G" and user in labels:  # the row opened a trip
+                raise KnowledgeError  # named below
+        except KnowledgeError as err:  # a user's first row opens a trip or fails in observe
+            if user in labels:  # it could not enter the lot as a car
+                err = KnowledgeError(f"user id names a node of the lot: {user}")
             raise at_line(err, lineno) from None
         if trip is not None:
             for formula in mine_trip(trip):

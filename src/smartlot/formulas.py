@@ -6,10 +6,10 @@ operators F ("eventually") and G ("always").  Formulas are immutable values
 known by their canonical printed text: two formulas are equal when they
 print alike, which for this printer is when their trees are alike.
 
-One walk, `atoms`, answers every atom query: all the atoms of a formula, or
-only those that an operator of given types encloses: an F for the spots a
-mined preference names (`eventually_atoms`), an F or a G for what the
-prover's goal-directed search may still reach.
+One walk, `atoms`, reads all the atoms of a formula, or only those that an
+operator of given types encloses: an F, or an F or a G for what the
+prover's goal-directed search may still reach.  The spots a formula promises
+are read by a walk that also tracks the sign (`promised_atoms`).
 """
 
 from __future__ import annotations
@@ -367,6 +367,26 @@ def atoms(f: Formula, under: tuple[type, ...] = ()) -> set[str]:
 def eventually_atoms(f: Formula) -> set[str]:
     """Atoms that occur somewhere under an F operator."""
     return atoms(f, (Eventually,))
+
+
+def promised_atoms(f: Formula) -> set[str]:
+    """The atoms that occur positively under an F of `nnf(f)`, read in one
+    walk that tracks the sign by `nnf`'s rules and builds no formula."""
+    out: set[str] = set()
+    stack = [(f, False, False)]  # (formula, negated, under an F of the normal form)
+    while stack:
+        g, negate, inside = stack.pop()
+        t = type(g)
+        if t is Atom:
+            if inside and not negate:
+                out.add(g.name)
+        elif t in _UNARY_NODES:  # a negated G is an F of the normal form
+            stack.append((g.operand, negate != (t is Not), inside or t is (Always if negate else Eventually)))
+        else:  # a premise of -> is negated, and each side of <-> takes both signs
+            stack += ((g.left, negate != (t is Implies), inside), (g.right, negate, inside))
+            if t is Iff:
+                stack += ((g.left, not negate, inside), (g.right, not negate, inside))
+    return out
 
 
 def count_eventually(f: Formula) -> int:

@@ -31,9 +31,8 @@ from .formulas import (
     Not,
     atoms,
     conjoin,
-    eventually_atoms,
-    nnf,
     parse,
+    promised_atoms,
 )
 from .tableaux import UNSATISFIABLE, consequences, is_satisfiable
 from .worldgraph import at_line, is_word, normalize_node_id, numbered_lines
@@ -49,12 +48,20 @@ class KnowledgeError(ValueError):
 
 
 def parse_timestamp(text: str) -> datetime:
-    text = text.strip()
-    legacy = LEGACY_TS_RE.fullmatch(text) if text.startswith("t") else None
+    """The naive datetime of a cell holding what `datetime.fromisoformat`
+    reads (which shapes depends on the Python version) or a legacy stamp
+    `t2014.01.28.09.30.15`, maybe padded by whitespace, with no UTC offset.
+    The fast path hands the raw cell to `fromisoformat`, which refuses
+    padding and a leading `t`; only a cell it refuses is stripped first."""
     try:
-        timestamp = datetime(*map(int, legacy.groups())) if legacy else datetime.fromisoformat(text)
+        timestamp = datetime.fromisoformat(text)
     except ValueError:
-        raise KnowledgeError(f"unparseable timestamp: {text!r}") from None
+        text = text.strip()
+        legacy = LEGACY_TS_RE.fullmatch(text) if text.startswith("t") else None
+        try:
+            timestamp = datetime(*map(int, legacy.groups())) if legacy else datetime.fromisoformat(text)
+        except ValueError:
+            raise KnowledgeError(f"unparseable timestamp: {text!r}") from None
     if timestamp.tzinfo is not None:
         raise KnowledgeError(f"timestamp with a UTC offset: {text!r}")
     return timestamp
@@ -121,9 +128,9 @@ class Trip:
 @dataclass(frozen=True, eq=False)
 class FormulaFacts:
     """What the store reads of a stored formula, computed when it is
-    interned: its canonical object, text, atoms and spot atoms (the atoms
-    under an F of its negation normal form, so `!G !p` promises p and
-    `!F p` promises nothing).  A store makes one per distinct text, so
+    interned: its canonical object, text, atoms and spot atoms
+    (`promised_atoms`: so `!G !p` promises p, and `!F p` and `F !p`
+    promise nothing).  A store makes one per distinct text, so
     equality and hashing are by identity."""
 
     formula: Formula
@@ -159,7 +166,7 @@ class SpecStore:
                 formula,
                 text,
                 frozenset(atoms(formula)),
-                frozenset(eventually_atoms(nnf(formula))),
+                frozenset(promised_atoms(formula)),
             )
         return facts
 

@@ -8,8 +8,9 @@ detection as it applies it; an error for one read from a scenario file names
 its line, as `mine`'s errors do.  `parse_scenario` reads a scenario file
 through `worldgraph.numbered_lines` and hands the graph section's lines
 straight to `read_graph`, so every line number is the one an editor shows.
-A `Detection`, one per timeline row, is a plain slotted record, and `run`
-only reads it.
+A timeline row is cut at `#` only when it holds one and split at `,` once;
+only a row that is not three cells is stripped whole.  A `Detection`, one
+per row, is a plain slotted record, and `run` only reads it.
 """
 
 from __future__ import annotations
@@ -139,13 +140,14 @@ def parse_scenario(text: str, config: DecisionConfig = DecisionConfig()) -> Scen
     timeline = []
     try:
         for lineno, raw in lines:  # the rest, after `timeline:`
-            line = raw.partition("#")[0].strip()
-            if not line:
-                continue
-            try:
-                stamp, user, node = line.split(",")
-            except ValueError:  # not three cells
-                raise ScenarioError("expected timestamp,user,node") from None
+            if "#" in raw:
+                raw = raw.partition("#")[0]
+            cells = raw.split(",")
+            if len(cells) != 3:
+                if not raw.strip():  # a blank or comment-only line
+                    continue
+                raise ScenarioError("expected timestamp,user,node")
+            stamp, user, node = cells  # parse_timestamp strips its cell
             timeline.append(Detection(parse_timestamp(stamp), user.strip(), node.strip(), lineno))
     except (ScenarioError, KnowledgeError) as err:  # a bad timestamp too is a scenario error
         raise at_line(ScenarioError(err), lineno) from None

@@ -151,6 +151,8 @@ def test_a3_negated_eventually_promises_no_spot():
     rows = [("g2 -> F p011", 1), ("g2 -> F p015", 2), ("g3 -> !F p011", 9)]
     assert decide(rows) == (("p015", 2), ("p011", 1))
     assert decide([("g2 -> !G !p011", 4)]) == decide([("g2 -> F p011", 4)]) == (("p011", 4),)
+    # nor does `F !p011`, which promises only that p011 is free some time
+    assert decide([*rows[:2], ("g3 -> F !p011", 9)]) == (("p015", 2), ("p011", 1))
 
 
 def test_a3_repeated_decision_is_a_fresh_record():

@@ -540,6 +540,18 @@ def test_mine_rejects_a_user_id_that_names_a_node_of_the_lot(user, tmp_path, cap
     assert (captured.out, captured.err) == ("", f"error: line 2: user id names a node of the lot: {user}\n")
 
 
+def test_mine_names_a_node_named_user_before_a_row_outside_a_trip(tmp_path, capsys):
+    # the user's first row is at no gate, so it opens no trip; the id is
+    # what the error names, not the missing entry
+    graph_file = tmp_path / "world.graph"
+    graph_file.write_text(parking_fixture_text())
+    events_file = tmp_path / "events.csv"
+    events_file.write_text("u,g1,2014-01-28T07:00:00\nr4,p018,2014-01-28T08:01:00\n")
+    assert main(["mine", str(events_file), str(graph_file)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 2: user id names a node of the lot: r4\n")
+
+
 def test_simulate_rejects_a_user_that_names_a_node_of_the_lot(tmp_path, capsys):
     # the demo's user renamed r4, a road: no car, so not "already present"
     scenario = tmp_path / "r4.scenario"

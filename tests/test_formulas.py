@@ -21,6 +21,7 @@ from smartlot.formulas import (
     nnf,
     parse,
     pretty,
+    promised_atoms,
 )
 from smartlot.tableaux import NOT_VALID, SATISFIABLE, build_tree, export_tree, is_satisfiable, is_valid
 
@@ -357,6 +358,22 @@ def test_atom_queries_match_the_recursive_definitions(f):
     assert eventually_atoms(f) == _atoms_under(f, Eventually)
     assert atoms(f, (Eventually, Always)) == _atoms_under(f, (Eventually, Always))
     assert atoms(f, (Always,)) == _atoms_under(f, Always)
+
+
+def _promised(f, inside=False):
+    """The atoms of a negation normal form that occur unnegated under an F,
+    by plain recursion over the built tree."""
+    if isinstance(f, Atom):
+        return {f.name} if inside else set()
+    if isinstance(f, Not):  # over an atom only, in normal form
+        return set()
+    inside = inside or isinstance(f, Eventually)
+    return set().union(*(_promised(g, inside) for g in _children(f)))
+
+
+@given(formulas())
+def test_promised_atoms_are_read_from_the_normal_form(f):
+    assert promised_atoms(f) == _promised(nnf(f))
 
 
 def _tokens(text):

@@ -53,6 +53,60 @@ def test_parse_timestamp_legacy_takes_ascii_digits_only():
             parse_timestamp(text)
 
 
+_LEGACY = re.compile(r"t([0-9]{4})\.([0-9]{2})\.([0-9]{2})\.([0-9]{2})\.([0-9]{2})\.([0-9]{2})")
+
+
+def _strip_first(text):
+    """The strip-first rule `parse_timestamp` reads by: strip the cell, then
+    try the legacy form, then `fromisoformat`; no offset."""
+    text = text.strip()
+    legacy = _LEGACY.fullmatch(text) if text.startswith("t") else None
+    try:
+        timestamp = datetime(*map(int, legacy.groups())) if legacy else datetime.fromisoformat(text)
+    except ValueError:
+        raise KnowledgeError(f"unparseable timestamp: {text!r}") from None
+    if timestamp.tzinfo is not None:
+        raise KnowledgeError(f"timestamp with a UTC offset: {text!r}")
+    return timestamp
+
+
+_TIMESPECS = ["auto", "hours", "minutes", "seconds", "milliseconds", "microseconds"]
+
+
+@st.composite
+def _timestamp_cells(draw):
+    """An ISO stamp (date only, or with a `T` or blank separator and any
+    precision), a legacy stamp, an ISO stamp with a `+01:00` or `Z` offset,
+    or garbage, each padded by spaces, tabs or no-break spaces."""
+    moment = draw(st.datetimes())
+    kind = draw(st.sampled_from(["iso", "date", "legacy", "offset", "garbage"]))
+    if kind == "iso":
+        cell = moment.isoformat(draw(st.sampled_from("T ")), draw(st.sampled_from(_TIMESPECS)))
+    elif kind == "date":
+        cell = moment.date().isoformat()
+    elif kind == "legacy":
+        cell = "t{:04d}.{:02d}.{:02d}.{:02d}.{:02d}.{:02d}".format(*moment.timetuple()[:6])
+    elif kind == "offset":
+        cell = moment.isoformat() + draw(st.sampled_from(["+01:00", "Z"]))
+    else:
+        cell = draw(st.text(max_size=24) | st.from_regex(r"t?[0-9T:.\- ]{1,26}", fullmatch=True))
+    pad = st.text(st.sampled_from(" \t\u00a0"), max_size=3)
+    return draw(pad) + cell + draw(pad)
+
+
+@settings(max_examples=500)
+@given(_timestamp_cells())
+def test_parse_timestamp_reads_as_the_strip_first_rule(cell):
+    try:
+        expected = _strip_first(cell)
+    except KnowledgeError as err:
+        with pytest.raises(KnowledgeError) as got:
+            parse_timestamp(cell)
+        assert str(got.value) == str(err)
+    else:
+        assert parse_timestamp(cell) == expected
+
+
 # -- event feed --------------------------------------------------------------
 
 
@@ -234,9 +288,10 @@ def test_rows_share_one_canonical_formula_and_its_facts():
         ("G !g2", set()),
         ("!G !p011", {"p011"}),
         ("g3 -> !F p011", set()),
-        ("!(F p010 | G F p012)", {"p012"}),
-        # an F over a negated spot still counts it
-        ("F !p011", {"p011"}),
+        # G !p010 & F G !p012 and F !p011 in normal form: an F over a
+        # negated spot promises only that it is free some time
+        ("!(F p010 | G F p012)", set()),
+        ("F !p011", set()),
     ],
 )
 def test_spots_are_read_from_negation_normal_form(text, spots):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from smartlot.agents import DecisionConfig
 from smartlot.fixtures import all_gates, parking_fixture
 from smartlot.formulas import Always, parse
-from smartlot.knowledge import KnowledgeError, SpecStore
+from smartlot.knowledge import KnowledgeError, SpecStore, read_events
 from smartlot.simulator import (
     Detection,
     Scenario,
@@ -412,6 +412,94 @@ def test_parse_scenario_line_errors():
         assert str(err.value) == message
 
 
+# One timeline row's cells in scenario order, after the row
+# 2014-01-28T08:00:00,u,g1; then, as first recorded, what `parse_scenario`
+# reads of the row (its detections' stamp, user, node and line, or the error)
+# and what `read_events` reads of the same cells as a feed row,
+# user,node,timestamp (its rows, or the error)
+ROW_TABLE = {
+    "tab-padded stamp": (
+        ["\t2014-01-28T08:00:05", "u", "g1"],
+        [("2014-01-28T08:00:05", "u", "g1", 5)],
+        [(2, "u", "g1")],
+    ),
+    "tab-padded cells": (
+        ["2014-01-28T08:00:05\t", "\tu\t", "\tg1\t"],
+        [("2014-01-28T08:00:05", "u", "g1", 5)],
+        [(2, "u", "g1")],
+    ),
+    "no-break spaces": (
+        ["\u00a02014-01-28T08:00:05\u00a0", "u", "g1"],
+        [("2014-01-28T08:00:05", "u", "g1", 5)],
+        [(2, "u", "g1")],
+    ),
+    "trailing note": (
+        ["2014-01-28T08:00:05", "u", "g1  # note"],
+        [("2014-01-28T08:00:05", "u", "g1", 5)],
+        "line 2: unknown node id 'g1  # note'",
+    ),
+    "comma in a note": (
+        ["2014-01-28T08:00:05", "u", "g1 # a, b"],
+        [("2014-01-28T08:00:05", "u", "g1", 5)],
+        "line 2: expected user,node,timestamp",
+    ),
+    "hash only": (["#"], [], "line 2: expected user,node,timestamp"),
+    "whitespace only": ([" \t "], [], "line 2: expected user,node,timestamp"),
+    "two cells": (
+        ["2014-01-28T08:00:05", "u"],
+        "line 5: expected timestamp,user,node",
+        "line 2: expected user,node,timestamp",
+    ),
+    "four cells": (
+        ["2014-01-28T08:00:05", "u", "g1", "r1"],
+        "line 5: expected timestamp,user,node",
+        "line 2: expected user,node,timestamp",
+    ),
+    "legacy stamp": (
+        ["t2014.01.28.09.30.15", "u", "g1"],
+        [("2014-01-28T09:30:15", "u", "g1", 5)],
+        [(2, "u", "g1")],
+    ),
+    "padded legacy stamp": (
+        [" t2014.01.28.09.30.15\t", "u", "g1"],
+        [("2014-01-28T09:30:15", "u", "g1", 5)],
+        [(2, "u", "g1")],
+    ),
+    "offset": (
+        ["2014-01-28T08:00:05+01:00", "u", "g1"],
+        "line 5: timestamp with a UTC offset: '2014-01-28T08:00:05+01:00'",
+        "line 2: timestamp with a UTC offset: '2014-01-28T08:00:05+01:00'",
+    ),
+    "padded offset": (
+        ["\t2014-01-28T08:00:05Z ", "u", "g1"],
+        "line 5: timestamp with a UTC offset: '2014-01-28T08:00:05Z'",
+        "line 2: timestamp with a UTC offset: '2014-01-28T08:00:05Z'",
+    ),
+    "padded garbage": (
+        [" whenever ", "u", "g1"],
+        "line 5: unparseable timestamp: 'whenever'",
+        "line 2: unparseable timestamp: 'whenever'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_TABLE))
+def test_both_readers_read_a_row_as_pinned(name):
+    cells, detections, rows = ROW_TABLE[name]
+    scenario = f"g1 G\nr1 R\ntimeline:\n2014-01-28T08:00:00,u,g1\n{','.join(cells)}\n"
+    try:
+        got = [(d.timestamp.isoformat(), d.user, d.node, d.line) for d in parse_scenario(scenario).timeline[1:]]
+    except ScenarioError as err:
+        got = str(err)
+    assert got == detections
+    feed = f"u,g1,2014-01-28T08:00:00\n{','.join(cells[1:] + cells[:1])}\n"
+    try:
+        got = list(read_events(feed, {"g1", "r1"}))[1:]
+    except KnowledgeError as err:
+        got = str(err)
+    assert got == rows
+
+
 def _padded(text: str) -> str:
     """The scenario with blanks or a tab around every timeline cell, a
     comment after every row, and a blank line and a comment-only line every
@@ -423,6 +511,18 @@ def _padded(text: str) -> str:
         out.append(f" {ts}\t,\t{user}  , {node}\t # row {n}\n")
         if n % 100 == 0:
             out.append("\n  # a comment-only line\n")
+    return "".join(out)
+
+
+def _legacy_commented(text: str) -> str:
+    """The scenario with each timeline stamp in the legacy form
+    t2014.01.28.06.00.00 and a comment holding a comma after every row."""
+    graph, timeline = text.split("timeline:\n", 1)
+    out = [graph, "timeline:\n"]
+    for n, row in enumerate(timeline.splitlines(), 1):
+        ts, user, node = row.split(",")
+        stamp = "t" + ts.replace("-", ".").replace("T", ".").replace(":", ".")
+        out.append(f"{stamp},{user},{node} # row {n}, {ts}\n")
     return "".join(out)
 
 
@@ -441,8 +541,8 @@ def _fleet_text() -> str:
 
 
 # sha256 over (timestamp, user, node, line) of each parsed detection, as first
-# recorded: the benchmark's seed-1 fleet and rush texts, a CRLF copy and a
-# padded copy of the fleet text
+# recorded: the benchmark's seed-1 fleet and rush texts, a CRLF copy, a
+# padded copy and a legacy-stamped, commented copy of the fleet text
 PINNED_TIMELINES = {
     "fleet": (_fleet_text, "e8088e3aef3c3582c6cb66c51be3f7e017421de0aeb20a0ba0c15ee03ba63eb4"),
     "fleet-crlf": (
@@ -452,6 +552,10 @@ PINNED_TIMELINES = {
     "fleet-padded": (
         lambda: _padded(_fleet_text()),
         "e10f3b94808741c15aff80cc1c1c1105bccb9f75bd84f8452aaefc4cd9a8aeba",
+    ),
+    "fleet-legacy-commented": (
+        lambda: _legacy_commented(_fleet_text()),
+        "e8088e3aef3c3582c6cb66c51be3f7e017421de0aeb20a0ba0c15ee03ba63eb4",
     ),
     "rush": (_rush_text, "f0ac7b7f5895817f5b54d3ce99aeb634bcc2ac6c9412dea9675a1000296c5b71"),
 }
