@@ -2,8 +2,9 @@
 queries.
 
 The fragment covers the classical connectives plus the two unary temporal
-operators F ("eventually") and G ("always").  Formulas are immutable values
-known by their canonical printed text: two formulas are equal when they
+operators F ("eventually") and G ("always").  Nodes are plain slotted records
+that nothing changes after building, as the hash depends on it: a formula is
+known by its canonical printed text, so two formulas are equal when they
 print alike, which for this printer is when their trees are alike.
 
 One walk, `atoms`, reads all the atoms of a formula, or only those that an
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9]*")
 
@@ -37,20 +39,20 @@ class FormulaDepthError(FormulaSyntaxError):
 
 
 class Formula:
-    """Base of the formula nodes.  A formula is known by its canonical text
-    (`pretty`, which `parse` reads back to an equal tree): `str` prints a
-    node once and keeps the text on it, and equality and hashing compare
-    and hash that text, so a long & / | chain compares and hashes like a
-    short one."""
+    """Base of the formula nodes, plain slotted records.  A formula is known
+    by its canonical text (`pretty`), printed once into the `_text` slot,
+    unset until then, and compared and hashed as that text, so a long & / |
+    chain compares and hashes like a short one.  By convention nothing
+    assigns to a node's fields after building it: the hash depends on it."""
 
-    _text = None
+    __slots__ = ("_text",)
 
     def __str__(self) -> str:
-        text = self._text
-        if text is None:
-            text = pretty(self)
-            object.__setattr__(self, "_text", text)
-        return text
+        try:
+            return self._text
+        except AttributeError:
+            self._text = text = pretty(self)
+            return text
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
@@ -61,7 +63,7 @@ class Formula:
         return hash(str(self))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Atom(Formula):
     name: str
 
@@ -70,41 +72,41 @@ class Atom(Formula):
             raise ValueError(f"invalid atom name: {self.name!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Eventually(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Always(Formula):
     operand: Formula
 
@@ -235,7 +237,7 @@ def _parsed_atom(name: str) -> Atom:
     """An atom whose name the tokenizer has matched against ATOM_RE
     already, built without `Atom.__post_init__` matching it again."""
     atom = object.__new__(Atom)
-    atom.__dict__["name"] = name
+    atom.name = name
     return atom
 
 
@@ -339,10 +341,7 @@ _DUAL = {And: Or, Or: And, Eventually: Always, Always: Eventually}
 
 def conjoin(formulas: list[Formula]) -> Formula:
     """The left-nested conjunction of a non-empty list."""
-    combined = formulas[0]
-    for f in formulas[1:]:
-        combined = And(combined, f)
-    return combined
+    return reduce(And, formulas)
 
 
 def atoms(f: Formula, under: tuple[type, ...] = ()) -> set[str]:
@@ -394,12 +393,10 @@ def count_eventually(f: Formula) -> int:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Eventually):
-            n += 1
+        t = type(g)
+        n += t is Eventually
+        if t in _UNARY_NODES:
             stack.append(g.operand)
-        elif isinstance(g, (Not, Always)):
-            stack.append(g.operand)
-        elif not isinstance(g, Atom):
-            stack.append(g.left)
-            stack.append(g.right)
+        elif t is not Atom:
+            stack += (g.left, g.right)
     return n

@@ -281,9 +281,9 @@ def mine_trip(trip: Trip) -> list[Formula]:
 @functools.lru_cache(maxsize=4096)
 def _preference(gate: str, spot: str) -> Formula:
     """`gate -> F spot`, one shared object per pair while it stays cached, so
-    that it is printed once, for `SpecStore` to find it by its text.
-    Formulas are immutable; the bound only caps what a long process with
-    many lots keeps."""
+    that it is printed once, for `SpecStore` to find it by its text.  Nothing
+    changes its slotted nodes after building, as its hash depends on that;
+    the bound only caps what a long process with many lots keeps."""
     return Implies(Atom(gate), Eventually(Atom(spot)))
 
 

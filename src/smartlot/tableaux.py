@@ -93,6 +93,7 @@ class WorldLabel(NamedTuple):
 
 
 _ROOT = WorldLabel()  # the label of every part at the root
+_ROOT_ON = WorldLabel((), True)  # the root and every later world
 Literal = tuple[str, str, WorldLabel]  # sign "+"/"-", atom, label
 
 
@@ -184,7 +185,7 @@ def _branch(
         elif t is Always or t is Eventually:
             # G+ and F- hold at this world and every later one
             if (t is Always) != neg:
-                stack.append((f.operand, neg, WorldLabel(label.prefix, True)))
+                stack.append((f.operand, neg, WorldLabel(label.prefix, True) if label.prefix else _ROOT_ON))
                 continue
         elif t is not Iff:
             raise TypeError(f"not a formula: {f!r}")
@@ -487,8 +488,10 @@ def _compile(formulas: list[Formula]) -> tuple[list[tuple], list[int], list[int]
         if t is Atom or t is Not:
             nodes.append((t, g.name if t is Atom else g.operand.name, None))
         elif not done:
-            parts = (g.right, g.left) if t is And or t is Or else (g.operand,)
-            todo += [(g, True)] + [(part, False) for part in parts]
+            if t is And or t is Or:
+                todo += ((g, True), (g.right, False), (g.left, False))
+            else:
+                todo += ((g, True), (g.operand, False))
             continue
         elif t is And or t is Or:
             nodes.append((t, index[id(g.left)], index[id(g.right)]))

@@ -154,7 +154,7 @@ def _parsed_atom(name: str) -> Atom:
     """An atom whose name the tokenizer has matched against ATOM_RE
     already, built without `Atom.__post_init__` matching it again."""
     atom = object.__new__(Atom)
-    atom.__dict__["name"] = name
+    atom.name = name
     return atom
 
 

@@ -23,6 +23,7 @@ from smartlot.formulas import (
     pretty,
     promised_atoms,
 )
+from smartlot.knowledge import _preference
 from smartlot.tableaux import NOT_VALID, SATISFIABLE, build_tree, export_tree, is_satisfiable, is_valid
 
 
@@ -186,6 +187,41 @@ def test_invalid_atom_name():
         Atom("Foo")
     with pytest.raises(ValueError):
         Atom("")
+
+
+NODES = [Atom("p"), Not(Atom("p")), And(Atom("p"), Atom("q")), Or(Atom("p"), Atom("q")),
+         Implies(Atom("p"), Atom("q")), Iff(Atom("p"), Atom("q")), Eventually(Atom("p")),
+         Always(Atom("p"))]
+
+
+@pytest.mark.parametrize("node", NODES, ids=[type(node).__name__ for node in NODES])
+def test_a_node_is_a_slotted_record_printed_once(node, monkeypatch):
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.colour = "red"
+    printed = []
+    monkeypatch.setattr("smartlot.formulas.pretty", lambda f: printed.append(f) or pretty(f))
+    text = str(node)
+    assert str(node) is text and printed == [node]
+    assert text == pretty(node) and hash(node) == hash(text)
+
+
+def test_a_parsed_preference_is_the_mined_one():
+    f = parse("g2 -> F p018")
+    assert f == _preference("g2", "p018") and hash(f) == hash(_preference("g2", "p018"))
+
+
+def test_parsed_atoms_skip_the_name_check_that_atom_makes(monkeypatch):
+    def refuse(atom):
+        raise AssertionError("name checked again")
+
+    with pytest.raises(ValueError):
+        Atom("Bad")
+    monkeypatch.setattr(Atom, "__post_init__", refuse)
+    f = parse("p & F q018")
+    assert repr(f) == "And(left=Atom(name='p'), right=Eventually(operand=Atom(name='q018')))"
+    with pytest.raises(AssertionError):
+        Atom("p")
 
 
 @pytest.mark.parametrize(

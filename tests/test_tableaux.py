@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +274,25 @@ def test_tree_display_and_branches_pinned_on_a_corpus():
         digest.update(export_tree(tree, "dot").encode())
         digest.update(repr([(b.index, b.literals, b.status) for b in tree.branches]).encode())
     assert digest.hexdigest() == "a3fe88acc44d05494ac05caad3822731ccc13e7fcde6890d4453e9802149a0d7"
+
+
+def test_benchmark_proofs_verdicts_match_the_reference_digest():
+    # the seed-1 `proofs` workload of perfbench/run.py: its corpus, arrival
+    # specs and worst-case family k=1..7, each parsed and proved, hashed as
+    # the benchmark hashes its verdicts; perfbench is no package, so its
+    # input generator is loaded from its file
+    bench = Path(__file__).parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("inputs", bench / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    texts = inputs.random_corpus(1, 3000) + [text for text, _ in inputs.arrival_specs(1, 300)]
+    texts += inputs.worst_case_family(7)
+    verdicts = []
+    for text in texts:
+        f = parse(text)
+        verdicts.append(f"{is_satisfiable(f)} {is_valid(f)}\n")
+    reference = json.loads((bench / "reference.json").read_text())["proofs"]["digests"]["verdicts"]
+    assert hashlib.sha256("".join(verdicts).encode()).hexdigest() == reference
 
 
 # -- label unification ------------------------------------------------------
