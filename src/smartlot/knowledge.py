@@ -148,14 +148,17 @@ class SpecStore:
     interning prints a formula and hashes no `Formula`; rows are keyed by
     its facts object, which the store never drops.  `proofs` maps the set of
     facts of the conjuncts of each specification `consult` has searched to
-    its consequences (`tableaux.consequences`).  That result depends on the
-    set alone, so the memo stays exact as rows change; it lives and dies
-    with the store."""
+    its consequences (`tableaux.consequences`).  `clashes` maps each pair
+    (observation facts, row facts) `retract_inconsistent` has tested to
+    whether the two are unsatisfiable together.  Both results depend on
+    their keys alone, so the memos stay exact as rows change; they live and
+    die with the store."""
 
     def __init__(self):
         self._by_user: dict[str, dict[FormulaFacts, int]] = {}
         self._facts: dict[str, FormulaFacts] = {}  # formula text -> facts
         self.proofs: dict[frozenset[FormulaFacts], frozenset[str] | None] = {}
+        self.clashes: dict[tuple[FormulaFacts, FormulaFacts], bool] = {}
 
     def facts(self, formula: Formula) -> FormulaFacts:
         """The store's one facts object for formula, made on first sight."""
@@ -391,11 +394,16 @@ def retract_inconsistent(
     store: SpecStore, user: str, observation: Formula
 ) -> list[Formula]:
     """Remove every stored formula that is singly inconsistent with the
-    observation, in the order of `SpecStore.triples`.  Mutates the store;
-    returns the removed formulas."""
+    observation, in the order of `SpecStore.triples`.  Each pair is proved
+    once per store (`SpecStore.clashes`).  Mutates the store; returns the
+    removed formulas."""
+    obs = store.facts(observation)
     removed = []
     for facts, _ in sorted(store.rows(user), key=_row_order):
-        if is_satisfiable(observation, facts.formula) == UNSATISFIABLE:
+        clash = store.clashes.get((obs, facts))
+        if clash is None:
+            clash = store.clashes[obs, facts] = is_satisfiable(observation, facts.formula) == UNSATISFIABLE
+        if clash:
             store.remove(user, facts)
             removed.append(facts.formula)
     if not removed:

@@ -23,18 +23,30 @@ exact realizability check, which closes a branch that no sequence of
 positions can hold (see "Linear realizability" below).
 
 One expansion yields the finished branches, depth first and left before
-right, and builds no display: `build_tree` keeps them as a list, from which
-both exports draw the tree row by row, in branch order (the literals a
-branch does not share with the one before, then its own x or o marker), and
-`is_satisfiable` and `is_valid` stop at the first open branch.
-`consequences` drains it for what the decision agent reads from a tree:
-whether every branch closes and otherwise the union of the positive atoms
-under named labels over the open branches (`open_consequences`).  After the
-first open branch the expansion then skips every pending branch that cannot
-add an atom not found yet (a goal-directed search; Goré, "Tableau methods for
-modal and temporal logics", Handbook of Tableau Methods, 1999).  What a
-pending part may add is read with `formulas.atoms`: each of its atoms under a
-named label, and at the root only those that an F or a G encloses.
+right, and builds no display.  Its branches share one literal list and one
+commitment list as a trail (as DPLL solvers keep their assignments; Eén &
+Sörensson, SAT 2003): a split records only the two lengths, and a branch
+drawn later truncates the lists back to them.  The signed formulas left to
+expand form a linked list whose rest both sides of a split share, so a
+split copies nothing.  Beside the trail an index holds the labels of its
+literals by sign and atom, popped with it, so a new literal is checked for
+closure against the opposite literals of its own atom alone, and a branch
+of n distinct literals costs O(n), not O(n^2).  A yielded literal list is
+the trail itself, valid until the next branch is drawn: `build_tree` copies
+it into each branch of a list, from which both exports draw the tree row by
+row, in branch order (the literals a branch does not share with the one
+before, then its own x or o marker), and `is_satisfiable` and `is_valid`
+read it in place and stop at the first open branch.
+`consequences` drains the expansion for what the decision agent reads from a
+tree: whether every branch closes and otherwise the union of the positive
+atoms under named labels over the open branches (`open_consequences`).
+After the first open branch the expansion then skips every pending branch
+that cannot add an atom not found yet (a goal-directed search; Goré,
+"Tableau methods for modal and temporal logics", Handbook of Tableau
+Methods, 1999).  What a pending part may add is read with `formulas.atoms`:
+each of its atoms under a named label, and at the root only those that an F
+or a G encloses, once per part and kind of position in an expansion, however
+many pending branches hold the part.
 `consequences` and `is_satisfiable` take a formula's conjuncts as they are.
 """
 
@@ -44,7 +56,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, TypeAlias
 
 from .formulas import (
     Always,
@@ -95,6 +107,10 @@ class WorldLabel(NamedTuple):
 _ROOT = WorldLabel()  # the label of every part at the root
 _ROOT_ON = WorldLabel((), True)  # the root and every later world
 Literal = tuple[str, str, WorldLabel]  # sign "+"/"-", atom, label
+# the labels of a branch's literals by atom: positive ones, then negative
+_Index = tuple[dict[str, list[WorldLabel]], dict[str, list[WorldLabel]]]
+# signed formulas left to expand, as a linked list (f, neg, label, rest)
+_Stack: TypeAlias = "tuple[Formula, bool, WorldLabel, _Stack] | None"
 
 
 @dataclass
@@ -132,20 +148,39 @@ def _expand(
 ) -> Iterator[tuple[int, list[Literal], str]]:
     """Yield each finished branch of `conjoin(parts)`, depth first and left
     before right, as (shared, literals, status): `shared` counts the leading
-    literals the branch took from the one it split from.  With `found`, adds
-    to it the positive atoms under named labels of every open branch; once
-    one branch is open, a pending branch that cannot add one is skipped."""
-    # pending branches: signed formulas left to expand, literals and
-    # commitments; each branch owns its lists; the first part goes on top
-    pending = [([(f, False, _ROOT) for f in reversed(parts)], [], [])]
+    literals the branch took from the one it split from.
+
+    Every branch works on one literal list and one commitment list, a
+    trail.  A pending branch holds its signed formulas left to expand (a
+    linked list, `_Stack`, sharing its rest with the branch it split from)
+    and the two lengths at its split; drawing it truncates both lists back
+    and pops the truncated literals from `held`, the index of the trail's
+    labels by sign and atom.  So the yielded literal list is valid until the
+    next branch is drawn; a caller that keeps it copies it.
+
+    With `found`, adds to it the positive atoms under named labels of every
+    open branch; once one branch is open, a pending branch that cannot add
+    one is skipped.  What each pending formula can add is read once, into
+    `reach`, keyed by its identity and whether it sits at the root."""
+    literals: list[Literal] = []
+    commitments: list[tuple[Formula, tuple[str, ...]]] = []
+    held: _Index = ({}, {})
+    # the first part heads the stack
+    stack: _Stack = None
+    for f in reversed(parts):
+        stack = (f, False, _ROOT, stack)
+    pending = [(stack, 0, 0)]
     fresh = itertools.count()
+    reach: dict[tuple[int, bool], set[str]] = {}
     found_open = False
     while pending:
-        stack, literals, commitments = pending.pop()
-        if found_open and found is not None and not _may_add(stack, literals, found):
+        stack, shared, committed = pending.pop()
+        for sign, atom, _ in literals[shared:]:
+            held[sign == "-"][atom].pop()
+        del literals[shared:], commitments[committed:]
+        if found_open and found is not None and not _may_add(stack, literals, found, reach):
             continue
-        shared = len(literals)
-        status = _branch(stack, literals, commitments, pending, fresh)
+        status = _branch(stack, literals, held, commitments, pending, fresh)
         if status == OPEN:
             found_open = True
             if found is not None:
@@ -154,38 +189,44 @@ def _expand(
 
 
 def _branch(
-    stack: list[tuple[Formula, bool, WorldLabel]],
+    stack: _Stack,
     literals: list[Literal],
+    held: _Index,
     commitments: list[tuple[Formula, tuple[str, ...]]],
     pending: list,
     fresh: Iterator[int],
 ) -> str:
     """Expand one branch to its status; the right side of each split goes on
-    `pending` with copies of the branch's lists.  A stack entry `(f, neg,
-    label)` stands for f, or for !f when `neg`, at `label`."""
-    while stack:
-        f, neg, label = stack.pop()
+    `pending` with the lengths of the branch's lists.  A stack node `(f,
+    neg, label, rest)` stands for f, or for !f when `neg`, at `label`.  A new
+    literal is checked for closure against the labels `held` under its atom
+    with the other sign alone."""
+    while stack is not None:
+        f, neg, label, stack = stack
         t = type(f)
         if t is Not:
-            stack.append((f.operand, not neg, label))
+            stack = (f.operand, not neg, label, stack)
             continue
         if t is Atom:
-            sign = "-" if neg else "+"
-            closes = any(s != sign and a == f.name and l.unifies(label) for s, a, l in literals)
-            literals.append((sign, f.name, label))
-            if closes:
-                return CLOSED
+            literals.append(("-" if neg else "+", f.name, label))
+            same = held[neg].get(f.name)
+            if same is None:
+                held[neg][f.name] = [label]
+            else:
+                same.append(label)
+            for other in held[not neg].get(f.name, ()):
+                if other.unifies(label):
+                    return CLOSED
             continue
         if t is And or t is Or or t is Implies:
             # And+, Or- and Implies- keep both parts on the branch
             if (t is And) != neg:
-                stack.append((f.right, neg, label))
-                stack.append((f.left, neg != (t is Implies), label))
+                stack = (f.left, neg != (t is Implies), label, (f.right, neg, label, stack))
                 continue
         elif t is Always or t is Eventually:
             # G+ and F- hold at this world and every later one
             if (t is Always) != neg:
-                stack.append((f.operand, neg, WorldLabel(label.prefix, True) if label.prefix else _ROOT_ON))
+                stack = (f.operand, neg, WorldLabel(label.prefix, True) if label.prefix else _ROOT_ON, stack)
                 continue
         elif t is not Iff:
             raise TypeError(f"not a formula: {f!r}")
@@ -195,23 +236,22 @@ def _branch(
             commitments.append((nnf(Not(f)) if neg else nnf(f), label.prefix))
         elif t is Always or t is Eventually:
             world = label.prefix + (_world_name(next(fresh)),)
-            stack.append((f.operand, neg, WorldLabel(world, False)))
+            stack = (f.operand, neg, WorldLabel(world, False), stack)
         elif t is Iff:
             # Iff+ splits into l & r | !l & !r, Iff- into l & !r | !l & r
-            right = stack + [(f.right, not neg, label), (f.left, True, label)]
-            pending.append((right, list(literals), list(commitments)))
-            stack.append((f.right, neg, label))
-            stack.append((f.left, False, label))
+            right = (f.left, True, label, (f.right, not neg, label, stack))
+            pending.append((right, len(literals), len(commitments)))
+            stack = (f.left, False, label, (f.right, neg, label, stack))
         else:
             # Or+, And- and Implies+ split, left first
-            pending.append((stack + [(f.right, neg, label)], list(literals), list(commitments)))
-            stack.append((f.left, neg != (t is Implies), label))
+            pending.append(((f.right, neg, label, stack), len(literals), len(commitments)))
+            stack = (f.left, neg != (t is Implies), label, stack)
     return OPEN if _realizable(literals, commitments) else CLOSED
 
 
 def build_tree(f: Formula) -> TruthTree:
     """The whole truth tree: every branch of `f`, depth first."""
-    branches = [Branch(i, literals, status, shared)
+    branches = [Branch(i, list(literals), status, shared)
                 for i, (shared, literals, status) in enumerate(_expand((f,)), 1)]
     return TruthTree(f, branches)
 
@@ -235,25 +275,30 @@ def consequences(*parts: Formula) -> frozenset[str] | None:
 
 
 def _may_add(
-    stack: list[tuple[Formula, bool, WorldLabel]], literals: list[Literal], found: set[str]
+    stack: _Stack,
+    literals: list[Literal],
+    found: set[str],
+    reach: dict[tuple[int, bool], set[str]],
 ) -> bool:
     """Whether a pending branch may hold a positive atom under a named label
     that is not in `found`: one it holds already, or one a formula left on
-    its stack can still produce."""
+    its stack can still produce.  `reach` caches what a stack formula can
+    produce by its identity and whether it sits at the root."""
     for sign, atom, label in literals:
         if sign == "+" and label.prefix and atom not in found:
             return True
-    for f, _, label in stack:
-        if label.prefix:
-            reach = atoms(f)
-        elif label.universal:
+    while stack is not None:
+        f, _, label, stack = stack
+        if label.universal and not label.prefix:
             # F and G wait as commitments under the root's universal label,
             # so nothing there reaches a named world
             continue
-        else:
+        key = (id(f), not label.prefix)
+        atoms_of = reach.get(key)
+        if atoms_of is None:
             # at the root only what an F or a G encloses reaches a named world
-            reach = atoms(f, (Eventually, Always))
-        if not reach <= found:
+            atoms_of = reach[key] = atoms(f, (Eventually, Always)) if key[1] else atoms(f)
+        if not atoms_of <= found:
             return True
     return False
 

@@ -5,6 +5,7 @@ from datetime import datetime
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smartlot import knowledge
 from smartlot.fixtures import all_gates, all_spots
 from smartlot.formulas import Atom, Formula, FormulaDepthError, FormulaSyntaxError, parse, pretty
 from smartlot.knowledge import (
@@ -549,6 +550,33 @@ def test_retraction_follows_the_row_order_and_hashes_no_formula(monkeypatch):
     removed = retract_inconsistent(store, "u", parse("g3"))
     assert removed == offenders and calls == []
     assert store.counts("u") == [(parse("g2 -> F p018"), 7)]
+
+
+def test_a_second_user_with_the_same_rows_is_retracted_without_a_proof(monkeypatch):
+    store = SpecStore()
+    rows = [("G !g3", 1), ("g2 -> F p018", 7), ("G !g3 | G !g3", 4), ("G (!g3 & p1)", 4)]
+    for user in ("u", "v"):
+        for text, r in rows:
+            store.insert(user, parse(text), r)
+    proved = []
+    prove = knowledge.is_satisfiable
+
+    def counting(*parts):
+        proved.append(parts)
+        return prove(*parts)
+
+    monkeypatch.setattr(knowledge, "is_satisfiable", counting)
+    offenders = [t.formula for t in store.triples("u") if pretty(t.formula) != "g2 -> F p018"]
+    assert retract_inconsistent(store, "u", parse("g3")) == offenders
+    assert len(proved) == len(rows)
+    # the same rows at the same gate: every verdict comes from the store
+    assert retract_inconsistent(store, "v", parse("g3")) == offenders
+    assert len(proved) == len(rows)
+    assert store.counts("v") == [(parse("g2 -> F p018"), 7)]
+    # another gate is another pair
+    store.insert("v", parse("G !g1"), 2)
+    assert retract_inconsistent(store, "v", parse("g1")) == [parse("G !g1")]
+    assert len(proved) == len(rows) + 2
 
 
 def test_resolve_consistent_spec_removes_nothing():

@@ -31,13 +31,14 @@ from smartlot.tableaux import (
 
 @pytest.fixture
 def decided(monkeypatch):
-    """Record the (literals, commitments) of every branch that reaches the
-    realizability check, keyed by the identity of the branch's literal list."""
-    calls = {}
+    """Record copies of the (literals, commitments) of every branch that
+    reaches the realizability check, in call order; the expansion reuses
+    one literal list for every branch."""
+    calls = []
     realizable = tableaux._realizable
 
     def recording(literals, commitments):
-        calls[id(literals)] = (literals, list(commitments))
+        calls.append((list(literals), list(commitments)))
         return realizable(literals, commitments)
 
     monkeypatch.setattr(tableaux, "_realizable", recording)
@@ -47,14 +48,20 @@ def decided(monkeypatch):
 def assert_branches_agree(f, decided):
     decided.clear()
     tree = build_tree(f)
+    # the calls come in branch order; a branch closed by unification holds
+    # a clash, so no call's literals match it
+    calls = iter(decided)
+    call = next(calls, None)
     for branch in tree.branches:
-        call = decided.get(id(branch.literals))
-        if call is None:  # closed by unification: no ordering can realize it
+        if call is None or call[0] != branch.literals:
+            # closed by unification: no ordering can realize it
             assert branch.status == CLOSED
             assert not exhaustive_realizable(branch.literals, [])
         else:
             expected = OPEN if exhaustive_realizable(*call) else CLOSED
             assert branch.status == expected, (pretty(f), branch.index)
+            call = next(calls, None)
+    assert call is None, pretty(f)
     return tree
 
 
@@ -349,5 +356,5 @@ def test_free_position_between_worlds(decided):
         decided.clear()
         assert is_satisfiable(f) == SATISFIABLE
         assert bounded_sat(f) is True
-        [call] = decided.values()
+        [call] = decided
         assert exhaustive_realizable(*call) is reference

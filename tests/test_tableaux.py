@@ -295,6 +295,82 @@ def test_benchmark_proofs_verdicts_match_the_reference_digest():
     assert hashlib.sha256("".join(verdicts).encode()).hexdigest() == reference
 
 
+# -- the literal trail and its closure index ---------------------------------
+
+
+@pytest.fixture
+def unifications(monkeypatch):
+    """The number of label unifications the closure check makes."""
+    calls = [0]
+    unifies = WorldLabel.unifies
+
+    def counting(self, other):
+        calls[0] += 1
+        return unifies(self, other)
+
+    monkeypatch.setattr(WorldLabel, "unifies", counting)
+    return calls
+
+
+def test_closure_reads_only_the_literals_of_its_atom(unifications):
+    # a literal is checked against the literals of its own atom alone, so a
+    # chain of distinct atoms unifies no labels, and !a0 at its end one pair
+    chain = " & ".join(f"a{i}" for i in range(5000))
+    assert is_satisfiable(parse(chain)) == SATISFIABLE
+    assert unifications[0] == 0
+    assert is_satisfiable(parse(chain + " & !a0")) == UNSATISFIABLE
+    assert unifications[0] == 1
+
+
+def test_tree_branches_are_independent_lists():
+    # the expansion reuses one literal list; each branch of a tree owns a copy
+    tree = build_tree(parse("(a | b) & (c | d) & !a"))
+    rows = [[(sign, atom) for sign, atom, _ in b.literals] for b in tree.branches]
+    assert rows == [
+        [("+", "a"), ("+", "c"), ("-", "a")],
+        [("+", "a"), ("+", "d"), ("-", "a")],
+        [("+", "b"), ("+", "c"), ("-", "a")],
+        [("+", "b"), ("+", "d"), ("-", "a")],
+    ]
+    assert [b.shared for b in tree.branches] == [0, 1, 0, 1]
+    assert len({id(b.literals) for b in tree.branches}) == 4
+    tree.branches[0].literals.clear()
+    assert [len(b.literals) for b in tree.branches] == [0, 3, 3, 3]
+
+
+def test_exports_of_formulas_and_negations_pinned_on_a_corpus():
+    # ASCII and DOT exports of f and !f for 1,500 seeded formulas, as one
+    # digest, equal to the exports of the expansion that copied its literal
+    # and commitment lists at each split
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for f in formula_corpus(seed=seed, count=500):
+            for g in (f, Not(f)):
+                tree = build_tree(g)
+                digest.update(export_tree(tree, "ascii").encode())
+                digest.update(export_tree(tree, "dot").encode())
+    assert digest.hexdigest() == "e6dba78cdf1d522856fe22734452890729c0f934a93937268289d4a2b7a95f59"
+
+
+def test_consequences_read_each_pending_formula_once(monkeypatch):
+    # 2^12 branches for an arrival at g1: what a pending formula can still
+    # produce is read once per formula, not once per pending branch
+    import smartlot.tableaux
+
+    walked = []
+    real = smartlot.tableaux.atoms
+
+    def recording(f, *under):
+        walked.append(id(f))
+        return real(f, *under)
+
+    monkeypatch.setattr(smartlot.tableaux, "atoms", recording)
+    spec = "g1 & " + " & ".join(f"(g2 -> F p{i})" for i in range(12))
+    assert consequences(parse(spec)) == {f"p{i}" for i in range(12)}
+    # at most the 12 preferences and their 12 right sides, each once
+    assert len(walked) == len(set(walked)) <= 24
+
+
 # -- label unification ------------------------------------------------------
 
 
