@@ -6,8 +6,10 @@ into `G !gate` at the user's third completed trip.  When a fresh observation
 contradicts the stored specification, the offending formulas are found with
 the prover and removed.  The store interns each distinct formula as one
 `FormulaFacts` (the canonical object, its text, atoms and spot atoms) under
-its text, and rows and memo keys are keyed by the facts object, hashed by
-identity.
+its text, and rows and the exact proof memo are keyed by the facts object,
+hashed by identity.  Behind that memo a second one is keyed by a
+specification's shape, its texts up to a one-to-one renaming of atoms, so
+drivers whose rows differ only in gate and spot names share one proof.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import re
 from collections.abc import ItemsView, Iterator
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 
 from .formulas import (
+    ATOM_RE,
     Always,
     Atom,
     Eventually,
@@ -139,6 +143,21 @@ class FormulaFacts:
     spots: frozenset[str]
 
 
+@functools.lru_cache(maxsize=4096)
+def _shape(text: str) -> tuple[str, tuple[str, ...]]:
+    """The shape of a formula's text: the text with each atom replaced by
+    `_`, and its atoms in print order, once per occurrence.  Read when a
+    decision first needs it, not when the formula is interned, so `mine`
+    never pays for it; cached as `_preference` is, so that the stores of
+    one process read a text once."""
+    return ATOM_RE.sub("_", text), tuple(ATOM_RE.findall(text))
+
+
+# the shape texts of the parts of a conjunction, in a canonical order, and
+# the number of each atom occurrence in them (`shape_key`)
+ShapeKey = tuple[tuple[str, ...], tuple[int, ...]]
+
+
 class SpecStore:
     """Per-user set of (formula, occurrence count) pairs; (user, formula)
     is unique under formula equality, which is equality of the printed
@@ -147,18 +166,22 @@ class SpecStore:
     Each distinct formula is interned once under its text (`facts`), so
     interning prints a formula and hashes no `Formula`; rows are keyed by
     its facts object, which the store never drops.  `proofs` maps the set of
-    facts of the conjuncts of each specification `consult` has searched to
-    its consequences (`tableaux.consequences`).  `clashes` maps each pair
-    (observation facts, row facts) `retract_inconsistent` has tested to
-    whether the two are unsatisfiable together.  Both results depend on
-    their keys alone, so the memos stay exact as rows change; they live and
-    die with the store."""
+    facts of the conjuncts of each specification `consult` has read to its
+    consequences (`tableaux.consequences`).  Behind it, `proof_shapes` maps
+    the `shape_key` of each specification `consult` has searched to its
+    consequences with each atom as its number in the key, so a
+    specification that is another one renamed is answered without a
+    search.  `clashes` maps the `shape_key` of each (observation, row) pair
+    `retract_inconsistent` has tested to whether the two are unsatisfiable
+    together.  Every result depends on its key alone, so the memos stay
+    exact as rows change; they live and die with the store."""
 
     def __init__(self):
         self._by_user: dict[str, dict[FormulaFacts, int]] = {}
         self._facts: dict[str, FormulaFacts] = {}  # formula text -> facts
         self.proofs: dict[frozenset[FormulaFacts], frozenset[str] | None] = {}
-        self.clashes: dict[tuple[FormulaFacts, FormulaFacts], bool] = {}
+        self.proof_shapes: dict[ShapeKey, frozenset[int] | None] = {}
+        self.clashes: dict[ShapeKey, bool] = {}
 
     def facts(self, formula: Formula) -> FormulaFacts:
         """The store's one facts object for formula, made on first sight."""
@@ -365,9 +388,12 @@ def consult(
     """The consequences of the user's specification under the observation
     (`tableaux.consequences` of its `spec_conjuncts`), and the formulas
     retracted first when every branch closed (`retract_inconsistent`; the
-    search then runs once more).  Each distinct set of conjuncts is searched
-    once per store: its consequences do not depend on their order, so a memo
-    hit neither sorts the rows nor lists the conjuncts."""
+    search then runs once more).  Each distinct set of conjuncts is read
+    once per store (`SpecStore.proofs`): its consequences do not depend on
+    their order, so a hit neither sorts the rows nor lists the conjuncts.
+    Each shape of specification is searched once per store
+    (`SpecStore.proof_shapes`): a specification that is a searched one with
+    its atoms renamed one to one takes that one's answer, renamed back."""
     found = _search(store, user, observation)
     if found is not None:
         return found, []
@@ -376,33 +402,79 @@ def consult(
 
 
 def _search(store: SpecStore, user: str, observation: Formula) -> frozenset[str] | None:
-    # the key holds facts objects, hashed and compared by identity; a miss
-    # sorts the rows the key was built from
+    # the exact key holds facts objects, hashed and compared by identity; a
+    # miss sorts the parts by shape, and a shape miss sorts the rows the key
+    # was built from
     obs = store.facts(observation)
     counts = store._by_user.get(user, {})
     analyzed = _analyzed_rows(counts, obs.atoms)
-    key = frozenset([obs, *analyzed])
+    parts = [obs, *analyzed]
+    key = frozenset(parts)
     try:
         return store.proofs[key]
     except KeyError:
+        pass
+    shape, numbers = shape_key(parts)
+    try:
+        numbered = store.proof_shapes[shape]
+    except KeyError:
         rows = [(f, counts[f]) for f in analyzed]
-        found = store.proofs[key] = consequences(*_conjuncts(rows, observation))
-        return found
+        found = consequences(*_conjuncts(rows, observation))
+        store.proof_shapes[shape] = None if found is None else frozenset([numbers[a] for a in found])
+    else:
+        names = list(numbers)
+        found = None if numbered is None else frozenset([names[i] for i in numbered])
+    store.proofs[key] = found
+    return found
+
+
+# Soundness of the shape memos.  The prover reads an atom's name only to
+# compare it with another's (the closure index, realizability's valuations)
+# or to order a search whose outcome does not depend on that order, so
+# `consequences` and `is_satisfiable` commute with a one-to-one renaming ρ
+# of atoms: consequences(ρ·parts) is ρ applied to consequences(parts), and
+# the verdicts agree.  `consequences` reads its parts as one conjunction,
+# whatever their order, as does a verdict.  Two lists of parts with equal
+# keys have, in the key's order, the same texts with atoms in the same
+# numbered places, and a formula is its text; so the map from the atom
+# numbered i in one to the atom numbered i in the other is one to one and
+# carries the first list's parts onto the second's, and the answer stored
+# under the key, in numbers, is exact for both.  Parts of equal shape text
+# keep their input order, so a list that is another renamed but listed in
+# another order may get another key: a miss, never a wrong hit.
+
+
+def shape_key(parts: list[FormulaFacts]) -> tuple[ShapeKey, dict[str, int]]:
+    """The key of a conjunction up to a one-to-one renaming of atoms: the
+    shape texts of the parts (`_shape`), sorted (stable), and their atom
+    occurrences in that order, each as the number of its atom by first
+    occurrence; and those numbers, atom -> number.  A text holds as many
+    placeholders as it has occurrences, so the key tells which occurrence
+    is whose."""
+    numbers: dict[str, int] = {}
+    texts = []
+    occurrences = []
+    for text, names in sorted([_shape(f.text) for f in parts], key=itemgetter(0)):
+        texts.append(text)
+        for a in names:
+            occurrences.append(numbers.setdefault(a, len(numbers)))
+    return (tuple(texts), tuple(occurrences)), numbers
 
 
 def retract_inconsistent(
     store: SpecStore, user: str, observation: Formula
 ) -> list[Formula]:
     """Remove every stored formula that is singly inconsistent with the
-    observation, in the order of `SpecStore.triples`.  Each pair is proved
-    once per store (`SpecStore.clashes`).  Mutates the store; returns the
-    removed formulas."""
+    observation, in the order of `SpecStore.triples`.  Each shape of pair
+    is proved once per store (`SpecStore.clashes`, keyed by `shape_key`).
+    Mutates the store; returns the removed formulas."""
     obs = store.facts(observation)
     removed = []
     for facts, _ in sorted(store.rows(user), key=_row_order):
-        clash = store.clashes.get((obs, facts))
+        key = shape_key([obs, facts])[0]
+        clash = store.clashes.get(key)
         if clash is None:
-            clash = store.clashes[obs, facts] = is_satisfiable(observation, facts.formula) == UNSATISFIABLE
+            clash = store.clashes[key] = is_satisfiable(observation, facts.formula) == UNSATISFIABLE
         if clash:
             store.remove(user, facts)
             removed.append(facts.formula)

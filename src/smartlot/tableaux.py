@@ -46,7 +46,10 @@ that cannot add an atom not found yet (a goal-directed search; Goré,
 Methods, 1999).  What a pending part may add is read with `formulas.atoms`:
 each of its atoms under a named label, and at the root only those that an F
 or a G encloses, once per part and kind of position in an expansion, however
-many pending branches hold the part.
+many pending branches hold the part.  As the atoms found only grow, a check
+that saw nothing new stays true: the expansion keeps the length of the trail
+prefix that holds no atom still to find and the stack nodes that reach none,
+so a skipped branch costs about one step, not a rescan of its trail and stack.
 `consequences` and `is_satisfiable` take a formula's conjuncts as they are.
 """
 
@@ -161,7 +164,11 @@ def _expand(
     With `found`, adds to it the positive atoms under named labels of every
     open branch; once one branch is open, a pending branch that cannot add
     one is skipped.  What each pending formula can add is read once, into
-    `reach`, keyed by its identity and whether it sits at the root."""
+    `reach`, keyed by its identity and whether it sits at the root.  As
+    `found` only grows, what is seen to add nothing never will: the trail
+    prefix up to `scanned` holds no positive named atom outside `found`
+    (lowered to a drawn branch's `shared` length when that is shorter), and
+    `spent` holds the stack nodes from which nothing new can be reached."""
     literals: list[Literal] = []
     commitments: list[tuple[Formula, tuple[str, ...]]] = []
     held: _Index = ({}, {})
@@ -172,19 +179,24 @@ def _expand(
     pending = [(stack, 0, 0)]
     fresh = itertools.count()
     reach: dict[tuple[int, bool], set[str]] = {}
+    spent: dict[int, tuple] = {}
+    scanned = 0
     found_open = False
     while pending:
         stack, shared, committed = pending.pop()
         for sign, atom, _ in literals[shared:]:
             held[sign == "-"][atom].pop()
         del literals[shared:], commitments[committed:]
-        if found_open and found is not None and not _may_add(stack, literals, found, reach):
-            continue
+        if found_open and found is not None:
+            scanned = _first_new(literals, min(scanned, shared), found)
+            if scanned == shared and not _may_reach(stack, found, reach, spent):
+                continue
         status = _branch(stack, literals, held, commitments, pending, fresh)
         if status == OPEN:
             found_open = True
             if found is not None:
-                found.update(a for s, a, label in literals if s == "+" and label.prefix)
+                found.update(a for s, a, label in literals[scanned:] if s == "+" and label.prefix)
+                scanned = len(literals)
         yield shared, literals, status
 
 
@@ -274,32 +286,47 @@ def consequences(*parts: Formula) -> frozenset[str] | None:
     return frozenset(found) if OPEN in statuses else None
 
 
-def _may_add(
+def _first_new(literals: list[Literal], start: int, found: set[str]) -> int:
+    """The index of the first literal from `start` on that is positive, under
+    a named label and of an atom not in `found`, or the trail's length."""
+    for i in range(start, len(literals)):
+        sign, atom, label = literals[i]
+        if sign == "+" and label.prefix and atom not in found:
+            return i
+    return len(literals)
+
+
+def _may_reach(
     stack: _Stack,
-    literals: list[Literal],
     found: set[str],
     reach: dict[tuple[int, bool], set[str]],
+    spent: dict[int, tuple],
 ) -> bool:
-    """Whether a pending branch may hold a positive atom under a named label
-    that is not in `found`: one it holds already, or one a formula left on
-    its stack can still produce.  `reach` caches what a stack formula can
-    produce by its identity and whether it sits at the root."""
-    for sign, atom, label in literals:
-        if sign == "+" and label.prefix and atom not in found:
-            return True
-    while stack is not None:
-        f, _, label, stack = stack
-        if label.universal and not label.prefix:
-            # F and G wait as commitments under the root's universal label,
-            # so nothing there reaches a named world
-            continue
-        key = (id(f), not label.prefix)
-        atoms_of = reach.get(key)
-        if atoms_of is None:
-            # at the root only what an F or a G encloses reaches a named world
-            atoms_of = reach[key] = atoms(f, (Eventually, Always)) if key[1] else atoms(f)
-        if not atoms_of <= found:
-            return True
+    """Whether a formula left on a pending branch's stack can still produce a
+    positive atom under a named label that is not in `found`.  `reach`
+    caches what a stack formula can produce by its identity and whether it
+    sits at the root.  `spent` maps the id of each stack node from which
+    nothing new can be reached to the node, held so that no later node
+    takes its id; a walk stops at the first such node and adds the nodes it
+    passed."""
+    walked = []
+    node = stack
+    while node is not None and id(node) not in spent:
+        f, _, label, rest = node
+        # F and G wait as commitments under the root's universal label, so
+        # nothing there reaches a named world
+        if label.prefix or not label.universal:
+            key = (id(f), not label.prefix)
+            atoms_of = reach.get(key)
+            if atoms_of is None:
+                # at the root only what an F or a G encloses reaches a named world
+                atoms_of = reach[key] = atoms(f, (Eventually, Always)) if key[1] else atoms(f)
+            if not atoms_of <= found:
+                return True
+        walked.append(node)
+        node = rest
+    for node in walked:
+        spent[id(node)] = node
     return False
 
 

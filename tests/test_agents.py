@@ -265,12 +265,14 @@ def test_a3_repeated_decision_neither_sorts_nor_assembles(monkeypatch):
     monkeypatch.setattr(SpecStore, "triples", no_triples)
     store = kr55_store()
     first, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
-    # a miss sorts the analyzed rows once, to list the conjuncts
+    # a miss sorts the observation and the analyzed rows by shape, for the
+    # shape key, and a shape miss sorts the analyzed rows once, to list the
+    # conjuncts
     assert first.candidates == (("p018", 7), ("p015", 2))
-    assert sorts == [2] and assembled == ["g2"]
+    assert sorts == [3, 2] and assembled == ["g2"]
     again, _ = a3_decide(store, parking_fixture(), "idKR55", "g2")
     assert again == first
-    assert sorts == [2] and assembled == ["g2"]
+    assert sorts == [3, 2] and assembled == ["g2"]
 
 
 def test_a3_memo_hit_hashes_no_formula(monkeypatch):

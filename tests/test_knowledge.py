@@ -5,9 +5,10 @@ from datetime import datetime
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formula_gen import formula_corpus
 from smartlot import knowledge
 from smartlot.fixtures import all_gates, all_spots
-from smartlot.formulas import Atom, Formula, FormulaDepthError, FormulaSyntaxError, parse, pretty
+from smartlot.formulas import ATOM_RE, Atom, Formula, FormulaDepthError, FormulaSyntaxError, parse, pretty
 from smartlot.knowledge import (
     KnowledgeError,
     SpecStore,
@@ -19,9 +20,10 @@ from smartlot.knowledge import (
     parse_timestamp,
     read_events,
     retract_inconsistent,
+    shape_key,
     spec_formula,
 )
-from smartlot.tableaux import consequences
+from smartlot.tableaux import consequences, is_satisfiable
 from smartlot.worldgraph import GraphError, WorldGraph, is_word, load_graph, save_graph
 
 
@@ -573,10 +575,15 @@ def test_a_second_user_with_the_same_rows_is_retracted_without_a_proof(monkeypat
     assert retract_inconsistent(store, "v", parse("g3")) == offenders
     assert len(proved) == len(rows)
     assert store.counts("v") == [(parse("g2 -> F p018"), 7)]
-    # another gate is another pair
+    # at another gate, g1 and G !g1 are g3 and G !g3 renamed, and each pair
+    # is one proved before up to that renaming: no proof either
     store.insert("v", parse("G !g1"), 2)
     assert retract_inconsistent(store, "v", parse("g1")) == [parse("G !g1")]
-    assert len(proved) == len(rows) + 2
+    assert len(proved) == len(rows)
+    # a pair of a new shape is proved
+    store.insert("v", parse("G !g1 | F g2"), 1)
+    assert retract_inconsistent(store, "v", parse("g1")) == []
+    assert len(proved) == len(rows) + 1
 
 
 def test_resolve_consistent_spec_removes_nothing():
@@ -636,6 +643,182 @@ def test_memo_agrees_with_an_uncached_search(steps):
             expected = consequences(spec_formula(fresh, user, Atom(gate)))
         assert consult(store, user, Atom(gate)) == (expected, removed)
         assert store.to_tsv() == fresh.to_tsv()
+
+
+# -- the shape memo -----------------------------------------------------------
+
+
+def renamed(f: Formula, rho: dict[str, str]) -> Formula:
+    """f with each atom a renamed to rho[a], read back from its text."""
+    return parse(ATOM_RE.sub(lambda m: rho[m.group()], pretty(f)))
+
+
+# the corpus atoms p, q, r, s go to four distinct names drawn from these, so
+# a renaming may also permute them
+RENAME_POOL = ["p", "q", "r", "s", "g1", "g2", "p018", "x", "aF2"]
+SHAPE_CORPUS = formula_corpus(seed=31, count=200)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, len(SHAPE_CORPUS) - 1), min_size=1, max_size=3),
+    st.lists(st.sampled_from(RENAME_POOL), min_size=4, max_size=4, unique=True),
+    st.randoms(use_true_random=False),
+)
+def test_the_prover_commutes_with_a_renaming_of_atoms(indices, targets, rng):
+    # the premise of the shape memos: for a one-to-one renaming rho,
+    # consequences(rho . parts) == rho(consequences(parts)) in any order of
+    # the parts, and the verdicts agree
+    parts = [SHAPE_CORPUS[i] for i in indices]
+    rho = dict(zip("pqrs", targets))
+    moved = [renamed(f, rho) for f in parts]
+    rng.shuffle(moved)
+    found = consequences(*parts)
+    assert consequences(*moved) == (None if found is None else {rho[a] for a in found})
+    assert is_satisfiable(*moved) == is_satisfiable(*parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, len(SHAPE_CORPUS) - 1), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from(RENAME_POOL), min_size=4, max_size=4, unique=True),
+    st.sampled_from("pqrs"),
+)
+def test_a_renamed_specification_takes_the_renamed_answer(indices, targets, seen):
+    # u holds corpus formulas, v the same renamed; v's arrival reads u's
+    # answer from the shape memo, renamed back, and must get what a store
+    # with no memo computes
+    rho = dict(zip("pqrs", targets))
+    store = SpecStore()
+    for i in indices:
+        store.insert("u", SHAPE_CORPUS[i], 1)
+        store.insert("v", renamed(SHAPE_CORPUS[i], rho), 1)
+    consult(store, "u", Atom(seen))
+    fresh = SpecStore.from_tsv(store.to_tsv())
+    assert consult(store, "v", Atom(rho[seen])) == consult(fresh, "v", Atom(rho[seen]))
+
+
+MINED_GATES = ["g1", "g2", "g3"]
+MINED_SPOTS = ["p1", "p2", "p3", "p4"]
+MINED_ROWS = [f"{g} -> F {s}" for g in MINED_GATES for s in MINED_SPOTS] + [f"G !{g}" for g in MINED_GATES]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]), st.sampled_from(MINED_ROWS), st.integers(1, 4)),
+        max_size=24,
+    ),
+    st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]), st.sampled_from(MINED_GATES)), max_size=12),
+)
+def test_shape_memo_answers_as_a_search_on_random_mined_stores(rows, arrivals):
+    # users of one store share answers up to renaming; each answer, and each
+    # retraction, must be what a store of that user alone computes afresh
+    store = SpecStore()
+    for user, text, r in rows:
+        store.insert(user, parse(text), r)
+    for user, gate in arrivals:
+        alone = SpecStore.from_tsv("".join(f"{user}\t{t.formula}\t{t.r}\n" for t in store.triples(user)))
+        expected = consequences(*knowledge.spec_conjuncts(alone, user, Atom(gate)))
+        removed = []
+        if expected is None:
+            removed = retract_inconsistent(alone, user, Atom(gate))
+            expected = consequences(*knowledge.spec_conjuncts(alone, user, Atom(gate)))
+        assert consult(store, user, Atom(gate)) == (expected, removed)
+        assert store.to_tsv().count(f"{user}\t") == len(alone)
+
+
+SHAPE_POOL = ["a", "b", "c", "d"]
+SHAPE_FORMS = ["{0}", "G !{0}", "{0} -> F {1}", "{0} & {1} -> F {0}", "F ({0} | {1})", "{0} -> F {1} | G {2}"]
+
+
+@st.composite
+def shaped_parts(draw, names):
+    """A list of one to four formulas over `names`, from the forms above."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        form = draw(st.sampled_from(SHAPE_FORMS))
+        out.append(parse(form.format(*(draw(st.sampled_from(names)) for _ in range(3)))))
+    return out
+
+
+def key_of(store: SpecStore, parts: list[Formula]):
+    return shape_key([store.facts(f) for f in parts])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shaped_parts(SHAPE_POOL),
+    st.lists(st.sampled_from(["a", "b", "c", "d", "g1", "p018"]), min_size=4, max_size=4, unique=True),
+    st.data(),
+)
+def test_equal_shape_keys_map_the_texts_onto_each_other(parts, targets, data):
+    store = SpecStore()
+    rho = dict(zip(SHAPE_POOL, targets))
+    # a renamed list in the same order always gets the same key
+    assert key_of(store, parts)[0] == key_of(store, [renamed(f, rho) for f in parts])[0]
+    # another list, a fresh draw or the renamed copy reordered: an equal key
+    # must come with a one-to-one map of the first list's atoms onto the
+    # other's that carries its texts onto the other's
+    other = data.draw(st.one_of(
+        shaped_parts(SHAPE_POOL),
+        st.permutations([renamed(f, rho) for f in parts]),
+    ))
+    (key, numbers), (other_key, other_numbers) = key_of(store, parts), key_of(store, other)
+    if key == other_key:
+        mapping = dict(zip(numbers, other_numbers))
+        assert len(set(mapping.values())) == len(mapping)
+        assert sorted(pretty(renamed(f, mapping)) for f in parts) == sorted(map(pretty, other))
+
+
+@pytest.mark.parametrize(
+    "first, second, same",
+    [
+        (["a -> F b", "c -> F d"], ["a -> F b", "a -> F d"], False),
+        (["a -> F b", "a -> F d"], ["c -> F d", "c -> F b"], True),
+        (["g1", "g1 -> F p020", "g1 -> F p005"], ["g2", "g2 -> F p018", "g2 -> F p015"], True),
+        (["g1", "g2 -> F p020"], ["g1", "g1 -> F p020"], False),
+        (["a & b"], ["a & a"], False),
+        (["a & b & a"], ["a & b & b"], False),
+        (["G !g1"], ["G !g1 | G !g1"], False),
+    ],
+)
+def test_shape_keys_of_examples(first, second, same):
+    store = SpecStore()
+    assert (key_of(store, map(parse, first))[0] == key_of(store, map(parse, second))[0]) is same
+
+
+def test_one_proof_per_shape_and_one_clash_proof_per_pair_shape(monkeypatch):
+    searched, proved = [], []
+    search, prove = knowledge.consequences, knowledge.is_satisfiable
+    monkeypatch.setattr(knowledge, "consequences", lambda *p: searched.append(p) or search(*p))
+    monkeypatch.setattr(knowledge, "is_satisfiable", lambda *p: proved.append(p) or prove(*p))
+    store = SpecStore()
+    spots = all_spots()
+    for i, gate in enumerate(["g1", "g2", "g3"]):
+        store.insert(f"u{i}", parse(f"{gate} -> F {spots[2 * i]}"), 2)
+        store.insert(f"u{i}", parse(f"{gate} -> F {spots[2 * i + 1]}"), 1)
+    for i, gate in enumerate(["g1", "g2", "g3"]):
+        assert consult(store, f"u{i}", Atom(gate)) == ({spots[2 * i], spots[2 * i + 1]}, [])
+    assert len(searched) == 1 and len(store.proofs) == 3 and len(store.proof_shapes) == 1
+    # a never-gate at the arrival gate: one search that closes, one clash
+    # proof per pair shape, one search of what is left
+    for i, gate in enumerate(["g1", "g2", "g3"]):
+        store.insert(f"u{i}", parse(f"G !{gate}"), 1)
+        assert consult(store, f"u{i}", Atom(gate)) == ({spots[2 * i], spots[2 * i + 1]}, [parse(f"G !{gate}")])
+    assert len(searched) == 2 and len(proved) == 2
+
+
+def test_spec_and_pair_shapes_do_not_share_a_memo():
+    # the specification g1 & g1 -> F p1 and the retraction pair (g2, g2 -> F
+    # p2) have one key; a memo of both would read a set of spots as a clash
+    store = SpecStore()
+    store.insert("u", parse("g1 -> F p1"), 1)
+    assert consult(store, "u", Atom("g1")) == ({"p1"}, [])
+    store.insert("v", parse("g2 -> F p2"), 2)
+    store.insert("v", parse("G !g2"), 1)
+    assert consult(store, "v", Atom("g2")) == ({"p2"}, [parse("G !g2")])
+    assert store.contains("v", parse("g2 -> F p2"))
 
 
 def test_triples_are_frozen():

@@ -596,6 +596,31 @@ def test_decision_records_are_pinned(name):
     assert h.hexdigest() == digest
 
 
+# searches (`consequences`) and clash proofs (`is_satisfiable`) of the
+# benchmark's seed-1 fleet and rush runs: one search per shape of
+# specification and one proof per shape of (observation, row) pair, where
+# exact keys took 832 and 773 searches and 278 clash proofs
+PINNED_EFFORT = {"fleet": (4, 0), "rush": (40, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EFFORT))
+def test_search_effort_is_pinned(name, monkeypatch):
+    import smartlot.knowledge
+
+    calls = {"consequences": 0, "is_satisfiable": 0}
+    for fn in calls:
+
+        def counting(*parts, _fn=fn, _real=getattr(smartlot.knowledge, fn)):
+            calls[_fn] += 1
+            return _real(*parts)
+
+        monkeypatch.setattr(smartlot.knowledge, fn, counting)
+    make, config, _ = PINNED_DECISIONS[name]
+    report = run(parse_scenario(make(), config))
+    assert (calls["consequences"], calls["is_satisfiable"]) == PINNED_EFFORT[name]
+    assert len(report.decisions) == {"fleet": 3200, "rush": 1200}[name]
+
+
 def test_parse_scenario_accepts_legacy_timestamps():
     s = parse_scenario("g1 G\ntimeline:\nt2014.01.28.09.30.15,idKR55,g1\n")
     assert s.timeline == [Detection(datetime(2014, 1, 28, 9, 30, 15), "idKR55", "g1")]

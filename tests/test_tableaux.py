@@ -371,6 +371,38 @@ def test_consequences_read_each_pending_formula_once(monkeypatch):
     assert len(walked) == len(set(walked)) <= 24
 
 
+def test_consequences_skip_a_pending_branch_in_amortized_constant_time(monkeypatch):
+    # after the first open branch, each of the ~k^2/2 pending branches is
+    # skipped without rescanning the n-literal trail or the stack below it
+    import smartlot.tableaux
+
+    n, k = 2000, 200
+    read, walked, checks = [], [], []
+    first_new, may_reach = smartlot.tableaux._first_new, smartlot.tableaux._may_reach
+
+    def reading(literals, start, found):
+        end = first_new(literals, start, found)
+        read.append(end - start)
+        return end
+
+    def walking(stack, found, reach, spent):
+        checks.append(1)
+        node = stack
+        while node is not None and id(node) not in spent:
+            walked.append(1)
+            node = node[3]
+        return may_reach(stack, found, reach, spent)
+
+    monkeypatch.setattr(smartlot.tableaux, "_first_new", reading)
+    monkeypatch.setattr(smartlot.tableaux, "_may_reach", walking)
+    spec = parse(" & ".join([f"a{i}" for i in range(n)] + [f"(x{i} | F y{i})" for i in range(k)]))
+    assert consequences(spec) == {f"y{i}" for i in range(k)}
+    assert len(checks) >= k * (k - 1) // 2
+    # the trail is read about once, and each check walks about one node
+    assert sum(read) <= n + 2 * k
+    assert len(walked) <= 2 * len(checks)
+
+
 # -- label unification ------------------------------------------------------
 
 
