@@ -7,9 +7,10 @@ contradicts the stored specification, the offending formulas are found with
 the prover and removed.  The store interns each distinct formula as one
 `FormulaFacts` (the canonical object, its text, atoms and spot atoms) under
 its text, and rows and the exact proof memo are keyed by the facts object,
-hashed by identity.  Behind that memo a second one is keyed by a
-specification's shape, its texts up to a one-to-one renaming of atoms, so
-drivers whose rows differ only in gate and spot names share one proof.
+hashed by identity.  Behind that memo a second one, which every proof of
+the store goes through, is keyed by a conjunction's shape, its texts up to
+a one-to-one renaming of atoms, so drivers whose rows differ only in gate
+and spot names share one proof.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .formulas import (
     parse,
     promised_atoms,
 )
-from .tableaux import UNSATISFIABLE, consequences, is_satisfiable
+from .tableaux import consequences
 from .worldgraph import at_line, is_word, normalize_node_id, numbered_lines
 
 log = logging.getLogger(__name__)
@@ -168,20 +169,17 @@ class SpecStore:
     its facts object, which the store never drops.  `proofs` maps the set of
     facts of the conjuncts of each specification `consult` has read to its
     consequences (`tableaux.consequences`).  Behind it, `proof_shapes` maps
-    the `shape_key` of each specification `consult` has searched to its
-    consequences with each atom as its number in the key, so a
-    specification that is another one renamed is answered without a
-    search.  `clashes` maps the `shape_key` of each (observation, row) pair
-    `retract_inconsistent` has tested to whether the two are unsatisfiable
-    together.  Every result depends on its key alone, so the memos stay
-    exact as rows change; they live and die with the store."""
+    the `shape_key` of each conjunction the store has searched, a
+    specification or a pair of `retract_inconsistent`, to its consequences
+    with each atom as its number in the key, so a conjunction that is
+    another one renamed needs no search.  Every result depends on its key
+    alone, so the memos stay exact as rows change; they die with the store."""
 
     def __init__(self):
         self._by_user: dict[str, dict[FormulaFacts, int]] = {}
         self._facts: dict[str, FormulaFacts] = {}  # formula text -> facts
         self.proofs: dict[frozenset[FormulaFacts], frozenset[str] | None] = {}
         self.proof_shapes: dict[ShapeKey, frozenset[int] | None] = {}
-        self.clashes: dict[ShapeKey, bool] = {}
 
     def facts(self, formula: Formula) -> FormulaFacts:
         """The store's one facts object for formula, made on first sight."""
@@ -227,10 +225,6 @@ class SpecStore:
     def rows(self, user: str) -> ItemsView[FormulaFacts, int]:
         """(facts, r) pairs of one user, in no particular order."""
         return self._by_user.get(user, {}).items()
-
-    def counts(self, user: str) -> list[tuple[Formula, int]]:
-        """(formula, r) pairs of one user, in no particular order."""
-        return [(facts.formula, r) for facts, r in self.rows(user)]
 
     def _sorted(self, user: str | None) -> Iterator[tuple[str, FormulaFacts, int]]:
         """(user, facts, r) rows in the order of `triples`."""
@@ -391,9 +385,8 @@ def consult(
     search then runs once more).  Each distinct set of conjuncts is read
     once per store (`SpecStore.proofs`): its consequences do not depend on
     their order, so a hit neither sorts the rows nor lists the conjuncts.
-    Each shape of specification is searched once per store
-    (`SpecStore.proof_shapes`): a specification that is a searched one with
-    its atoms renamed one to one takes that one's answer, renamed back."""
+    Each shape of conjunction, a specification's or a retraction pair's,
+    is searched once per store (`SpecStore.proof_shapes`)."""
     found = _search(store, user, observation)
     if found is not None:
         return found, []
@@ -402,39 +395,46 @@ def consult(
 
 
 def _search(store: SpecStore, user: str, observation: Formula) -> frozenset[str] | None:
-    # the exact key holds facts objects, hashed and compared by identity; a
-    # miss sorts the parts by shape, and a shape miss sorts the rows the key
-    # was built from
+    # the exact key holds facts objects, hashed and compared by identity
     obs = store.facts(observation)
     counts = store._by_user.get(user, {})
-    analyzed = _analyzed_rows(counts, obs.atoms)
-    parts = [obs, *analyzed]
+    parts = [obs, *_analyzed_rows(counts, obs.atoms)]
     key = frozenset(parts)
     try:
         return store.proofs[key]
     except KeyError:
         pass
+    numbered, numbers = _proof(store, parts, counts)
+    names = list(numbers)
+    found = store.proofs[key] = None if numbered is None else frozenset([names[i] for i in numbered])
+    return found
+
+
+def _proof(
+    store: SpecStore, parts: list[FormulaFacts], counts: dict[FormulaFacts, int]
+) -> tuple[frozenset[int] | None, dict[str, int]]:
+    """The consequences of the conjunction of parts, the observation's facts
+    and then rows of counts, with each atom as its number in their
+    `shape_key`, and those numbers; each shape is searched once per store
+    (`SpecStore.proof_shapes`), and only a miss sorts the rows."""
     shape, numbers = shape_key(parts)
     try:
         numbered = store.proof_shapes[shape]
     except KeyError:
-        rows = [(f, counts[f]) for f in analyzed]
-        found = consequences(*_conjuncts(rows, observation))
-        store.proof_shapes[shape] = None if found is None else frozenset([numbers[a] for a in found])
-    else:
-        names = list(numbers)
-        found = None if numbered is None else frozenset([names[i] for i in numbered])
-    store.proofs[key] = found
-    return found
+        found = consequences(*_conjuncts([(f, counts[f]) for f in parts[1:]], parts[0].formula))
+        numbered = store.proof_shapes[shape] = None if found is None else frozenset([numbers[a] for a in found])
+    return numbered, numbers
 
 
-# Soundness of the shape memos.  The prover reads an atom's name only to
+# Soundness of the shape memo.  The prover reads an atom's name only to
 # compare it with another's (the closure index, realizability's valuations)
 # or to order a search whose outcome does not depend on that order, so
-# `consequences` and `is_satisfiable` commute with a one-to-one renaming ρ
-# of atoms: consequences(ρ·parts) is ρ applied to consequences(parts), and
-# the verdicts agree.  `consequences` reads its parts as one conjunction,
-# whatever their order, as does a verdict.  Two lists of parts with equal
+# `consequences` commutes with a one-to-one renaming ρ of atoms:
+# consequences(ρ·parts) is ρ applied to consequences(parts), None for
+# None.  It reads its parts as one conjunction, whatever their order, and
+# it is None exactly when every branch closes, since the expansion skips a
+# pending branch only after one is open; so a retraction pair and a
+# specification of one shape share an answer.  Two lists of parts with equal
 # keys have, in the key's order, the same texts with atoms in the same
 # numbered places, and a formula is its text; so the map from the atom
 # numbered i in one to the atom numbered i in the other is one to one and
@@ -461,21 +461,17 @@ def shape_key(parts: list[FormulaFacts]) -> tuple[ShapeKey, dict[str, int]]:
     return (tuple(texts), tuple(occurrences)), numbers
 
 
-def retract_inconsistent(
-    store: SpecStore, user: str, observation: Formula
-) -> list[Formula]:
+def retract_inconsistent(store: SpecStore, user: str, observation: Formula) -> list[Formula]:
     """Remove every stored formula that is singly inconsistent with the
-    observation, in the order of `SpecStore.triples`.  Each shape of pair
-    is proved once per store (`SpecStore.clashes`, keyed by `shape_key`).
-    Mutates the store; returns the removed formulas."""
+    observation, in the order of `SpecStore.triples`: each row whose pair
+    with the observation `_proof` answers None (an empty set is an open
+    pair), so a pair of a shape searched before costs no search.  Mutates
+    the store; returns the removed formulas."""
     obs = store.facts(observation)
+    counts = store._by_user.get(user, {})
     removed = []
-    for facts, _ in sorted(store.rows(user), key=_row_order):
-        key = shape_key([obs, facts])[0]
-        clash = store.clashes.get(key)
-        if clash is None:
-            clash = store.clashes[key] = is_satisfiable(observation, facts.formula) == UNSATISFIABLE
-        if clash:
+    for facts, _ in sorted(counts.items(), key=_row_order):
+        if _proof(store, [obs, facts], counts)[0] is None:
             store.remove(user, facts)
             removed.append(facts.formula)
     if not removed:

@@ -376,7 +376,8 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 #    and there F and G read only the tail itself.  Without a tail valuation
 #    the branch closes.  A constant valuation is a tail valuation too, so
 #    step 2 may come first.  The check runs before the search sets up, so a
-#    branch it closes pays for none of that.
+#    branch it closes pays for none of that, and the search starts from the
+#    states the check drew: the tail is enumerated once.
 # 4. Search.  Positions are added back to front from the tail.  A state is
 #    the set of named worlds placed behind a position and the values there
 #    of the F and G subformulas of the commitments, all that an earlier
@@ -428,9 +429,11 @@ def _realizable(
     constant = _forced(tail, (pair for world in exact.values() for pair in world.items()))
     if next(_position(compiled, constant, reads, compiled[1], None), None) is not None:
         return True
-    if next(_position(compiled, tail, reads, compiled[1], None), None) is None:
-        return False
-    return _search(exact, universal, held, commitments, before, compiled)
+    states = _position(compiled, tail, reads, compiled[1], None)
+    first = next(states, None)
+    return first is not None and _search(
+        exact, universal, held, commitments, before, compiled, itertools.chain([first], states), reads
+    )
 
 
 def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
@@ -447,13 +450,14 @@ def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
 
 
 def _search(
-    exact: dict, universal: list, held: dict, commitments: list, before: dict, compiled: tuple
+    exact: dict, universal: list, held: dict, commitments: list, before: dict, compiled: tuple,
+    tail: Iterator[tuple[bool, ...]], committed: set[str],
 ) -> bool:
-    """Steps 4 and 5, from the tail's states."""
+    """Steps 4 and 5, from the tail's states: `tail` yields their F and G
+    values, and `committed` holds the commitments' atoms."""
     reads = [atoms(f) for f, _ in commitments]
     bases = list(zip([b for _, b in commitments], compiled[1], reads))
     owners = {p for p, _, _ in universal} | {b for _, b in commitments}
-    committed = set().union(*reads)
 
     kept: list[tuple[str, ...]] = []
     parents: set[tuple[str, ...]] = set()
@@ -470,7 +474,6 @@ def _search(
     # depth first and lazily: each stack entry yields the states in front of
     # one state, so a model is found without enumerating every valuation;
     # the first yields the tail's
-    tail = _position(compiled, {a: value for _, a, value in universal}, committed, compiled[1], None)
     stack = [zip(itertools.repeat(frozenset()), tail)]
     seen = set()
     while stack:

@@ -345,9 +345,12 @@ def test_a3_proves_a_contradicted_spec_once(monkeypatch):
     searched = count_searches(monkeypatch)
     _, removed = a3_decide(store, parking_fixture(), "idKR55", "g2")
     assert removed == [parse("G !g2")]
-    # once on the contradicted spec, once on the repaired one
+    # once on the contradicted spec, once on each shape of (observation,
+    # row) pair in row order (g2 -> F p015 has the shape of g2 -> F p018),
+    # once on the repaired spec
     assert searched.count(contradicted) == 1
-    assert searched == [contradicted, spec_conjuncts(store, "idKR55", parse("g2"))]
+    pairs = [[parse("g2"), parse("g2 -> F p018")], [parse("G !g2"), parse("g2")]]
+    assert searched == [contradicted, *pairs, spec_conjuncts(store, "idKR55", parse("g2"))]
 
 
 def test_a3_requires_gateway():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formula_gen import formula_corpus
+from mined_referee import mined_closed_form
 from smartlot import knowledge
 from smartlot.fixtures import all_gates, all_spots
 from smartlot.formulas import ATOM_RE, Atom, Formula, FormulaDepthError, FormulaSyntaxError, parse, pretty
@@ -23,7 +24,7 @@ from smartlot.knowledge import (
     shape_key,
     spec_formula,
 )
-from smartlot.tableaux import consequences, is_satisfiable
+from smartlot.tableaux import UNSATISFIABLE, consequences, is_satisfiable
 from smartlot.worldgraph import GraphError, WorldGraph, is_word, load_graph, save_graph
 
 
@@ -273,13 +274,13 @@ def test_rows_share_one_canonical_formula_and_its_facts():
     store.upsert("a", parse("g2 -> F p018"))
     store.insert("b", parse("g2 -> F p018"), 3)
     store.upsert("a", parse("g2 -> F p018"))
-    [(fa, ra)] = store.counts("a")
-    [(fb, rb)] = store.counts("b")
+    [(fa, ra)] = store.rows("a")
+    [(fb, rb)] = store.rows("b")
     assert fa is fb and (ra, rb) == (2, 3)
-    facts = store.facts(fa)
-    assert facts.formula is fa and facts.text == "g2 -> F p018"
+    facts = store.facts(parse("g2 -> F p018"))
+    assert facts is fa and facts.text == "g2 -> F p018"
     assert facts.atoms == {"g2", "p018"} and facts.spots == {"p018"}
-    [(scaled, r)] = store.scale(2).counts("a")
+    [(scaled, r)] = store.scale(2).rows("a")
     assert scaled is fa and r == 4
     assert SpecStore().proofs == {} and store.scale(2).proofs == {}
 
@@ -434,9 +435,9 @@ def test_never_gates_share_one_formula_per_gate():
     stores = [SpecStore(), SpecStore()]
     for store, user in zip(stores, ("a", "b")):
         assert infer_never_gates(store, user, 3, {"g1", "g2"}, {"g1", "g2", "g3"}) == [parse("G !g3")]
-    [(fa, _)] = stores[0].counts("a")
-    [(fb, _)] = stores[1].counts("b")
-    assert fa is fb
+    [a] = stores[0].triples("a")
+    [b] = stores[1].triples("b")
+    assert a.formula is b.formula
 
 
 def count_formula_hashes(monkeypatch) -> list:
@@ -483,7 +484,7 @@ def test_insert_if_absent_keeps_an_existing_row():
     store.insert("u", parse("G !g3"), 2)
     assert not store.insert_if_absent("u", parse("G !g3"))
     assert store.insert_if_absent("u", parse("G !g2"))
-    assert dict(store.counts("u")) == {parse("G !g2"): 1, parse("G !g3"): 2}
+    assert store.triples("u") == [SpecTriple("u", parse("G !g3"), 2), SpecTriple("u", parse("G !g2"), 1)]
 
 
 # -- specification assembly --------------------------------------------------
@@ -551,7 +552,7 @@ def test_retraction_follows_the_row_order_and_hashes_no_formula(monkeypatch):
     calls = count_formula_hashes(monkeypatch)
     removed = retract_inconsistent(store, "u", parse("g3"))
     assert removed == offenders and calls == []
-    assert store.counts("u") == [(parse("g2 -> F p018"), 7)]
+    assert store.triples("u") == [SpecTriple("u", parse("g2 -> F p018"), 7)]
 
 
 def test_a_second_user_with_the_same_rows_is_retracted_without_a_proof(monkeypatch):
@@ -561,20 +562,22 @@ def test_a_second_user_with_the_same_rows_is_retracted_without_a_proof(monkeypat
         for text, r in rows:
             store.insert(user, parse(text), r)
     proved = []
-    prove = knowledge.is_satisfiable
+    search = knowledge.consequences
 
     def counting(*parts):
         proved.append(parts)
-        return prove(*parts)
+        return search(*parts)
 
-    monkeypatch.setattr(knowledge, "is_satisfiable", counting)
+    monkeypatch.setattr(knowledge, "consequences", counting)
     offenders = [t.formula for t in store.triples("u") if pretty(t.formula) != "g2 -> F p018"]
     assert retract_inconsistent(store, "u", parse("g3")) == offenders
-    assert len(proved) == len(rows)
+    # one search per pair, as no two of them have one shape
+    assert len(proved) == len(store.proof_shapes) == len(rows)
+    assert store.proofs == {}
     # the same rows at the same gate: every verdict comes from the store
     assert retract_inconsistent(store, "v", parse("g3")) == offenders
     assert len(proved) == len(rows)
-    assert store.counts("v") == [(parse("g2 -> F p018"), 7)]
+    assert store.triples("v") == [SpecTriple("v", parse("g2 -> F p018"), 7)]
     # at another gate, g1 and G !g1 are g3 and G !g3 renamed, and each pair
     # is one proved before up to that renaming: no proof either
     store.insert("v", parse("G !g1"), 2)
@@ -583,7 +586,7 @@ def test_a_second_user_with_the_same_rows_is_retracted_without_a_proof(monkeypat
     # a pair of a new shape is proved
     store.insert("v", parse("G !g1 | F g2"), 1)
     assert retract_inconsistent(store, "v", parse("g1")) == []
-    assert len(proved) == len(rows) + 1
+    assert len(proved) == len(store.proof_shapes) == len(rows) + 1
 
 
 def test_resolve_consistent_spec_removes_nothing():
@@ -598,8 +601,6 @@ def test_resolve_joint_only_warns(caplog):
     store.insert("u", parse("F p1 -> !g2"), 1)
     store.insert("u", parse("F p1"), 1)
     combined = spec_formula(store, "u", parse("g2"))
-    from smartlot.tableaux import UNSATISFIABLE, is_satisfiable
-
     assert is_satisfiable(combined) == UNSATISFIABLE
     with caplog.at_level("WARNING"):
         found, removed = consult(store, "u", parse("g2"))
@@ -643,6 +644,67 @@ def test_memo_agrees_with_an_uncached_search(steps):
             expected = consequences(spec_formula(fresh, user, Atom(gate)))
         assert consult(store, user, Atom(gate)) == (expected, removed)
         assert store.to_tsv() == fresh.to_tsv()
+
+
+# -- referees that name no implementation ------------------------------------
+
+MINED_USERS = ["u0", "u1", "u2"]
+MINED_GATES = ["g1", "g2", "g3", "g4"]
+MINED_STEP = st.one_of(
+    st.tuples(st.just("prefer"), st.sampled_from(MINED_USERS), st.sampled_from(MINED_GATES),
+              st.sampled_from(["p1", "p2", "p3", "p4", "p5"])),
+    st.tuples(st.just("never"), st.sampled_from(MINED_USERS), st.sampled_from(MINED_GATES)),
+    st.tuples(st.just("arrive"), st.sampled_from(MINED_USERS), st.sampled_from(MINED_GATES)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MINED_STEP, min_size=20, max_size=80))
+def test_consult_on_a_mined_store_is_its_closed_form(steps):
+    # rows as mining makes them: upserted preferences and never-gates; the
+    # store, and so its memos, lives across all of an example's arrivals
+    store = SpecStore()
+    for op, user, gate, *spot in steps:
+        if op == "prefer":
+            store.upsert(user, parse(f"{gate} -> F {spot[0]}"))
+        elif op == "never":
+            store.insert_if_absent(user, parse(f"G !{gate}"))
+        else:
+            expected = mined_closed_form(store, user, gate)
+            assert consult(store, user, Atom(gate)) == expected
+
+
+# rows mining never makes, over three atoms so that shapes repeat
+RETRACTION_FORMS = [
+    "{0}", "!{0}", "G !{0}", "{0} -> F {1}", "G (!{0} & {1})", "F {0} & G !{0}",
+    "{0} -> F {1} | G {2}", "F ({0} & !{1})", "G ({0} | {1})", "!{0} | F {1}",
+]
+RETRACTION_ROW = st.builds(
+    lambda form, names: parse(form.format(*names)),
+    st.sampled_from(RETRACTION_FORMS),
+    st.lists(st.sampled_from(["a", "b", "c"]), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.lists(st.tuples(RETRACTION_ROW, st.integers(1, 3)), max_size=4), RETRACTION_ROW),
+    min_size=10, max_size=20,
+))
+def test_retraction_removes_exactly_the_rows_a_fresh_proof_refutes(rounds):
+    # each round adds rows to u and to a new user, searches the new user's
+    # specification under the observation (filling the shape memo with
+    # specifications), then retracts from u; the memos stay warm across
+    # rounds, and each verdict is checked against a proof of the pair alone
+    store = SpecStore()
+    for i, (rows, observation) in enumerate(rounds):
+        for row, r in rows:
+            store.insert("u", row, r)
+            store.insert(f"v{i}", row, r)
+        consult(store, f"v{i}", observation)
+        offenders = [t.formula for t in store.triples("u") if is_satisfiable(observation, t.formula) == UNSATISFIABLE]
+        assert retract_inconsistent(store, "u", observation) == offenders
+        assert not any(store.contains("u", f) for f in offenders)
 
 
 # -- the shape memo -----------------------------------------------------------
@@ -789,10 +851,9 @@ def test_shape_keys_of_examples(first, second, same):
 
 
 def test_one_proof_per_shape_and_one_clash_proof_per_pair_shape(monkeypatch):
-    searched, proved = [], []
-    search, prove = knowledge.consequences, knowledge.is_satisfiable
+    searched = []
+    search = knowledge.consequences
     monkeypatch.setattr(knowledge, "consequences", lambda *p: searched.append(p) or search(*p))
-    monkeypatch.setattr(knowledge, "is_satisfiable", lambda *p: proved.append(p) or prove(*p))
     store = SpecStore()
     spots = all_spots()
     for i, gate in enumerate(["g1", "g2", "g3"]):
@@ -801,24 +862,45 @@ def test_one_proof_per_shape_and_one_clash_proof_per_pair_shape(monkeypatch):
     for i, gate in enumerate(["g1", "g2", "g3"]):
         assert consult(store, f"u{i}", Atom(gate)) == ({spots[2 * i], spots[2 * i + 1]}, [])
     assert len(searched) == 1 and len(store.proofs) == 3 and len(store.proof_shapes) == 1
-    # a never-gate at the arrival gate: one search that closes, one clash
-    # proof per pair shape, one search of what is left
+    # a never-gate at the arrival gate: one search that closes, one search
+    # per pair shape (the two preferences share one), and the spec left is
+    # the first one, an exact hit
     for i, gate in enumerate(["g1", "g2", "g3"]):
         store.insert(f"u{i}", parse(f"G !{gate}"), 1)
         assert consult(store, f"u{i}", Atom(gate)) == ({spots[2 * i], spots[2 * i + 1]}, [parse(f"G !{gate}")])
-    assert len(searched) == 2 and len(proved) == 2
+    assert len(searched) == 4 and len(store.proof_shapes) == 4
+    assert [len(parts) for parts in searched] == [3, 4, 2, 2]
 
 
-def test_spec_and_pair_shapes_do_not_share_a_memo():
+def test_spec_and_pair_shapes_share_one_memo_entry(monkeypatch):
     # the specification g1 & g1 -> F p1 and the retraction pair (g2, g2 -> F
-    # p2) have one key; a memo of both would read a set of spots as a clash
+    # p2) have one key, and both store their consequences under it
+    searched = []
+    search = knowledge.consequences
+    monkeypatch.setattr(knowledge, "consequences", lambda *p: searched.append(p) or search(*p))
     store = SpecStore()
     store.insert("u", parse("g1 -> F p1"), 1)
     assert consult(store, "u", Atom("g1")) == ({"p1"}, [])
+    [entry] = store.proof_shapes.items()
     store.insert("v", parse("g2 -> F p2"), 2)
     store.insert("v", parse("G !g2"), 1)
     assert consult(store, "v", Atom("g2")) == ({"p2"}, [parse("G !g2")])
     assert store.contains("v", parse("g2 -> F p2"))
+    # u's spec, v's spec that closes and the pair (g2, G !g2) are searched;
+    # the pair (g2, g2 -> F p2) and the repaired spec read u's entry
+    assert searched == [
+        (parse("g1"), parse("g1 -> F p1")),
+        (parse("G !g2"), parse("g2"), parse("g2 -> F p2")),
+        (parse("G !g2"), parse("g2")),
+    ]
+    assert entry in store.proof_shapes.items() and len(store.proof_shapes) == 3
+    # the other way round: the pair (g3, G !g3 | F p3) is searched, and the
+    # repaired spec of its shape reads its entry
+    store.insert("w", parse("G !g3 | F p3"), 1)
+    store.insert("w", parse("G !g3"), 1)
+    searched.clear()
+    assert consult(store, "w", Atom("g3")) == ({"p3"}, [parse("G !g3")])
+    assert searched == [(parse("G !g3"), parse("g3"), parse("G !g3 | F p3")), (parse("g3"), parse("G !g3 | F p3"))]
 
 
 def test_triples_are_frozen():

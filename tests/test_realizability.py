@@ -188,8 +188,10 @@ def test_state_search_runs_without_a_constant_model(evaluations):
     f = parse("a & F !a & G (a | b)")
     assert is_satisfiable(f) == SATISFIABLE
     # the constant model, which a and !a leave nothing to evaluate, then
-    # the tail check
+    # the tail check, whose states the search starts from: the tail is
+    # enumerated once
     assert evaluations[:2] == [None, None]
+    assert evaluations.count(None) == 2
     assert any(later is not None for later in evaluations[2:])
     assert bounded_sat(f) is True
 

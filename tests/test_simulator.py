@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mined_referee import mined_closed_form
 from smartlot.agents import DecisionConfig
 from smartlot.fixtures import all_gates, parking_fixture
 from smartlot.formulas import Always, parse
@@ -596,29 +597,53 @@ def test_decision_records_are_pinned(name):
     assert h.hexdigest() == digest
 
 
-# searches (`consequences`) and clash proofs (`is_satisfiable`) of the
-# benchmark's seed-1 fleet and rush runs: one search per shape of
-# specification and one proof per shape of (observation, row) pair, where
-# exact keys took 832 and 773 searches and 278 clash proofs
-PINNED_EFFORT = {"fleet": (4, 0), "rush": (40, 3)}
+# consequence searches of the benchmark's seed-1 fleet and rush runs: one
+# per shape of conjunction the store proves, a specification or a
+# retraction's (observation, row) pair, where exact keys took 832 and 773
+# searches and 278 clash proofs
+PINNED_EFFORT = {"fleet": 4, "rush": 42}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_EFFORT))
 def test_search_effort_is_pinned(name, monkeypatch):
     import smartlot.knowledge
+    import smartlot.tableaux
 
-    calls = {"consequences": 0, "is_satisfiable": 0}
-    for fn in calls:
-
-        def counting(*parts, _fn=fn, _real=getattr(smartlot.knowledge, fn)):
-            calls[_fn] += 1
-            return _real(*parts)
-
-        monkeypatch.setattr(smartlot.knowledge, fn, counting)
+    # every expansion the run makes, and those a consequence search makes:
+    # equal counts mean no clash proof or other prover call
+    searches, expansions = [], []
+    search, expand = smartlot.knowledge.consequences, smartlot.tableaux._expand
+    monkeypatch.setattr(smartlot.knowledge, "consequences", lambda *p: searches.append(p) or search(*p))
+    monkeypatch.setattr(smartlot.tableaux, "_expand", lambda *a: expansions.append(a) or expand(*a))
     make, config, _ = PINNED_DECISIONS[name]
     report = run(parse_scenario(make(), config))
-    assert (calls["consequences"], calls["is_satisfiable"]) == PINNED_EFFORT[name]
+    assert len(searches) == len(expansions) == PINNED_EFFORT[name]
     assert len(report.decisions) == {"fleet": 3200, "rush": 1200}[name]
+
+
+# decisions of the seed-1 fleet and rush runs whose arrival contradicts a
+# never-gate the driver holds
+CONTRADICTED = {"fleet": 0, "rush": 110}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DECISIONS))
+def test_seed_1_decisions_keep_the_mined_closed_form(name, monkeypatch):
+    import smartlot.agents
+
+    real = smartlot.agents.consult
+    answers = []
+
+    def refereed(store, user, observation):
+        expected = mined_closed_form(store, user, observation.name)
+        answers.append(real(store, user, observation))
+        assert answers[-1] == expected, (user, observation)
+        return answers[-1]
+
+    monkeypatch.setattr(smartlot.agents, "consult", refereed)
+    make, config, _ = PINNED_DECISIONS[name]
+    run(parse_scenario(make(), config))
+    assert len(answers) == {"fleet": 3200, "rush": 1200}[name]
+    assert sum(bool(removed) for _, removed in answers) == CONTRADICTED[name]
 
 
 def test_parse_scenario_accepts_legacy_timestamps():
