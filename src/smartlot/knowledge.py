@@ -382,15 +382,19 @@ def consult(
     """The consequences of the user's specification under the observation
     (`tableaux.consequences` of its `spec_conjuncts`), and the formulas
     retracted first when every branch closed (`retract_inconsistent`; the
-    search then runs once more).  Each distinct set of conjuncts is read
-    once per store (`SpecStore.proofs`): its consequences do not depend on
-    their order, so a hit neither sorts the rows nor lists the conjuncts.
+    search then runs once more, and a warning is logged when no row was
+    singly inconsistent, a joint-only contradiction).  Each distinct set of
+    conjuncts is read once per store (`SpecStore.proofs`): its consequences
+    do not depend on their order, so a hit neither sorts the rows nor lists
+    the conjuncts.
     Each shape of conjunction, a specification's or a retraction pair's,
     is searched once per store (`SpecStore.proof_shapes`)."""
     found = _search(store, user, observation)
     if found is not None:
         return found, []
     removed = retract_inconsistent(store, user, observation)
+    if not removed:
+        log.warning("joint-only contradiction for user %s at %s: store left unchanged", user, observation)
     return _search(store, user, observation), removed
 
 
@@ -474,6 +478,4 @@ def retract_inconsistent(store: SpecStore, user: str, observation: Formula) -> l
         if _proof(store, [obs, facts], counts)[0] is None:
             store.remove(user, facts)
             removed.append(facts.formula)
-    if not removed:
-        log.warning("joint-only contradiction for user %s at %s: store left unchanged", user, observation)
     return removed

@@ -10,9 +10,10 @@ The expansion reads the parsed formula itself, each part under a sign
 (Smullyan's uniform notation): `!` flips the sign; And+, Or- and Implies-
 keep both parts on the branch; Or+, And-, Implies+ and Iff split it, left
 first, as their negation normal form would; G+ and F- take a universal label
-and F+ and G- name a new world.  No normal-form copy of the formula is built;
-only a part that waits under a universal label as a commitment is stored in
-negation normal form, which the realizability check reads.
+and F+ and G- name a new world.  No normal-form copy of the formula is built:
+a part that waits under a universal label is stored as a commitment as it
+is, and the realizability check compiles it under the same signs, one node
+per subformula and sign, so a nested <-> costs nodes linear in its size.
 
 Because the intended models are linear (a single time line with an
 eventually constant tail), label unification alone is not a complete
@@ -72,7 +73,6 @@ from .formulas import (
     Not,
     Or,
     atoms,
-    nnf,
     pretty,
 )
 
@@ -243,9 +243,9 @@ def _branch(
         elif t is not Iff:
             raise TypeError(f"not a formula: {f!r}")
         # the rest split the branch or name a world; under a universal
-        # label they wait, in normal form, as commitments
+        # label they wait, as they are, as commitments
         if label.universal:
-            commitments.append((nnf(Not(f)) if neg else nnf(f), label.prefix))
+            commitments.append((Not(f) if neg else f, label.prefix))
         elif t is Always or t is Eventually:
             world = label.prefix + (_world_name(next(fresh)),)
             stack = (f.operand, neg, WorldLabel(world, False), stack)
@@ -380,12 +380,14 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 #    states the check drew: the tail is enumerated once.
 # 4. Search.  Positions are added back to front from the tail.  A state is
 #    the set of named worlds placed behind a position and the values there
-#    of the F and G subformulas of the commitments, all that an earlier
-#    position reads.  In front of a state goes a free position, a world whose
-#    children and precedence successors are all placed or, once all are, the
-#    root.  A position enumerates only the atoms of the commitments that
-#    reach it.  Each state is expanded once: at most 2^k sets of worlds, not
-#    k! orderings (Held & Karp's subset recursion, J. SIAM 1962).
+#    of the F and G nodes of the commitments, one per subformula and sign
+#    (two copies of one would always take equal values), all that an
+#    earlier position reads.  In front of a state goes a free position, a
+#    world whose children and precedence successors are all placed or, once
+#    all are, the root.  A position enumerates only the atoms of the
+#    commitments that reach it.  Each state is expanded once: at most 2^k
+#    sets of worlds, not k! orderings (Held & Karp's subset recursion, J.
+#    SIAM 1962).
 # 5. Leaves.  A leaf world with no universal literal or commitment of its
 #    own, whose atoms no other literal and no commitment reads, stays out of
 #    the search: in a model its position can be a free one, and a model
@@ -545,36 +547,62 @@ def _position(compiled, forced, reads, needed, later):
 
 
 def _compile(formulas: list[Formula]) -> tuple[list[tuple], list[int], list[int]]:
-    """The distinct nodes of `formulas` (in negation normal form), by
-    identity and in post-order, with the index of each formula and of each F
-    and G node.  A node is (type, x, y): an atom or a negated atom has its
-    name as x; & and | have the indices of their parts; F and G have the
-    index of their operand and their own place among the F and G nodes."""
+    """The nodes of `formulas`, one per distinct subformula and sign, in
+    post-order, with the index of each formula and of each F and G node.
+    The parts are read under a sign as the expansion reads them: `!` flips
+    the sign and makes no node, & | and -> become & or | as their negation
+    normal form would, F and G swap under a negative sign, and l <-> r
+    becomes l & r | !l & !r, or l & !r | !l & r when negative, over the
+    signed nodes of l and r that every other use shares.  A node is
+    (type, x, y): an atom or a negated atom has its name as x; & and | have
+    the indices of their parts; F and G have the index of their operand and
+    their own place among the F and G nodes."""
+    # 2 * id(subformula) + sign -> node
     index: dict[int, int] = {}
     nodes: list[tuple] = []
     temporal: list[int] = []
-    # (formula, whether its parts are done)
-    todo = [(f, False) for f in formulas]
+    # the node of each part done, the last on top; each formula leaves one
+    results: list[int] = []
+    # (formula, negated, whether its parts are done), the first formula on top
+    todo = [(f, False, False) for f in reversed(formulas)]
     while todo:
-        g, done = todo.pop()
-        if id(g) in index:
-            continue
+        g, neg, done = todo.pop()
         t = type(g)
-        if t is Atom or t is Not:
-            nodes.append((t, g.name if t is Atom else g.operand.name, None))
-        elif not done:
-            if t is And or t is Or:
-                todo += ((g, True), (g.right, False), (g.left, False))
-            else:
-                todo += ((g, True), (g.operand, False))
+        while t is Not:
+            g, neg = g.operand, not neg
+            t = type(g)
+        key = 2 * id(g) + neg
+        if key in index:
+            results.append(index[key])
             continue
-        elif t is And or t is Or:
-            nodes.append((t, index[id(g.left)], index[id(g.right)]))
-        else:
+        if t is Atom:
+            nodes.append((Not if neg else Atom, g.name, None))
+        elif not done:
+            todo.append((g, neg, True))
+            if t is Iff:
+                todo += ((g.right, not neg, False), (g.left, True, False),
+                         (g.right, neg, False), (g.left, False, False))
+            elif t is Always or t is Eventually:
+                todo.append((g.operand, neg, False))
+            else:
+                todo += ((g.right, neg, False), (g.left, neg != (t is Implies), False))
+            continue
+        elif t is Iff:
+            # the nodes of l, r (negated when neg), !l and !r (or r)
+            left, right, not_left, not_right = results[-4:]
+            del results[-4:]
+            n = len(nodes)
+            nodes += ((And, left, right), (And, not_left, not_right), (Or, n, n + 1))
+        elif t is Always or t is Eventually:
             temporal.append(len(nodes))
-            nodes.append((t, index[id(g.operand)], len(temporal) - 1))
-        index[id(g)] = len(nodes) - 1
-    return nodes, [index[id(f)] for f in formulas], temporal
+            nodes.append((Always if (t is Always) != neg else Eventually, results.pop(), len(temporal) - 1))
+        else:
+            # And+, Or- and Implies- conjoin, the rest disjoin
+            right = results.pop()
+            nodes.append((And if (t is And) != neg else Or, results.pop(), right))
+        index[key] = len(nodes) - 1
+        results.append(index[key])
+    return nodes, results, temporal
 
 
 # ---------------------------------------------------------------------------

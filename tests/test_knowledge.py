@@ -596,6 +596,16 @@ def test_resolve_consistent_spec_removes_nothing():
     assert store.contains("u", parse("g2 -> F p018")) and len(store) == 1
 
 
+def test_retraction_on_a_consistent_store_logs_nothing(caplog):
+    # the joint-only warning is consult's, which knows the search closed
+    store = SpecStore()
+    store.insert("u", parse("g2 -> F p018"), 1)
+    with caplog.at_level("WARNING"):
+        assert retract_inconsistent(store, "u", parse("g2")) == []
+    assert caplog.records == []
+    assert len(store) == 1
+
+
 def test_resolve_joint_only_warns(caplog):
     store = SpecStore()
     store.insert("u", parse("F p1 -> !g2"), 1)

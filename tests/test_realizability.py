@@ -1,11 +1,13 @@
 """The linear-realizability search against the exhaustive one it replaced,
 and on the families that made that one factorial; the verdicts, which stop
 at the first open branch, against the whole trees; the signed expansion
-against the expansion of the negation normal form."""
+and the signed compile of commitments against those of the negation
+normal form."""
 
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -33,12 +35,13 @@ from smartlot.tableaux import (
 def decided(monkeypatch):
     """Record copies of the (literals, commitments) of every branch that
     reaches the realizability check, in call order; the expansion reuses
-    one literal list for every branch."""
+    one literal list for every branch.  The commitments are recorded in
+    negation normal form, which is what `realizability_reference` reads."""
     calls = []
     realizable = tableaux._realizable
 
     def recording(literals, commitments):
-        calls.append((list(literals), list(commitments)))
+        calls.append((list(literals), [(nnf(f), base) for f, base in commitments]))
         return realizable(literals, commitments)
 
     monkeypatch.setattr(tableaux, "_realizable", recording)
@@ -141,23 +144,64 @@ def test_signed_expansion_matches_the_normal_form(seed):
             assert below_root == export_tree(normal_tree).splitlines()[1:], pretty(g)
 
 
-def test_expansion_normalizes_only_commitments(monkeypatch):
+def test_expansion_builds_no_normal_form():
     calls = []
-    normalize = tableaux.nnf
 
-    def counting(f):
-        calls.append(f)
-        return normalize(f)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is nnf.__code__:
+            calls.append(frame.f_locals["f"])
 
-    monkeypatch.setattr(tableaux, "nnf", counting)
-    f = parse("(a -> b) & !(c <-> d)")
-    assert is_satisfiable(f) == SATISFIABLE
-    assert is_valid(f) == NOT_VALID
-    assert len(build_tree(f).branches) == 4
+    sys.setprofile(profile)
+    try:
+        f = parse("(a -> b) & !(c <-> d)")
+        assert is_satisfiable(f) == SATISFIABLE
+        assert is_valid(f) == NOT_VALID
+        assert len(build_tree(f).branches) == 4
+        # a signed part under G waits as it is and is compiled by sign; the
+        # second has no constant model, so the state search reads it too
+        assert is_satisfiable(parse("G !(a & F b)")) == SATISFIABLE
+        assert is_satisfiable(parse("G !(a <-> F b) & b & F !b")) == SATISFIABLE
+        assert consequences(parse("G (a -> !F b) & F (a & c)")) == {"a", "c"}
+    finally:
+        sys.setprofile(None)
     assert calls == []
-    # a signed disjunction under G is normalized once, where it is recorded
-    assert is_satisfiable(parse("G !(a & F b)")) == SATISFIABLE
-    assert [pretty(g) for g in calls] == ["!(a & F b)"]
+
+
+# -- the signed compile against the compile of the normal form ----------------
+
+
+def holds_at_tail(table, forced) -> bool:
+    return next(tableaux._position(table, forced, set(), table[1], None), None) is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_signed_compile_matches_the_normal_form(seed):
+    # at the tail, under every valuation of its atoms, a formula's signed
+    # nodes hold exactly when the nodes of its negation normal form do
+    for f in formula_corpus(seed=seed, count=500):
+        names = sorted(atoms(f))
+        for g in (f, Not(f)):
+            signed, normal = tableaux._compile([g]), tableaux._compile([nnf(g)])
+            for bits in itertools.product((False, True), repeat=len(names)):
+                forced = dict(zip(names, bits))
+                assert holds_at_tail(signed, forced) == holds_at_tail(normal, forced), (pretty(g), forced)
+
+
+def iff_chain(k: int) -> str:
+    """a{k-1} <-> (... (a1 <-> a0)...): k atoms, k - 1 nested <->."""
+    text = "a0"
+    for i in range(1, k):
+        text = f"a{i} <-> ({text})"
+    return text
+
+
+def test_iff_chain_compiles_to_nodes_linear_in_its_depth():
+    # each nested <-> is read under both signs over the shared signed nodes
+    # of its parts: 8k - 9 nodes, where its normal form about doubles per level
+    chains = [parse(iff_chain(k)) for k in (2, 4, 8, 16)]
+    assert [len(tableaux._compile([g])[0]) for g in chains] == [7, 23, 55, 119]
+    assert [len(tableaux._compile([nnf(g)])[0]) for g in chains] == [7, 29, 397, 98_333]
+    assert is_satisfiable(parse(f"G ({iff_chain(24)}) & F !a0")) == SATISFIABLE
 
 
 @pytest.fixture
