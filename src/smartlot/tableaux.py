@@ -413,7 +413,7 @@ def _realizable(
     prefixes = [*exact, *(p for p, _, _ in universal), *(b for _, b in commitments)]
     named_set = {prefix[:i] for prefix in prefixes for i in range(1, len(prefix) + 1)}
 
-    # before[w]: the worlds that must come ahead of w, by name order
+    # step 1: before[w] holds the worlds that must come ahead of w, by name order
     before = {w: {w[:-1]} if len(w) > 1 else set() for w in sorted(named_set)}
     for p, atom, value in universal:
         if p:
@@ -425,58 +425,38 @@ def _realizable(
         return True
 
     compiled = _compile([f for f, _ in commitments])
+    # the atoms the commitments read
     reads = {x for t, x, _ in compiled[0] if t is Atom or t is Not}
-    # two universal literals that clash close the branch by unification
+    # step 2; two universal literals that clash close the branch by unification
     tail = {a: v for _, a, v in universal}
     constant = _forced(tail, (pair for world in exact.values() for pair in world.items()))
     if next(_position(compiled, constant, reads, compiled[1], None), None) is not None:
         return True
+    # step 3: the tail's states, their F and G values, drawn as the search needs them
     states = _position(compiled, tail, reads, compiled[1], None)
     first = next(states, None)
-    return first is not None and _search(
-        exact, universal, held, commitments, before, compiled, itertools.chain([first], states), reads
-    )
+    if first is None:
+        return False
 
-
-def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
-    """Whether some ordering of `worlds` places each after its `before` set."""
-    placed: set[tuple[str, ...]] = set()
-    left = worlds
-    while left:
-        ready = [w for w in left if before[w] <= placed]
-        if not ready:
-            return False
-        placed.update(ready)
-        left = [w for w in left if w not in placed]
-    return True
-
-
-def _search(
-    exact: dict, universal: list, held: dict, commitments: list, before: dict, compiled: tuple,
-    tail: Iterator[tuple[bool, ...]], committed: set[str],
-) -> bool:
-    """Steps 4 and 5, from the tail's states: `tail` yields their F and G
-    values, and `committed` holds the commitments' atoms."""
-    reads = [atoms(f) for f, _ in commitments]
-    bases = list(zip([b for _, b in commitments], compiled[1], reads))
+    # step 5: the worlds the search places, children before their parent
+    bases = [(b, r, atoms(f)) for (f, b), r in zip(commitments, compiled[1])]
     owners = {p for p, _, _ in universal} | {b for _, b in commitments}
-
     kept: list[tuple[str, ...]] = []
     parents: set[tuple[str, ...]] = set()
     # an atom held under another label, or with the other value, is read
-    read = committed.union(a for (a, v), labels in held.items() if len(labels) > 1 or (a, not v) in held)
-    for w in reversed(before):  # children before their parent
+    read = reads.union(a for (a, v), labels in held.items() if len(labels) > 1 or (a, not v) in held)
+    for w in reversed(before):
         if not read.isdisjoint(exact.get(w, ())) or w in owners or w in parents:
             kept.append(w)
             parents.add(w[:-1])
-    # follows[w]: the worlds that must come after w
+    # step 4: follows[w] holds the worlds that must come after w
     follows = {w: {v for v in kept if w in before[v]} for w in kept}
     everyone = frozenset(kept)
 
     # depth first and lazily: each stack entry yields the states in front of
     # one state, so a model is found without enumerating every valuation;
     # the first yields the tail's
-    stack = [zip(itertools.repeat(frozenset()), tail)]
+    stack = [zip(itertools.repeat(frozenset()), itertools.chain([first], states))]
     seen = set()
     while stack:
         state = next(stack[-1], None)
@@ -502,6 +482,19 @@ def _search(
                       for after, here in moves]
         stack.append(itertools.chain(*successors))
     return False
+
+
+def _acyclic(worlds: list[tuple[str, ...]], before: dict) -> bool:
+    """Whether some ordering of `worlds` places each after its `before` set."""
+    placed: set[tuple[str, ...]] = set()
+    left = worlds
+    while left:
+        ready = [w for w in left if before[w] <= placed]
+        if not ready:
+            return False
+        placed.update(ready)
+        left = [w for w in left if w not in placed]
+    return True
 
 
 def _forced(base: dict[str, bool], pairs) -> dict[str, bool] | None:

@@ -1,15 +1,33 @@
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from formula_gen import formula_corpus
-from pathcheck import bounded_sat
+import smartlot.formulas
+from formula_gen import ATOMS, formula_corpus, random_formula
+from pathcheck import MAX_BITS, bounded_sat
 from smartlot.fixtures import all_gates, all_spots
-from smartlot.formulas import Always, And, Atom, Not, Or, conjoin, nnf, parse, pretty
+from smartlot.formulas import (
+    Always,
+    And,
+    Atom,
+    Eventually,
+    Not,
+    Or,
+    atoms,
+    conjoin,
+    count_eventually,
+    nnf,
+    parse,
+    pretty,
+)
 from smartlot.knowledge import SpecStore, Trip, mine_trip, spec_conjuncts
 from smartlot.tableaux import (
     CLOSED,
@@ -120,6 +138,8 @@ def test_consequences_examples():
     # a preference for another gate leaves a branch open either way
     assert consequences(parse("g2 & (g2 -> F p010) & (g1 -> F p011)")) == {"p010", "p011"}
     assert consequences(parse("g2 & (g2 -> F p010) & G !p011")) == {"p010"}
+    # only a closed branch holds p under a named label
+    assert consequences(parse("(F p & G !p) | (q & G !p)")) == frozenset()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -442,6 +462,50 @@ def test_validity_negation_coherence_random():
 def test_oracle_agreement_random():
     for f in formula_corpus(seed=7, count=300):
         assert (is_satisfiable(f) == SATISFIABLE) == bounded_sat(f), str(f)
+
+
+# a referee call over 20 bits enumerates about a million paths; 24 bits,
+# pathcheck.MAX_BITS, would take 16 times as long
+REFEREE_BITS = 20
+assert REFEREE_BITS <= MAX_BITS
+
+
+@st.composite
+def clashing_formulas(draw):
+    """`(F x & G !x & A) | (B & G !x)` with random parts A and B: the left
+    disjunct names a world that holds x and then closes there, so only a
+    closed branch ever holds x under a named label.  Drawn so that the
+    formula conjoined with one more F stays within REFEREE_BITS."""
+    x = Atom(draw(st.sampled_from(ATOMS)))
+    rng = draw(st.randoms(use_true_random=False))
+    a, b = random_formula(rng, 5), random_formula(rng, 5)
+    never = Always(Not(x))
+    f = Or(And(And(Eventually(x), never), a), And(b, never))
+    assume(len(atoms(f)) * (count_eventually(nnf(f)) + 2) <= REFEREE_BITS)
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(clashing_formulas())
+def test_consequences_are_sound_against_the_bounded_oracle(f):
+    found = consequences(f)
+    assert (found is None) == (not bounded_sat(f)), pretty(f)
+    for a in found or ():
+        assert bounded_sat(And(f, Eventually(Atom(a)))), (pretty(f), a)
+
+
+def test_the_oracle_loads_no_module_it_referees():
+    """The bounded oracle imports the formulas alone: a fresh interpreter
+    that imports it loads no other smartlot module."""
+    src = Path(smartlot.formulas.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests), str(src)])}
+    script = (
+        "import sys; import pathcheck; import smartlot.formulas; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'smartlot')))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["smartlot", "smartlot.formulas"]
 
 
 def test_monotone_closure():
