@@ -21,7 +21,8 @@ satisfiability test: two universally labeled literals in sibling scopes both
 reach the tail, and disjunctions under G may pick different disjuncts at
 different worlds.  Branches that survive unification therefore go through an
 exact realizability check, which closes a branch that no sequence of
-positions can hold (see "Linear realizability" below).
+positions can hold (see "Linear realizability" below): the constant model
+first, then steps that value a position 64 valuations at a time.
 
 One expansion yields the finished branches, depth first and left before
 right, and builds no display.  Its branches share one literal list and one
@@ -110,6 +111,7 @@ class WorldLabel(NamedTuple):
 _ROOT = WorldLabel()  # the label of every part at the root
 _ROOT_ON = WorldLabel((), True)  # the root and every later world
 Literal = tuple[str, str, WorldLabel]  # sign "+"/"-", atom, label
+Commitment = tuple[Formula, tuple[str, ...]]  # a formula waiting from a base world on
 # the labels of a branch's literals by atom: positive ones, then negative
 _Index = tuple[dict[str, list[WorldLabel]], dict[str, list[WorldLabel]]]
 # signed formulas left to expand, as a linked list (f, neg, label, rest)
@@ -155,11 +157,11 @@ def _expand(
 
     Every branch works on one literal list and one commitment list, a
     trail.  A pending branch holds its signed formulas left to expand (a
-    linked list, `_Stack`, sharing its rest with the branch it split from)
-    and the two lengths at its split; drawing it truncates both lists back
-    and pops the truncated literals from `held`, the index of the trail's
-    labels by sign and atom.  So the yielded literal list is valid until the
-    next branch is drawn; a caller that keeps it copies it.
+    linked list, `_Stack`, sharing its rest with the branch it split from),
+    the two lengths and `_branch`'s flag at its split; drawing it truncates
+    both lists back and pops the truncated literals from `held`, the index
+    of the trail's labels by sign and atom.  So the yielded literal list is
+    valid until the next branch is drawn; a caller that keeps it copies it.
 
     With `found`, adds to it the positive atoms under named labels of every
     open branch; once one branch is open, a pending branch that cannot add
@@ -170,20 +172,20 @@ def _expand(
     (lowered to a drawn branch's `shared` length when that is shorter), and
     `spent` holds the stack nodes from which nothing new can be reached."""
     literals: list[Literal] = []
-    commitments: list[tuple[Formula, tuple[str, ...]]] = []
+    commitments: list[Commitment] = []
     held: _Index = ({}, {})
     # the first part heads the stack
     stack: _Stack = None
     for f in reversed(parts):
         stack = (f, False, _ROOT, stack)
-    pending = [(stack, 0, 0)]
+    pending = [(stack, 0, 0, False)]
     fresh = itertools.count()
     reach: dict[tuple[int, bool], set[str]] = {}
     spent: dict[int, tuple] = {}
     scanned = 0
     found_open = False
     while pending:
-        stack, shared, committed = pending.pop()
+        stack, shared, committed, named_on = pending.pop()
         for sign, atom, _ in literals[shared:]:
             held[sign == "-"][atom].pop()
         del literals[shared:], commitments[committed:]
@@ -191,7 +193,7 @@ def _expand(
             scanned = _first_new(literals, min(scanned, shared), found)
             if scanned == shared and not _may_reach(stack, found, reach, spent):
                 continue
-        status = _branch(stack, literals, held, commitments, pending, fresh)
+        status = _branch(stack, named_on, literals, held, commitments, pending, fresh)
         if status == OPEN:
             found_open = True
             if found is not None:
@@ -202,17 +204,19 @@ def _expand(
 
 def _branch(
     stack: _Stack,
+    named_on: bool,
     literals: list[Literal],
     held: _Index,
-    commitments: list[tuple[Formula, tuple[str, ...]]],
+    commitments: list[Commitment],
     pending: list,
     fresh: Iterator[int],
 ) -> str:
     """Expand one branch to its status; the right side of each split goes on
-    `pending` with the lengths of the branch's lists.  A stack node `(f,
-    neg, label, rest)` stands for f, or for !f when `neg`, at `label`.  A new
-    literal is checked for closure against the labels `held` under its atom
-    with the other sign alone."""
+    `pending` with the lengths of the branch's lists and `named_on`, whether
+    a G or a negated F under a named world was read on the branch.  A stack
+    node `(f, neg, label, rest)` stands for f, or for !f when `neg`, at
+    `label`.  A new literal is checked for closure against the labels `held`
+    under its atom with the other sign alone."""
     while stack is not None:
         f, neg, label, stack = stack
         t = type(f)
@@ -238,6 +242,7 @@ def _branch(
         elif t is Always or t is Eventually:
             # G+ and F- hold at this world and every later one
             if (t is Always) != neg:
+                named_on = named_on or bool(label.prefix)
                 stack = (f.operand, neg, WorldLabel(label.prefix, True) if label.prefix else _ROOT_ON, stack)
                 continue
         elif t is not Iff:
@@ -252,13 +257,13 @@ def _branch(
         elif t is Iff:
             # Iff+ splits into l & r | !l & !r, Iff- into l & !r | !l & r
             right = (f.left, True, label, (f.right, not neg, label, stack))
-            pending.append((right, len(literals), len(commitments)))
+            pending.append((right, len(literals), len(commitments), named_on))
             stack = (f.left, False, label, (f.right, neg, label, stack))
         else:
             # Or+, And- and Implies+ split, left first
-            pending.append(((f.right, neg, label, stack), len(literals), len(commitments)))
+            pending.append(((f.right, neg, label, stack), len(literals), len(commitments), named_on))
             stack = (f.left, neg != (t is Implies), label, stack)
-    return OPEN if _realizable(literals, commitments) else CLOSED
+    return OPEN if _realizable(literals, commitments, named_on) else CLOSED
 
 
 def build_tree(f: Formula) -> TruthTree:
@@ -357,25 +362,28 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 # the universal literals and commitments that reach it constrain it.
 #
 # Without commitments or a universal literal under a named world, the worlds
-# form a forest and the branch is realizable.  Otherwise one pass over the
-# literals indexes them for every step below: the exact ones by world, the
-# universal ones, and the labels that hold each atom with each value, which
-# name the worlds of the precedence edges and the atoms other literals read.
+# form a forest and the branch is realizable; the expansion's flag
+# `named_on` tells the second without a scan of the trail.
 #
-# 1. Precedence.  A universal literal from named world P and an opposite
+# 1. Constant model.  One valuation meeting every literal, exact ones too,
+#    and every commitment read with F x and G x as x, taken at every position,
+#    is a model with the worlds placed parents first: no precedence edge can
+#    fail (Sistla & Clarke's degenerate ultimately periodic model, JACM 1985).
+#
+# Otherwise one pass over the literals indexes them for every step below:
+# the exact ones by world, the universal ones, and the labels that hold each
+# atom with each value, which name the worlds of the precedence edges and
+# the atoms other literals read.
+#
+# 2. Precedence.  A universal literal from named world P and an opposite
 #    exact literal at named world Q clash wherever Q sits at or after P, so Q
 #    must come before P.  (Pairs with P at the root, or with Q extending P,
 #    already closed by unification.)  These edges join the parent-before-child
 #    edges; one topological sort closes a branch whose edges form a cycle,
 #    and without commitments an acyclic branch is realizable.
-# 2. Constant model.  A valuation meeting every literal, exact ones too, and
-#    every commitment at the tail can be taken at every position, so the
-#    branch is open.  (It is the degenerate ultimately periodic model of
-#    Sistla & Clarke, JACM 1985.)
 # 3. Tail.  Every universal literal and every commitment holds at the tail,
 #    and there F and G read only the tail itself.  Without a tail valuation
-#    the branch closes.  A constant valuation is a tail valuation too, so
-#    step 2 may come first.  The check runs before the search sets up, so a
+#    the branch closes.  The check runs before the search sets up, so a
 #    branch it closes pays for none of that, and the search starts from the
 #    states the check drew: the tail is enumerated once.
 # 4. Search.  Positions are added back to front from the tail.  A state is
@@ -393,13 +401,22 @@ def open_consequences(tree: TruthTree) -> list[tuple[int, set[str]]]:
 #    the search: in a model its position can be a free one, and a model
 #    without it has room for it after its parent, with the next position's
 #    valuation plus its own literals.
+#
+# Steps 1, 3 and 4 value a position 64 valuations at a time, one per bit of
+# an int (bit-slicing; Biham, FSE 1997): the last `_LANES` free atoms by name
+# take fixed column masks and the rest are enumerated.  Bit j is the j-th
+# valuation in `itertools.product` order; set bits drawn upward keep it.
+
+_LANES = 6
+# _COLUMNS[k][i]: the lanes in which the i-th of k lane atoms is true
+_COLUMNS = [[sum(1 << j for j in range(1 << k) if j >> k - 1 - i & 1) for i in range(k)]
+            for k in range(_LANES + 1)]
 
 
-def _realizable(
-    literals: list[Literal], commitments: list[tuple[Formula, tuple[str, ...]]]
-) -> bool:
-    if not commitments and not any(label.universal and label.prefix for _, _, label in literals):
-        # only parent-before-child edges: a forest, so some ordering exists
+def _realizable(literals: list[Literal], commitments: list[Commitment], named_on: bool) -> bool:
+    """Whether some linear model holds the branch; without `named_on` no
+    literal holds under a universal label below a named world."""
+    if not commitments and not named_on or _constant_model(literals, commitments):
         return True
     exact: dict[tuple[str, ...], dict[str, bool]] = {}
     universal: list[tuple[tuple[str, ...], str, bool]] = []
@@ -413,7 +430,7 @@ def _realizable(
     prefixes = [*exact, *(p for p, _, _ in universal), *(b for _, b in commitments)]
     named_set = {prefix[:i] for prefix in prefixes for i in range(1, len(prefix) + 1)}
 
-    # step 1: before[w] holds the worlds that must come ahead of w, by name order
+    # step 2: before[w] holds the worlds that must come ahead of w, by name order
     before = {w: {w[:-1]} if len(w) > 1 else set() for w in sorted(named_set)}
     for p, atom, value in universal:
         if p:
@@ -427,12 +444,9 @@ def _realizable(
     compiled = _compile([f for f, _ in commitments])
     # the atoms the commitments read
     reads = {x for t, x, _ in compiled[0] if t is Atom or t is Not}
-    # step 2; two universal literals that clash close the branch by unification
+    # step 3: the tail's states, their F and G values, drawn as the search
+    # needs them (two clashing universal literals closed the branch)
     tail = {a: v for _, a, v in universal}
-    constant = _forced(tail, (pair for world in exact.values() for pair in world.items()))
-    if next(_position(compiled, constant, reads, compiled[1], None), None) is not None:
-        return True
-    # step 3: the tail's states, their F and G values, drawn as the search needs them
     states = _position(compiled, tail, reads, compiled[1], None)
     first = next(states, None)
     if first is None:
@@ -506,37 +520,83 @@ def _forced(base: dict[str, bool], pairs) -> dict[str, bool] | None:
     return out
 
 
-def _position(compiled, forced, reads, needed, later):
-    """Yield, for each valuation of one position that extends `forced` to the
-    atoms in `reads` and makes every node in `needed` true, the values there
-    of the F and G nodes; nothing when `forced` is None, a clash.  `later`
-    holds those values at the next position; at the tail it is None, and F
-    and G read the tail alone."""
+def _constant_model(literals: list[Literal], commitments: list[Commitment]) -> bool:
+    """Step 1: whether one valuation meets every literal and every commitment
+    read with F x and G x as x.  ! is ~: bits above a chunk's lanes are void."""
+    forced = _forced({}, ((atom, sign == "+") for sign, atom, _ in literals))
+    for met, lanes in _chunks(forced, set().union(*[atoms(f) for f, _ in commitments])):
+        for f, _ in commitments:
+            todo, done = [f], []  # formulas, and the operators that join their parts
+            while todo:
+                g = todo.pop()
+                t = type(g)
+                if t is Atom:
+                    done.append(lanes[g.name])
+                elif t is Always or t is Eventually:
+                    todo.append(g.operand)
+                elif t is Not:
+                    todo += (Not, g.operand)
+                elif g is Not:
+                    done[-1] = ~done[-1]
+                elif t is type:
+                    right, left = done.pop(), done.pop()
+                    done.append(left & right if g is And else left | right if g is Or
+                                else ~left | right if g is Implies else ~(left ^ right))
+                else:
+                    todo += (t, g.right, g.left)
+            met &= done[0]
+            if not met:
+                break
+        else:
+            return True
+    return False
+
+
+def _chunks(forced: dict[str, bool] | None, reads: set[str]) -> Iterator[tuple[int, dict[str, int]]]:
+    """Per chunk, in product order, of the valuations that extend `forced`
+    (none if None) to `reads`: the lanes' int and each atom's lanes (one dict)."""
     if forced is None:
         return
-    nodes, _, temporal = compiled
     free = sorted(reads.difference(forced))
-    vals = [False] * len(nodes)
-    for bits in itertools.product((False, True), repeat=len(free)):
-        v = dict(forced)
-        v.update(zip(free, bits))
+    k = min(len(free), _LANES)
+    outer = free[: len(free) - k]
+    full = (1 << (1 << k)) - 1
+    lanes = {atom: full if value else 0 for atom, value in forced.items()}
+    lanes.update(zip(free[len(free) - k:], _COLUMNS[k]))
+    for bits in itertools.product((0, full), repeat=len(outer)):
+        lanes.update(zip(outer, bits))
+        yield full, lanes
+
+
+def _position(compiled, forced, reads, needed, later):
+    """Yield, in `_chunks` order, for each valuation of one position that
+    extends `forced` (a clash if None) to `reads` and makes every node in
+    `needed` true, the values there of the F and G nodes.  `later` holds them
+    at the next position; at the tail it is None, and F and G read the tail."""
+    nodes, _, temporal = compiled
+    vals = [0] * len(nodes)
+    for full, lanes in _chunks(forced, reads):
         for i, (t, x, y) in enumerate(nodes):
             if t is Atom:
-                vals[i] = v.get(x, False)
+                vals[i] = lanes.get(x, 0)
             elif t is Not:
-                vals[i] = not v.get(x, False)
+                vals[i] = full ^ lanes.get(x, 0)
             elif t is And:
-                vals[i] = vals[x] and vals[y]
+                vals[i] = vals[x] & vals[y]
             elif t is Or:
-                vals[i] = vals[x] or vals[y]
+                vals[i] = vals[x] | vals[y]
             elif later is None:
                 vals[i] = vals[x]
             elif t is Eventually:
-                vals[i] = vals[x] or later[y]
+                vals[i] = full if later[y] else vals[x]
             else:
-                vals[i] = vals[x] and later[y]
-        if all(vals[r] for r in needed):
-            yield tuple([vals[i] for i in temporal])
+                vals[i] = vals[x] if later[y] else 0
+        met = full
+        for r in needed:
+            met &= vals[r]
+        for j in range(met.bit_length()):
+            if met >> j & 1:
+                yield tuple([vals[i] >> j & 1 == 1 for i in temporal])
 
 
 def _compile(formulas: list[Formula]) -> tuple[list[tuple], list[int], list[int]]:

@@ -224,9 +224,9 @@ def test_a3_search_grows_linearly_with_other_gate_preferences(k, monkeypatch):
     calls = []
     real = smartlot.tableaux._realizable
 
-    def counting(literals, commitments):
+    def counting(literals, commitments, named_on):
         calls.append(1)
-        return real(literals, commitments)
+        return real(literals, commitments, named_on)
 
     monkeypatch.setattr(smartlot.tableaux, "_realizable", counting)
     store = SpecStore()

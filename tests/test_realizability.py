@@ -15,7 +15,7 @@ from formula_gen import formula_corpus
 from pathcheck import bounded_sat
 from realizability_reference import _realizable as exhaustive_realizable
 from smartlot import tableaux
-from smartlot.formulas import Atom, Not, atoms, count_eventually, nnf, parse, pretty
+from smartlot.formulas import And, Atom, Eventually, Not, Or, atoms, count_eventually, nnf, parse, pretty
 from smartlot.tableaux import (
     CLOSED,
     NOT_VALID,
@@ -36,13 +36,17 @@ def decided(monkeypatch):
     """Record copies of the (literals, commitments) of every branch that
     reaches the realizability check, in call order; the expansion reuses
     one literal list for every branch.  The commitments are recorded in
-    negation normal form, which is what `realizability_reference` reads."""
+    negation normal form, which is what `realizability_reference` reads.
+    Without commitments, the expansion's flag must say what a scan of the
+    trail would: whether a literal holds under a universal label below a
+    named world."""
     calls = []
     realizable = tableaux._realizable
 
-    def recording(literals, commitments):
+    def recording(literals, commitments, named_on):
+        assert commitments or named_on == any(label.universal and label.prefix for _, _, label in literals)
         calls.append((list(literals), [(nnf(f), base) for f, base in commitments]))
-        return realizable(literals, commitments)
+        return realizable(literals, commitments, named_on)
 
     monkeypatch.setattr(tableaux, "_realizable", recording)
     return calls
@@ -108,9 +112,9 @@ def test_verdict_stops_at_the_first_open_branch(monkeypatch):
     checked = [0]
     realizable = tableaux._realizable
 
-    def counting(literals, commitments):
+    def counting(literals, commitments, named_on):
         checked[0] += 1
-        return realizable(literals, commitments)
+        return realizable(literals, commitments, named_on)
 
     monkeypatch.setattr(tableaux, "_realizable", counting)
     f = parse("(a | b) & (c | d) & (e | f) & (g | h)")
@@ -207,8 +211,7 @@ def test_iff_chain_compiles_to_nodes_linear_in_its_depth():
 @pytest.fixture
 def evaluations(monkeypatch):
     """The next-position values given to every one-position evaluation:
-    None at the tail (the constant model, the tail check and the search's
-    first states)."""
+    None at the tail (the tail check and the search's first states)."""
     later = []
     position = tableaux._position
 
@@ -220,24 +223,153 @@ def evaluations(monkeypatch):
     return later
 
 
-def test_constant_model_opens_a_committed_branch(evaluations):
+def test_constant_model_opens_a_committed_branch(evaluations, monkeypatch):
+    compiled = []
+    compile_commitments = tableaux._compile
+    monkeypatch.setattr(tableaux, "_compile", lambda formulas: compiled.append(formulas) or compile_commitments(formulas))
     f = parse("!a & G (a | F b) & F c")
     assert is_satisfiable(f) == SATISFIABLE
-    # the constant model alone decides: no tail check, no search
-    assert evaluations == [None]
+    # the constant model alone decides, from the commitments as they are:
+    # nothing is compiled and no position is evaluated
+    assert compiled == [] and evaluations == []
     assert bounded_sat(f) is True
 
 
 def test_state_search_runs_without_a_constant_model(evaluations):
     f = parse("a & F !a & G (a | b)")
     assert is_satisfiable(f) == SATISFIABLE
-    # the constant model, which a and !a leave nothing to evaluate, then
-    # the tail check, whose states the search starts from: the tail is
-    # enumerated once
-    assert evaluations[:2] == [None, None]
-    assert evaluations.count(None) == 2
-    assert any(later is not None for later in evaluations[2:])
+    # a and !a leave no constant model, which evaluates no position; the
+    # tail check comes first, and the search starts from its states: the
+    # tail is enumerated once
+    assert evaluations[0] is None
+    assert evaluations.count(None) == 1
+    assert any(later is not None for later in evaluations[1:])
     assert bounded_sat(f) is True
+
+
+# -- the lanes against the per-valuation evaluation they replaced ---------------
+
+
+def position_by_valuation(compiled, forced, reads, needed, later):
+    """`_position` as it was before the lanes: one walk of the nodes per
+    valuation of the free atoms, in `itertools.product` order."""
+    if forced is None:
+        return
+    nodes, _, temporal = compiled
+    free = sorted(reads.difference(forced))
+    vals = [False] * len(nodes)
+    for bits in itertools.product((False, True), repeat=len(free)):
+        v = dict(forced)
+        v.update(zip(free, bits))
+        for i, (t, x, y) in enumerate(nodes):
+            if t is Atom:
+                vals[i] = v.get(x, False)
+            elif t is Not:
+                vals[i] = not v.get(x, False)
+            elif t is And:
+                vals[i] = vals[x] and vals[y]
+            elif t is Or:
+                vals[i] = vals[x] or vals[y]
+            elif later is None:
+                vals[i] = vals[x]
+            elif t is Eventually:
+                vals[i] = vals[x] or later[y]
+            else:
+                vals[i] = vals[x] and later[y]
+        if all(vals[r] for r in needed):
+            yield tuple([vals[i] for i in temporal])
+
+
+def compiled_inputs(literals, commitments):
+    """The compiled commitments, the atoms they read, and the two tail
+    inputs: the constant one (every literal, None on a clash) and the tail
+    one (the universal literals)."""
+    compiled = tableaux._compile([f for f, _ in commitments])
+    reads = {x for t, x, _ in compiled[0] if t is Atom or t is Not}
+    tail = {atom: sign == "+" for sign, atom, label in literals if label.universal}
+    exact = ((atom, sign == "+") for sign, atom, label in literals if not label.universal)
+    return compiled, reads, tableaux._forced(tail, exact), tail
+
+
+def assert_lanes_agree(literals, commitments):
+    """The constant model's verdict as the compiled tail evaluation gave it,
+    and every tail yield, tuple for tuple and in order."""
+    compiled, reads, constant, tail = compiled_inputs(literals, commitments)
+    reference = next(position_by_valuation(compiled, constant, reads, compiled[1], None), None)
+    assert tableaux._constant_model(literals, commitments) == (reference is not None), (literals, commitments)
+    for forced in (constant, tail):
+        args = (compiled, forced, reads, compiled[1], None)
+        assert list(tableaux._position(*args)) == list(position_by_valuation(*args)), (literals, commitments)
+
+
+@pytest.fixture
+def positions(monkeypatch):
+    """The arguments of every one-position evaluation, in call order."""
+    calls = []
+    position = tableaux._position
+
+    def recording(*args):
+        calls.append(args)
+        return position(*args)
+
+    monkeypatch.setattr(tableaux, "_position", recording)
+    return calls
+
+
+def committed_calls(formulas, monkeypatch):
+    """Copies of every `_realizable` call that holds a commitment, over the
+    whole trees of `formulas`."""
+    calls = []
+    realizable = tableaux._realizable
+
+    def recording(literals, commitments, named_on):
+        if commitments:
+            calls.append((list(literals), list(commitments)))
+        return realizable(literals, commitments, named_on)
+
+    monkeypatch.setattr(tableaux, "_realizable", recording)
+    for f in formulas:
+        build_tree(f)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lanes_match_the_per_valuation_evaluation_on_corpus(seed, monkeypatch, positions):
+    formulas = formula_corpus(seed=seed, count=500)
+    calls = committed_calls([g for f in formulas for g in (f, Not(f))], monkeypatch)
+    searched = list(positions)
+    assert len(calls) > 100
+    for literals, commitments in calls:
+        assert_lanes_agree(literals, commitments)
+    # the search's evaluations too, with the next position's values
+    assert any(args[-1] is not None for args in searched)
+    for args in searched:
+        assert list(tableaux._position(*args)) == list(position_by_valuation(*args))
+
+
+def test_lanes_match_the_per_valuation_evaluation_on_crafted_branches(monkeypatch, positions):
+    many = " & ".join(f"a{i}" for i in range(9))
+    formulas = [
+        # nine free atoms, three of them outside the lanes: the only model
+        # is the last valuation of the last chunk
+        f"G b & G (!b | {many})",
+        # exact literals that clash across worlds leave no constant model
+        "F p & F !p & G (p | q)",
+        # F and G nodes over more atoms than one chunk holds, with a search
+        "F p & F !p & G (a0 | F a1 | a2 & G a3 | !a4 | F !a5 | a6 & a7 | G (a8 -> p))",
+    ]
+    calls = committed_calls([parse(text) for text in formulas], monkeypatch)
+    searched = list(positions)
+    assert len(calls) == 3
+    for literals, commitments in calls:
+        assert_lanes_agree(literals, commitments)
+    compiled, reads, constant, tail = compiled_inputs(*calls[0])
+    assert len(reads.difference(constant)) == 9
+    assert len(list(tableaux._position(compiled, constant, reads, compiled[1], None))) == 1
+    assert compiled_inputs(*calls[1])[2] is None
+    assert any(args[-1] is not None for args in searched)
+    for args in searched:
+        assert list(tableaux._position(*args)) == list(position_by_valuation(*args))
 
 
 # -- the two families that were factorial in k --------------------------------
@@ -259,9 +391,9 @@ def test_worst_case_family_k8_unsat(evaluations):
         evaluations.clear()
         tree = build_tree(parse(worst_case_family(k)))
         assert tree.closed, k
-        # at most the constant model and the tail check per branch: no search
+        # at most the tail check per branch: no search
         assert all(later is None for later in evaluations), k
-        assert len(evaluations) <= 2 * len(tree.branches), k
+        assert len(evaluations) <= len(tree.branches), k
 
 
 def test_cyclic_precedence_family_unsat(evaluations):

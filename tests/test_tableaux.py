@@ -190,9 +190,9 @@ def test_consequences_of_parts_search_as_their_conjunction(monkeypatch):
     checked = []
     real = smartlot.tableaux._realizable
 
-    def recording(literals, commitments):
+    def recording(literals, commitments, named_on):
         checked.append((list(literals), list(commitments)))
-        return real(literals, commitments)
+        return real(literals, commitments, named_on)
 
     monkeypatch.setattr(smartlot.tableaux, "_realizable", recording)
     rng = random.Random(17)
